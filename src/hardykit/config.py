@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields
 from typing import Tuple
 
@@ -100,6 +101,28 @@ class EvolutionConfig:
     blowup_ratio: float = 2.0
     omega_rtol: float = 0.1
     cap_dt_safety: float = 0.5
+
+    def __post_init__(self):
+        caps = self.caps
+        rules = (
+            (len(caps) >= 3 and min(caps) > 0.0 and max(caps) >= 100.0 * min(caps),
+             f"caps = {caps} needs >= 3 entries, all > 0, spanning >= 2 decades"),
+            (0.0 < self.T < math.inf, f"T = {self.T} must be finite and > 0"),
+            (self.dt > 0.0, f"dt = {self.dt} must be > 0"),
+            (0.0 < self.cap_dt_safety < 1.0,
+             f"cap_dt_safety = {self.cap_dt_safety} must lie in (0, 1)"),
+            (self.records >= 8, f"records = {self.records} must be >= 8"),
+            (self.n_points >= 16, f"n_points = {self.n_points} must be >= 16"),
+            (0.0 < self.r_min < self.r_max,
+             f"r_min = {self.r_min}, r_max = {self.r_max} need 0 < r_min < r_max"),
+            (0.0 < self.t_star_frac <= 1.0,
+             f"t_star_frac = {self.t_star_frac} must lie in (0, 1]"),
+            (0.0 <= self.u0_lo < self.u0_hi,
+             f"u0_lo = {self.u0_lo}, u0_hi = {self.u0_hi} need 0 <= u0_lo < u0_hi"),
+        )
+        for ok, message in rules:
+            if not ok:
+                raise ConfigError(f"[evolution] {message}")
 
 
 @dataclass(frozen=True)

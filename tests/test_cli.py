@@ -156,6 +156,17 @@ class TestCli:
         rc = main(["analyze", "--config", str(cfg_file), "--out", str(tmp_path / "o")])
         assert rc == 0
 
+    @pytest.mark.parametrize("override", [
+        "caps=100,1000", "caps=-10,100,1000", "cap_dt_safety=0", "dt=0", "T=0",
+        "records=4", "n_points=8", "u0_lo=-1", "r_min=0", "r_min=10", "t_star_frac=2",
+    ])
+    def test_bad_evolution_values_exit_2(self, tmp_path, capsys, override):
+        rc = main(["evolve", "--out", str(tmp_path / "o"),
+                   "--override", f"evolution.{override}"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: [evolution]")
+        assert not (tmp_path / "o").exists()
+
     def test_numeric_failure_exit_3(self, tmp_path):
         # both sweep endpoints subcritical: BadBracket
         rc = main(["sweep", "--out", str(tmp_path / "o"),

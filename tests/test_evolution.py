@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from hardykit import RadialGrid, fit_envelope, run_capped
-from hardykit.errors import DegenerateSeries, NegativeDatum
+from hardykit import RadialGrid, evolution, fit_envelope, run_capped
+from hardykit.errors import DegenerateSeries, NegativeDatum, SchemeDivergence
 from hardykit.evolution import _Stepper
 from hardykit.weights import RadialBump
 
@@ -49,6 +52,35 @@ class TestRunCapped:
             u = solve_banded((1, 1), ab, u, check_finite=False)
         m1 = stepper.mass(u)
         assert abs(m1 - m0) <= 1e-6 * m0  # relative drift per unit time
+
+    @pytest.mark.parametrize("cap", [1e2, 1e4])
+    def test_factored_steps_match_banded_solve_bitwise(self, exppow3, cap):
+        # oracle: the plain loop, one solve_banded per step on the same matrix
+        T, dt, records = 0.05, 1e-3, 8
+        s = run_capped(exppow3, 0.3, cap, BUMP, T=T, dt=dt, grid=GRID, records=records)
+        stepper = _Stepper(exppow3, GRID, 0.3, cap)
+        u = BUMP(stepper.r)
+        dt_eff = min(dt, 0.5 / cap)
+        per_rec = max(1, math.ceil(T / records / dt_eff))
+        dt_eff = T / records / per_rec
+        ab = stepper.matrix(dt_eff)
+        norms, min_value = [stepper.norm(u)], float(u.min())
+        for _ in range(records):
+            for _ in range(per_rec):
+                u = solve_banded((1, 1), ab, u, check_finite=False)
+            min_value = min(min_value, float(u.min()))
+            norms.append(stepper.norm(u))
+        assert np.array_equal(s.norms, np.asarray(norms))
+        assert s.dt == dt_eff
+        assert s.min_value == min_value
+
+    def test_singular_matrix_is_scheme_divergence(self, exppow3, monkeypatch):
+        # feed gttrf an exactly singular matrix (zero diagonal and superdiagonal)
+        real = evolution.dgttrf
+        monkeypatch.setattr(evolution, "dgttrf",
+                            lambda dl, d, du: real(dl, 0.0 * d, 0.0 * du))
+        with pytest.raises(SchemeDivergence, match="singular"):
+            run_capped(exppow3, 0.2, 10.0, BUMP, T=0.1, dt=1e-2, grid=GRID)
 
     def test_dt_clamped_by_cap(self, exppow3):
         s = run_capped(exppow3, 0.3, 1e4, BUMP, T=0.1, dt=1.0, grid=GRID, records=8)
