@@ -17,6 +17,11 @@ evolution; a family block is e.g.
     beta = 0.0
     alpha = 0.0
 
+Every task reads the profile of dmu with the [hardy] knobs and every
+spectral ladder, evolve's cross-check included, with the [spectral] knobs.
+report-all runs each stage once and composes summary.md and index.json in
+memory from the payloads the stages wrote.
+
 All floats in CSV output are serialized with 17 significant digits, all
 file writes are atomic (temp + rename), and identical configs produce
 byte-identical outputs.
@@ -83,16 +88,10 @@ def _grid(cfg: RunConfig) -> RadialGrid:
     return RadialGrid(cfg.grid.r_min, cfg.grid.r_max, cfg.grid.n_points)
 
 
-def _hardy_kwargs(cfg: RunConfig) -> dict:
+def _profile(cfg: RunConfig, family):
+    # the keyword form check_hypotheses uses, so both share one cache entry
     h = cfg.hardy
-    return dict(
-        k_min=h.k_min, k_max=h.k_max, tail_window=h.tail_window,
-        h2iv_k_max=h.h2iv_k_max, h2iii_radii=h.h2iii_radii,
-        h2iii_r_hi=h.h2iii_r_hi, h2iii_per_decade=h.h2iii_per_decade,
-        h3p_j_max=h.h3p_j_max, h3p_threshold=h.h3p_threshold,
-        cond1_p=h.cond1_p, cond1_k_min=h.cond1_k_min,
-        cond1_k_max=h.cond1_k_max, cond1_tol=h.cond1_tol,
-    )
+    return compute_profile(family, k_min=h.k_min, k_max=h.k_max, tail_window=h.tail_window)
 
 
 def _ladder_kwargs(cfg: RunConfig) -> dict:
@@ -104,37 +103,35 @@ def _ladder_kwargs(cfg: RunConfig) -> dict:
     )
 
 
-def run_analyze(cfg: RunConfig, outdir: Path) -> dict:
+def run_analyze(cfg: RunConfig, outdir: Path):
     family = cfg.family.build()
-    report = check_hypotheses(family, **_hardy_kwargs(cfg))
-    profile = compute_profile(family, k_min=cfg.hardy.k_min, k_max=cfg.hardy.k_max,
-                              tail_window=cfg.hardy.tail_window)
+    report = check_hypotheses(family, **vars(cfg.hardy))
     payload = report.to_json_dict()
-    payload["profile"] = profile.to_json_dict()
+    payload["profile"] = _profile(cfg, family).to_json_dict()
     _write_json(outdir / "hypotheses.json", payload)
     _atomic_write(outdir / "hypotheses.txt", report.to_table())
-    return {"hypotheses.json": str(outdir / "hypotheses.json"),
-            "hypotheses.txt": str(outdir / "hypotheses.txt")}
+    return ("hypotheses.json", "hypotheses.txt"), payload
 
 
-def run_spectrum(cfg: RunConfig, outdir: Path) -> dict:
+def run_spectrum(cfg: RunConfig, outdir: Path):
     family = cfg.family.build()
     res = lambda1(SpectralProblem(family, cfg.spectral.c, _grid(cfg)), **_ladder_kwargs(cfg))
     _write_csv(outdir / "spectrum_ladder.csv", SPECTRUM_LADDER,
                [(cfg.spectral.c, r_min, n, lam, res.verdict) for n, r_min, lam in res.ladder])
     _write_csv(outdir / "eigvec.csv", EIGVEC, zip(res.nodes, res.eigvec))
-    _write_json(outdir / "spectrum.json", {
+    payload = {
         "family": family.label(),
         "c": cfg.spectral.c,
         "lambda1": res.lambda1,
         "residual": res.residual,
         "verdict": res.verdict,
         "ladder": [{"n_points": n, "r_min": r, "lambda1": lam} for n, r, lam in res.ladder],
-    })
-    return {k: str(outdir / k) for k in ("spectrum_ladder.csv", "eigvec.csv", "spectrum.json")}
+    }
+    _write_json(outdir / "spectrum.json", payload)
+    return ("spectrum_ladder.csv", "eigvec.csv", "spectrum.json"), payload
 
 
-def run_sweep(cfg: RunConfig, outdir: Path) -> dict:
+def run_sweep(cfg: RunConfig, outdir: Path):
     family = cfg.family.build()
     s = cfg.spectral
     res = critical_sweep(family, s.sweep_c_lo, s.sweep_c_hi, s.sweep_tol,
@@ -144,29 +141,30 @@ def run_sweep(cfg: RunConfig, outdir: Path) -> dict:
         for n, r_min, lam in entry["ladder"]:
             rows.append((entry["c"], r_min, n, lam, entry["verdict"]))
     _write_csv(outdir / "sweep_trace.csv", SWEEP_TRACE, rows)
-    profile = compute_profile(family)
+    profile = _profile(cfg, family)
     # operational additive constant: -lambda1 at the weighted Hardy coupling
     # (couplings <= 0 are trivially valid and need no constant)
     if profile.c0_mu > 0.0:
         lam_at_c0mu = lambda1(SpectralProblem(family, profile.c0_mu, _grid(cfg)),
-                              with_ladder=False).lambda1
+                              with_ladder=False, **_ladder_kwargs(cfg)).lambda1
         c_mu_op = max(0.0, -lam_at_c0mu)
     else:
         c_mu_op = 0.0
-    _write_json(outdir / "sweep.json", {
+    payload = {
         "family": family.label(),
         "c_hat": res.c_hat,
         "bracket": [res.c_lo, res.c_hi],
         "c0_N0_expected": profile.c0_N0,
         "consistent": abs(res.c_hat - profile.c0_N0) <= s.sweep_tol + 0.05,
         "C_mu_operational": c_mu_op,
-    })
-    return {k: str(outdir / k) for k in ("sweep_trace.csv", "sweep.json")}
+    }
+    _write_json(outdir / "sweep.json", payload)
+    return ("sweep_trace.csv", "sweep.json"), payload
 
 
-def run_sharpness(cfg: RunConfig, outdir: Path) -> dict:
+def run_sharpness(cfg: RunConfig, outdir: Path):
     family = cfg.family.build()
-    profile = compute_profile(family)
+    profile = _profile(cfg, family)
     sh = cfg.sharpness
     c_n = profile.c0_N0 + sh.c_offset
     lo, hi = phi_n_gamma_bounds(c_n, profile.N0)
@@ -186,18 +184,19 @@ def run_sharpness(cfg: RunConfig, outdir: Path) -> dict:
         qs = [q for _, q in ladder]
         gamma_diverges = qs[-1] < -1e2 and qs[-1] < qs[0]
     _write_csv(outdir / "phi_gamma.csv", PHI_GAMMA, rows_g)
-    _write_json(outdir / "sharpness.json", {
+    payload = {
         "family": family.label(),
         "phi_n": {"c": c_n, "gamma": gamma,
                   "quotients": [r[3] for r in rows_n],
                   "strictly_decreasing": all(b < a for a, b in zip([r[3] for r in rows_n], [r[3] for r in rows_n][1:]))},
         "phi_gamma": {"c": c_g, "diverges": gamma_diverges},
         "constant_attained_hint": None if gamma_diverges is None else (not gamma_diverges),
-    })
-    return {k: str(outdir / k) for k in ("phi_n.csv", "phi_gamma.csv", "sharpness.json")}
+    }
+    _write_json(outdir / "sharpness.json", payload)
+    return ("phi_n.csv", "phi_gamma.csv", "sharpness.json"), payload
 
 
-def run_evolve(cfg: RunConfig, outdir: Path) -> dict:
+def run_evolve(cfg: RunConfig, outdir: Path):
     family = cfg.family.build()
     e = cfg.evolution
     run = dichotomy_verdict(
@@ -206,40 +205,33 @@ def run_evolve(cfg: RunConfig, outdir: Path) -> dict:
         u0=RadialBump(e.u0_lo, e.u0_hi), records=e.records,
         t_star_frac=e.t_star_frac, blowup_ratio=e.blowup_ratio,
         omega_rtol=e.omega_rtol, cap_dt_safety=e.cap_dt_safety,
-        spectral_grid=_grid(cfg),
+        spectral_grid=_grid(cfg), **_ladder_kwargs(cfg),
     )
     rows = []
     for s in run.series:
         for t, nn in zip(s.times, s.norms):
             rows.append((t, s.cap, nn))
     _write_csv(outdir / "evolution.csv", EVOLUTION, rows)
-    _write_json(outdir / "evolution.json", run.to_json_dict())
-    return {k: str(outdir / k) for k in ("evolution.csv", "evolution.json")}
+    payload = run.to_json_dict()
+    _write_json(outdir / "evolution.json", payload)
+    return ("evolution.csv", "evolution.json"), payload
 
 
-def run_report_all(cfg: RunConfig, outdir: Path) -> dict:
-    artifacts = {}
-    artifacts.update(run_analyze(cfg, outdir))
-    artifacts.update(run_sweep(cfg, outdir))
-    artifacts.update(run_sharpness(cfg, outdir))
-    artifacts.update(run_evolve(cfg, outdir))
-
-    family = cfg.family.build()
-    profile = compute_profile(family)
-    report = check_hypotheses(family, **_hardy_kwargs(cfg))
-    sweep = json.loads((outdir / "sweep.json").read_text())
-    sharp = json.loads((outdir / "sharpness.json").read_text())
-    evo = json.loads((outdir / "evolution.json").read_text())
+def run_report_all(cfg: RunConfig, outdir: Path):
+    stages = [runner(cfg, outdir) for runner in (run_analyze, run_sweep, run_sharpness, run_evolve)]
+    names = [name for files, _ in stages for name in files] + ["summary.md"]
+    hyp, sweep, sharp, evo = (payload for _, payload in stages)
+    profile = hyp["profile"]
     lines = [
-        f"# Report: {family.label()}",
+        f"# Report: {hyp['family']}",
         "",
         "| quantity | value |",
         "|---|---|",
-        f"| c0(N) | {profile.c0_N:.6g} |",
-        f"| c0_mu | {profile.c0_mu:.6g} |",
-        f"| N0 | {profile.N0:.6g} |",
-        f"| c0(N0) | {profile.c0_N0:.6g} |",
-        f"| hypotheses | {report.classification} (H2'={'yes' if report.h2_prime else 'no'}, H3' diverges={'yes' if report.h3p_iii_diverges else 'no'}) |",
+        f"| c0(N) | {profile['c0_N']:.6g} |",
+        f"| c0_mu | {profile['c0_mu']:.6g} |",
+        f"| N0 | {profile['N0']:.6g} |",
+        f"| c0(N0) | {profile['c0_N0']:.6g} |",
+        f"| hypotheses | {hyp['classification']} (H2'={'yes' if hyp['h2_prime'] else 'no'}, H3' diverges={'yes' if hyp['h3p_iii']['diverges'] else 'no'}) |",
         f"| critical sweep c_hat | {sweep['c_hat']:.6g} (expected {sweep['c0_N0_expected']:.6g}; consistent={sweep['consistent']}) |",
         f"| phi_n quotients decreasing | {sharp['phi_n']['strictly_decreasing']} |",
         f"| constant attained (phi_gamma hint) | {sharp['constant_attained_hint']} |",
@@ -247,12 +239,12 @@ def run_report_all(cfg: RunConfig, outdir: Path) -> dict:
         "",
     ]
     _atomic_write(outdir / "summary.md", "\n".join(lines))
-    artifacts["summary.md"] = str(outdir / "summary.md")
-    _write_json(outdir / "index.json", {"family": family.label(), "artifacts": sorted(artifacts)})
-    artifacts["index.json"] = str(outdir / "index.json")
-    return artifacts
+    index = {"family": hyp["family"], "artifacts": sorted(names)}
+    _write_json(outdir / "index.json", index)
+    return names + ["index.json"], index
 
 
+# task -> runner(cfg, outdir), returning (artifact file names, the JSON payload it wrote)
 _RUNNERS = {
     "analyze": run_analyze,
     "spectrum": run_spectrum,
@@ -292,7 +284,7 @@ def main(argv=None) -> int:
         return 2
     outdir = Path(args.out) if args.out else Path(cfg.outdir)
     try:
-        artifacts = _RUNNERS[args.task](cfg, outdir)
+        names, _ = _RUNNERS[args.task](cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -300,8 +292,8 @@ def main(argv=None) -> int:
         print(f"numeric failure [{args.task}]: {exc}", file=sys.stderr)
         return 3
     _atomic_write(outdir / "config_used.ini", serialize_config(cfg))
-    for name in sorted(artifacts):
-        print(artifacts[name])
+    for name in sorted(names):
+        print(outdir / name)
     return 0
 
 

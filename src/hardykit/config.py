@@ -22,6 +22,13 @@ __all__ = ["RunConfig", "parse_config", "serialize_config", "load_config", "appl
 TASKS = ("analyze", "spectrum", "sweep", "sharpness", "evolve", "report-all")
 
 
+def _check(section: str, rules) -> None:
+    """Raise a ConfigError for the first (ok, message) rule that fails."""
+    for ok, message in rules:
+        if not ok:
+            raise ConfigError(f"[{section}] {message}")
+
+
 @dataclass(frozen=True)
 class FamilyConfig:
     kind: str = "exp_power"
@@ -44,13 +51,19 @@ class GridConfig:
     r_max: float = 20.0
     n_points: int = 256
 
+    def __post_init__(self):
+        _check("grid", (
+            (0.0 < self.r_min < self.r_max,
+             f"r_min = {self.r_min}, r_max = {self.r_max} need 0 < r_min < r_max"),
+            (self.n_points >= 16, f"n_points = {self.n_points} must be >= 16"),
+        ))
+
 
 @dataclass(frozen=True)
 class HardyConfig:
     k_min: int = 10
     k_max: int = 40
     tail_window: int = 10
-    n0_agree_tol: float = 0.05
     h2iv_k_max: int = 40
     h2iii_radii: Tuple[float, ...] = (0.1, 1.0, 10.0)
     h2iii_r_hi: float = 1e3
@@ -104,7 +117,7 @@ class EvolutionConfig:
 
     def __post_init__(self):
         caps = self.caps
-        rules = (
+        _check("evolution", (
             (len(caps) >= 3 and min(caps) > 0.0 and max(caps) >= 100.0 * min(caps),
              f"caps = {caps} needs >= 3 entries, all > 0, spanning >= 2 decades"),
             (0.0 < self.T < math.inf, f"T = {self.T} must be finite and > 0"),
@@ -119,10 +132,10 @@ class EvolutionConfig:
              f"t_star_frac = {self.t_star_frac} must lie in (0, 1]"),
             (0.0 <= self.u0_lo < self.u0_hi,
              f"u0_lo = {self.u0_lo}, u0_hi = {self.u0_hi} need 0 <= u0_lo < u0_hi"),
-        )
-        for ok, message in rules:
-            if not ok:
-                raise ConfigError(f"[evolution] {message}")
+            (self.u0_lo < self.r_max and self.u0_hi > self.r_min,
+             f"u0 support ({self.u0_lo}, {self.u0_hi}) misses the grid "
+             f"({self.r_min}, {self.r_max})"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -147,27 +160,20 @@ _SECTIONS = {
 }
 
 
-def _coerce(raw: str, target_type, key: str):
+def _coerce(raw: str, default, key: str):
+    """Parse `raw` as the type of the field's default value.
+
+    Dataclass field types are strings under future annotations, so the
+    default instance carries the type; tuples are comma-separated scalars.
+    """
     raw = raw.strip()
     try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-        if target_type is str:
-            return raw
-        # tuples serialize as comma-separated scalars
-        origin = getattr(target_type, "__origin__", None)
-        if origin is tuple:
-            inner = target_type.__args__[0]
-            if raw == "":
-                return ()
-            return tuple(
-                int(x) if inner is int else float(x) for x in raw.split(",")
-            )
+        if isinstance(default, tuple):
+            inner = int if (default and isinstance(default[0], int)) else float
+            return tuple(inner(x) for x in raw.split(",")) if raw else ()
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key} = {raw!r}: {exc}") from exc
-    raise ConfigError(f"unsupported config field type for {key}")
 
 
 def _serialize_value(v) -> str:
@@ -201,27 +207,18 @@ def parse_config(text: str) -> RunConfig:
     for section, cls in _SECTIONS.items():
         if not cp.has_section(section):
             continue
-        known = {f.name: f.type for f in fields(cls)}
+        known = {f.name for f in fields(cls)}
         resolved = {}
         for key, raw in cp.items(section):
             if key not in known:
                 raise ConfigError(f"unknown key [{section}] {key}")
-            ftype = cls.__dataclass_fields__[key].type
-            # dataclass field types are strings under future annotations;
-            # recover the real type from a default instance
-            default = getattr(cls(), key)
-            if isinstance(default, tuple):
-                inner = int if (default and isinstance(default[0], int)) else float
-                typ = Tuple[inner, ...]
-            else:
-                typ = type(default)
-            resolved[key] = _coerce(raw, typ, f"[{section}] {key}")
+            resolved[key] = _coerce(raw, getattr(cls(), key), f"[{section}] {key}")
         try:
             kwargs[section] = cls(**resolved)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-    for name in ("family", "grid", "hardy", "spectral", "sharpness", "evolution"):
-        kwargs.setdefault(name, _SECTIONS[name]())
+    for name, cls in _SECTIONS.items():
+        kwargs.setdefault(name, cls())
     extra = set(cp.sections()) - set(_SECTIONS) - {"run"}
     if extra:
         raise ConfigError(f"unknown section(s): {sorted(extra)}")

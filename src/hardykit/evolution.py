@@ -239,6 +239,7 @@ def dichotomy_verdict(
     omega_rtol: float = 0.1,
     cap_dt_safety: float = _CAP_DT_SAFETY,
     spectral_grid: Optional[RadialGrid] = None,
+    **ladder_opts,
 ) -> EvolutionRun:
     """Run the cap ladder and classify the outcome.
 
@@ -246,7 +247,8 @@ def dichotomy_verdict(
     the cap (last ratio above the threshold and ratios nondecreasing).
     ExistenceSignature: envelope rates Cauchy in the cap and the ratio has
     settled.  Anything else is Inconclusive.  The verdict is cross-checked
-    against the spectral ladder for the same (family, c).
+    against the spectral ladder (`lambda1` with `ladder_opts`) for the same
+    (family, c).
     """
     if len(caps) < 3 or max(caps) / min(caps) < 100.0:
         raise ValueError("cap ladder needs >= 3 entries spanning >= 2 decades")
@@ -278,7 +280,7 @@ def dichotomy_verdict(
         verdict = "Inconclusive"
 
     sgrid = spectral_grid or RadialGrid(1e-5, 20.0, 256)
-    spectral = lambda1(SpectralProblem(family, c, sgrid)).verdict
+    spectral = lambda1(SpectralProblem(family, c, sgrid), **ladder_opts).verdict
     agrees = (
         verdict == "Inconclusive"
         or (verdict == "BlowupSignature") == (spectral == "Diverging")

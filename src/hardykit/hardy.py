@@ -61,6 +61,9 @@ _H1_KNOWN = {
     Kind.CUSTOM: None,
 }
 
+# two N0 estimates closer than this count as agreeing
+_N0_AGREE_TOL = 0.05
+
 
 def c0(dimension: float) -> float:
     """The classical Hardy constant ((N-2)/2)^2, for real N."""
@@ -144,7 +147,7 @@ def _integral_diverges(family: WeightFamily, delta: float) -> bool:
 
 
 def estimate_N0(family: WeightFamily, *, k_min: int = 10, k_max: int = 40,
-                tol: float = 0.02, agree_tol: float = 0.05) -> N0Estimate:
+                tol: float = 0.02, agree_tol: float = _N0_AGREE_TOL) -> N0Estimate:
     """Estimate N_0 twice: log-log slope of mu near 0, and bisection on the
     integrability flag of r^{-delta} against dmu."""
     N = family.dimension
@@ -219,7 +222,7 @@ def compute_profile(family: WeightFamily, k_min: int = 10, k_max: int = 40,
         L_inf=L_inf,
         n0_slope=n0_est.slope,
         n0_quadrature=n0_est.quadrature,
-        n0_agrees=n0_est.agrees and (analytic is None or abs(n0_est.value - N0) <= 0.05),
+        n0_agrees=n0_est.agrees and (analytic is None or abs(n0_est.value - N0) <= _N0_AGREE_TOL),
     )
 
 

@@ -1,8 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from hardykit import cli
 from hardykit.cli import main
 from hardykit.config import (
     RunConfig,
@@ -12,6 +14,17 @@ from hardykit.config import (
 )
 from hardykit.errors import ConfigError
 from hardykit import schemas
+
+
+def _ini_keys(text):
+    """The (section, key) pairs an ini text names; values and comments ignored."""
+    keys, section = set(), None
+    for line in text.splitlines():
+        if m := re.match(r"\[(\w+)\]", line):
+            section = m.group(1)
+        elif m := re.match(r"(\w+)\s*=", line):
+            keys.add((section, m.group(1)))
+    return keys
 
 
 class TestConfig:
@@ -159,6 +172,7 @@ class TestCli:
     @pytest.mark.parametrize("override", [
         "caps=100,1000", "caps=-10,100,1000", "cap_dt_safety=0", "dt=0", "T=0",
         "records=4", "n_points=8", "u0_lo=-1", "r_min=0", "r_min=10", "t_star_frac=2",
+        "r_max=0.2",
     ])
     def test_bad_evolution_values_exit_2(self, tmp_path, capsys, override):
         rc = main(["evolve", "--out", str(tmp_path / "o"),
@@ -166,6 +180,58 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: [evolution]")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("override", ["r_min=0", "r_max=1e-6", "n_points=8"])
+    def test_bad_grid_values_exit_2(self, tmp_path, capsys, override):
+        rc = main(["sweep", "--out", str(tmp_path / "o"), "--override", f"grid.{override}"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: [grid]")
+        assert not (tmp_path / "o").exists()
+
+    def test_report_all_runs_each_stage_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = cli.check_hypotheses
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_hypotheses", counted)
+        cli.compute_profile.cache_clear()
+        rc = main(["report-all", "--out", str(tmp_path / "o"),
+                   "--override", "evolution.caps=10,100,1000",
+                   "--override", "evolution.T=1"])
+        assert rc == 0
+        assert len(calls) == 1
+        assert cli.compute_profile.cache_info().misses == 1
+
+    def test_hardy_knobs_reach_summary(self, tmp_path):
+        rc = main(["report-all", "--out", str(tmp_path / "o"),
+                   "--override", "family.kind=log_weight",
+                   "--override", "family.alpha=1.0",
+                   "--override", "grid.r_max=0.95",
+                   "--override", "evolution.r_max=0.95",
+                   "--override", "evolution.u0_lo=0.05",
+                   "--override", "evolution.u0_hi=0.2",
+                   "--override", "evolution.c=0.1",
+                   "--override", "evolution.caps=10,100,1000",
+                   "--override", "evolution.T=1",
+                   "--override", "hardy.k_max=24",
+                   "--override", "hardy.tail_window=6"])
+        assert rc == 0
+        hyp = json.loads((tmp_path / "o" / "hypotheses.json").read_text())
+        summary = (tmp_path / "o" / "summary.md").read_text()
+        assert f"| c0_mu | {hyp['profile']['c0_mu']:.6g} |" in summary.splitlines()
+
+    def test_evolve_cross_check_reads_spectral_ladder(self, tmp_path):
+        rc = main(["evolve", "--out", str(tmp_path / "o"),
+                   "--override", "evolution.c=0.35",
+                   "--override", "spectral.diverge_factor=1e6",
+                   "--override", "evolution.caps=10,100,1000",
+                   "--override", "evolution.T=1"])
+        assert rc == 0
+        evo = json.loads((tmp_path / "o" / "evolution.json").read_text())
+        assert evo["spectral_verdict"] == "Bounded"
 
     def test_numeric_failure_exit_3(self, tmp_path):
         # both sweep endpoints subcritical: BadBracket
@@ -195,6 +261,11 @@ class TestCli:
         a = (tmp_path / "a" / "hypotheses.json").read_bytes()
         b = (tmp_path / "b" / "hypotheses.json").read_bytes()
         assert a == b
+
+    def test_readme_config_in_sync(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert _ini_keys(block) == _ini_keys(serialize_config(RunConfig()))
 
     def test_schema_doc_in_sync(self):
         doc = Path(__file__).resolve().parents[1] / "docs" / "output_schemas.md"
