@@ -42,6 +42,7 @@ from .errors import ConfigError, HardyKitError
 from .hardy import check_hypotheses, compute_profile
 from .schemas import EIGVEC, EVOLUTION, PHI_GAMMA, PHI_N, SPECTRUM_LADDER, SWEEP_TRACE
 from .spectral import (
+    MIN_RUNGS,
     RadialGrid,
     SpectralProblem,
     critical_sweep,
@@ -103,6 +104,14 @@ def _ladder_kwargs(cfg: RunConfig) -> dict:
     )
 
 
+def _require_sweep_ladder(cfg: RunConfig) -> None:
+    # a shorter ladder reads Unresolved at every c, so the bisection cannot start
+    if cfg.spectral.rungs < MIN_RUNGS:
+        raise ConfigError(
+            f"[spectral] rungs = {cfg.spectral.rungs} must be >= {MIN_RUNGS} for a sweep"
+        )
+
+
 def run_analyze(cfg: RunConfig, outdir: Path):
     family = cfg.family.build()
     report = check_hypotheses(family, **vars(cfg.hardy))
@@ -132,6 +141,7 @@ def run_spectrum(cfg: RunConfig, outdir: Path):
 
 
 def run_sweep(cfg: RunConfig, outdir: Path):
+    _require_sweep_ladder(cfg)
     family = cfg.family.build()
     s = cfg.spectral
     res = critical_sweep(family, s.sweep_c_lo, s.sweep_c_hi, s.sweep_tol,
@@ -218,6 +228,7 @@ def run_evolve(cfg: RunConfig, outdir: Path):
 
 
 def run_report_all(cfg: RunConfig, outdir: Path):
+    _require_sweep_ladder(cfg)  # before the analyze stage spends its time
     stages = [runner(cfg, outdir) for runner in (run_analyze, run_sweep, run_sharpness, run_evolve)]
     names = [name for files, _ in stages for name in files] + ["summary.md"]
     hyp, sweep, sharp, evo = (payload for _, payload in stages)

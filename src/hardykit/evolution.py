@@ -28,7 +28,8 @@ the norm ratio between successive caps at t* = T/2 exceeds the threshold
 (default 2) and the ratios increase with the cap; an existence signature
 when the fitted envelope rates are Cauchy in the cap and the ratios have
 stopped growing.  Each verdict is cross-checked against the spectral
-Bounded/Diverging verdict for the same (family, c).
+Bounded/Diverging verdict for the same (family, c); an Unresolved spectral
+ladder (fewer than 3 rungs) agrees only with an Inconclusive run.
 
 Cap runs are independent of each other (parallelizable); time stepping
 within a run is strictly sequential.
@@ -248,7 +249,7 @@ def dichotomy_verdict(
     ExistenceSignature: envelope rates Cauchy in the cap and the ratio has
     settled.  Anything else is Inconclusive.  The verdict is cross-checked
     against the spectral ladder (`lambda1` with `ladder_opts`) for the same
-    (family, c).
+    (family, c); an Unresolved ladder agrees only with Inconclusive.
     """
     if len(caps) < 3 or max(caps) / min(caps) < 100.0:
         raise ValueError("cap ladder needs >= 3 entries spanning >= 2 decades")
@@ -281,9 +282,9 @@ def dichotomy_verdict(
 
     sgrid = spectral_grid or RadialGrid(1e-5, 20.0, 256)
     spectral = lambda1(SpectralProblem(family, c, sgrid), **ladder_opts).verdict
-    agrees = (
-        verdict == "Inconclusive"
-        or (verdict == "BlowupSignature") == (spectral == "Diverging")
+    agrees = verdict == "Inconclusive" or (
+        spectral != "Unresolved"
+        and (verdict == "BlowupSignature") == (spectral == "Diverging")
     )
     return EvolutionRun(
         family=family,

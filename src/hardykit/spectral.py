@@ -17,7 +17,8 @@ on a refinement ladder (r_min / 4, n x 2) per rung: once the truncation
 radius resolves the singular mode, lambda_1 scales like 1/r_min^2, i.e. a
 factor 16 per rung.  The verdict requires the last ratio to exceed the
 documented factor (default 4) and the previous one half of it, which keeps
-float64 noise at deep rungs from faking a divergence.
+float64 noise at deep rungs from faking a divergence.  A ladder of fewer
+than three rungs cannot show a cascade and reads Unresolved.
 
 Everything operates on the radial subspace: the sharpness constructions are
 radial, and for radial weights the critical constant is visible there.
@@ -56,6 +57,7 @@ from .weights import (
 )
 
 __all__ = [
+    "MIN_RUNGS",
     "SpectralProblem",
     "Tridiagonal",
     "assemble",
@@ -205,18 +207,25 @@ class RayleighResult:
     nodes: np.ndarray
     residual: float
     ladder: List[Tuple[int, float, float]]
-    verdict: str  # "Bounded" | "Diverging"
+    verdict: str  # "Bounded" | "Diverging" | "Unresolved"
+
+
+MIN_RUNGS = 3  # a shorter ladder cannot show a cascade
 
 
 def _ladder_verdict(lams: List[float], factor: float, floor: float) -> str:
     """Diverging when some trailing 3-rung window shows the 1/r_min^2
     cascade: last ratio above `factor`, the one before above factor/2.
+    Unresolved for a ladder of fewer than MIN_RUNGS rungs, which cannot
+    tell the two apart.
 
     Checking the two trailing windows keeps a single noise-corrupted deep
     rung (float64 cannot certify small eigenvalues there) from masking an
     otherwise clean cascade, while the double-ratio requirement keeps that
     same noise from faking one.
     """
+    if len(lams) < MIN_RUNGS:
+        return "Unresolved"
     for window in (lams[-3:], lams[-4:-1]):
         if len(window) < 3:
             continue
@@ -290,8 +299,14 @@ def critical_sweep(
 
     Returns the midpoint of the final bracket; |c_hat - critical constant|
     is informally tol plus the ladder's detection bias (calibrated against
-    the shipped families; see the sweep defaults).
+    the shipped families; see the sweep defaults).  A ladder shorter than
+    MIN_RUNGS would read Unresolved at every c, so `rungs` below it raises
+    InvalidParams before any solve.
     """
+    if ladder_opts.get("rungs", MIN_RUNGS) < MIN_RUNGS:
+        raise InvalidParams(
+            f"a sweep needs ladders of >= {MIN_RUNGS} rungs, got {ladder_opts['rungs']}"
+        )
     grid = grid or RadialGrid(1e-5, 20.0, 256)
     trace: List[dict] = []
 

@@ -25,10 +25,18 @@ integrals over (0, oo) make sense.  All near-origin analysis happens at
 r < 1/2 where the closure is inactive.
 
 Quadrature runs on the log axis s = log r, where power-law singularities
-become exponentials: adaptive Gauss-Kronrod per block, with blocks doubling
-toward s = -oo and a divergence flag when the block sums refuse to settle.
-Weight logarithms are evaluated directly as functions of s, so integrands
-stay meaningful far below the smallest positive float in r.
+become exponentials, in blocks doubling toward s = -oo with a divergence
+flag when the block sums refuse to settle.  Each block is integrated by
+adaptive bisection in numpy (after Gander and Gautschi, "Adaptive
+quadrature -- revisited", BIT 40, 2000): the error estimate of a sub-interval
+compares a 10-point Gauss-Legendre rule on it with the same rule on its two
+halves, and every pending sub-interval of a refinement level is evaluated in
+one call of the integrand.  At most 4096 sub-intervals are refined at once;
+past that budget the block raises QuadratureFailure.  When bisection stops
+shrinking the estimates for three levels, the integrand is resolved to
+rounding (a cancelling difference, say) and the block is accepted.  Weight
+logarithms are evaluated directly as functions of s, so integrands stay
+meaningful far below the smallest positive float in r.
 
 All types are immutable values and all operations are pure; everything here
 is safe to share across threads.
@@ -44,7 +52,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DivergentIntegral,
@@ -428,35 +435,91 @@ def log_derivatives(family: WeightFamily, r):
 # weighted quadrature
 # ----------------------------------------------------------------------
 
-def _quad_block(F, a: float, b: float, rtol: float, pts=()):
-    inner = [p for p in pts if a < p < b]
+_GL_NODES = 10               # per rule; a refinement level evaluates 2x this
+_QX, _QW = np.polynomial.legendre.leggauss(_GL_NODES)
+_TOL_SAFETY = 1.0 / 16.0     # estimates are checked against rtol / 16
+_INHERIT = 2.0**-16          # share of a parent's estimate its halves carry
+_MAX_PENDING = 4096          # sub-intervals one level may refine
+_MAX_LEVELS = 100
+_STALL_GAIN = 0.75           # a level "gains" when the error sum falls below this
+_STALL_LEVELS = 3            # levels without gain before rounding is accepted
+_STALL_SHARE = 0.125         # ... if the differences are below this share of the total
+
+
+def _gauss(F, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The Gauss-Legendre rule on every [lo_i, hi_i], with one call of F."""
+    half = 0.5 * (hi - lo)
+    s = (0.5 * (hi + lo))[:, None] + half[:, None] * _QX
     try:
-        out = quad(F, a, b, limit=300, epsrel=rtol, epsabs=1e-300,
-                   points=inner or None, full_output=True)
-    except Exception as exc:  # quadpack can raise on hopeless integrands
-        raise QuadratureFailure(str(exc)) from exc
-    val, abserr = out[0], out[1]
-    if len(out) == 3:
-        return val
-    # warning path: non-finite or exploding values go straight to the
-    # divergence detector; accept moderate values whose error estimate is
-    # already at tolerance, otherwise retry with a bigger budget
-    if not np.isfinite(val) or abs(val) > 1e50:
-        return val
-    if abserr <= 10.0 * rtol * abs(val) + 1e-280:
-        return val
-    out2 = quad(F, a, b, limit=800, epsrel=max(rtol, 1e-9), epsabs=1e-300,
-                points=inner or None, full_output=True)
-    val2, abserr2 = out2[0], out2[1]
-    if not np.isfinite(val2) or abs(val2) > 1e50:
-        return val2
-    if len(out2) == 3 or abserr2 <= 1e-7 * abs(val2) + 1e-280:
-        return val2
-    if abs(val2 - val) <= 1e-6 * max(abs(val), abs(val2)) + 1e-290:
-        return val2
-    raise QuadratureFailure(f"quadrature did not settle on [{a:g}, {b:g}]")
+        vals = F(s.ravel())
+    except (ArithmeticError, ValueError) as exc:  # e.g. f refusing r = 0
+        raise QuadratureFailure(f"integrand failed: {exc}") from exc
+    return (vals.reshape(s.shape) @ _QW) * half
 
 
+def _quad_block(F, a: float, b: float, rtol: float, pts=()) -> float:
+    """Adaptive bisection of int_a^b F, every pending interval per F call.
+
+    An interval's estimate is the difference between the rule on it and the
+    sum of the rule on its two halves, or 2^-16 of its parent's estimate if
+    that is larger: a kink that falls between all the nodes of both rules
+    can make the first look converged, but not the parent that straddled it.
+    An interval is accepted, at the halves' value, when its estimate is
+    below its length share of rtol/16 times the running total; the block
+    stops once all estimates together are below that total tolerance.  When
+    the sum of the pending differences stops falling under bisection for
+    three levels, the integrand is resolved to rounding and the block is
+    accepted as it stands.  Non-finite totals are returned as they are, for
+    the divergence detector.
+    """
+    edges = np.array([a, *(p for p in pts if a < p < b), b])
+    lo, hi = edges[:-1], edges[1:]
+    mid = 0.5 * (lo + hi)
+    m = len(lo)
+    first = _gauss(F, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
+    whole, left, right = first[:m], first[m:2 * m], first[2 * m:]
+    inherited = np.zeros(m)
+    done = done_err = 0.0
+    prev_err = math.inf
+    stalls = 0
+    for _ in range(_MAX_LEVELS):
+        halves = left + right
+        diff = np.abs(whole - halves)
+        err = np.maximum(diff, inherited)
+        total = done + float(halves.sum())
+        if not math.isfinite(total):
+            return total
+        scale = _TOL_SAFETY * rtol * abs(total)
+        level_diff = float(diff.sum())
+        stalls = stalls + 1 if level_diff > _STALL_GAIN * prev_err else 0
+        if done_err + float(err.sum()) <= scale:
+            return total
+        if stalls >= _STALL_LEVELS and level_diff <= _STALL_SHARE * abs(total):
+            return total
+        ok = err <= scale * (hi - lo) / (b - a) + 1e-300
+        done += float(halves[ok].sum())
+        done_err += float(err[ok].sum())
+        keep = ~ok
+        n = 2 * int(keep.sum())
+        if n > _MAX_PENDING:
+            raise QuadratureFailure(
+                f"quadrature did not settle on [{a:g}, {b:g}] within "
+                f"{_MAX_PENDING} sub-intervals"
+            )
+        prev_err = float(diff[keep].sum())
+        inherited = np.tile(_INHERIT * err[keep], 2)
+        lo = np.concatenate([lo[keep], mid[keep]])
+        hi = np.concatenate([mid[keep], hi[keep]])
+        whole = np.concatenate([left[keep], right[keep]])
+        mid = 0.5 * (lo + hi)
+        parts = _gauss(F, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        left, right = parts[:n], parts[n:]
+    raise QuadratureFailure(
+        f"quadrature did not settle on [{a:g}, {b:g}] within {_MAX_LEVELS} levels"
+    )
+
+
+@_quiet_overflow
 def weighted_integral(
     family: WeightFamily,
     f: Optional[Callable] = None,
@@ -468,7 +531,9 @@ def weighted_integral(
 ) -> float:
     """omega_N * int_{r_lo}^{r_hi} f(r) r^power mu(r) r^{N-1} dr.
 
-    `f` must be bounded on (r_lo, r_hi] and vectorization-friendly; put any
+    `f` must be bounded on (r_lo, r_hi] and map an array of radii to an
+    array (or a scalar); it is called once per refinement level, only at the
+    nodes where the rest of the integrand does not underflow.  Put any
     singular power-law factor into `power`, where it is folded into the
     log-axis exponent and stays exact at arbitrarily small radii.  With
     f=None the integrand is r^power alone.
@@ -482,19 +547,15 @@ def weighted_integral(
     N = family.dimension
     total_pow = N + power
 
-    def F(s: float) -> float:
+    def F(s: np.ndarray) -> np.ndarray:
         e = log_mu(family, s) + total_pow * s
-        if e < _EXP_UNDERFLOW or e == -np.inf:
-            return 0.0
-        v = math.exp(e)
-        if f is not None:
-            try:
-                v *= float(f(math.exp(s) if s > -700.0 else 0.0))
-            except OverflowError:
-                # singular integrand exploding during tail refinement:
-                # evidence of divergence, not a quadrature defect
-                return math.inf
-        return v
+        out = np.zeros_like(s)
+        live = ~(e < _EXP_UNDERFLOW)   # -inf where mu vanishes; nan stays
+        out[live] = np.exp(e[live])
+        if f is not None and live.any():
+            sl = s[live]
+            out[live] *= f(np.where(sl > -700.0, np.exp(sl), 0.0))
+        return out
 
     pts = [math.log(p) for p in family.seams if r_lo < p < r_hi]
     s_hi = math.log(r_hi)

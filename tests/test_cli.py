@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -254,6 +257,28 @@ class TestCli:
         assert eig[0] == ",".join(schemas.EIGVEC)
         assert len(eig) == 63  # header + interior nodes
 
+    def test_spectrum_short_ladder_unresolved(self, tmp_path):
+        rc = main(["spectrum", "--out", str(tmp_path / "o"),
+                   "--override", "spectral.c=0.5",
+                   "--override", "spectral.rungs=1"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "o" / "spectrum.json").read_text())
+        assert payload["verdict"] == "Unresolved"
+        ladder = (tmp_path / "o" / "spectrum_ladder.csv").read_text().splitlines()
+        assert ladder[1].endswith(",Unresolved")
+
+    @pytest.mark.parametrize("task", ["sweep", "report-all"])
+    def test_sweep_short_ladder_exit_2(self, tmp_path, capsys, monkeypatch, task):
+        def no_audit(*args, **kwargs):
+            raise AssertionError("a stage ran before the ladder was rejected")
+
+        monkeypatch.setattr(cli, "check_hypotheses", no_audit)
+        monkeypatch.setattr(cli, "critical_sweep", no_audit)
+        rc = main([task, "--out", str(tmp_path / "o"), "--override", "spectral.rungs=2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: [spectral] rungs = 2")
+        assert not (tmp_path / "o").exists()
+
     def test_analyze_deterministic(self, tmp_path):
         for d in ("a", "b"):
             main(["analyze", "--out", str(tmp_path / d),
@@ -273,3 +298,17 @@ class TestCli:
         for name, cols in schemas.ALL.items():
             assert name in text
             assert ",".join(cols) in text
+
+
+def test_import_leaves_unused_scipy_out():
+    # hardykit needs only scipy.linalg; the heavier subpackages cost start-up time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, hardykit.cli; "
+            "print(hardykit.cli.__file__); "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse') "
+            "if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out[0].startswith(src)
+    assert out[1] == "[]"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from hardykit import RadialGrid, evolution, fit_envelope, run_capped
+from hardykit import RadialGrid, dichotomy_verdict, evolution, fit_envelope, run_capped
 from hardykit.errors import DegenerateSeries, NegativeDatum, SchemeDivergence
 from hardykit.evolution import _Stepper
 from hardykit.weights import RadialBump
@@ -121,3 +121,23 @@ class TestFitEnvelope:
             fit_envelope([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(DegenerateSeries):
             fit_envelope(np.linspace(0, 1, 10), np.array([1.0] * 9 + [0.0]))
+
+
+class TestDichotomyCrossCheck:
+    @pytest.mark.parametrize("rungs,spectral,agrees", [
+        (4, "Bounded", True),
+        (2, "Unresolved", False),
+    ])
+    def test_unresolved_ladder_does_not_agree(self, exppow3, rungs, spectral, agrees):
+        run = dichotomy_verdict(exppow3, 0.2, caps=(10.0, 100.0, 1000.0), T=1.0,
+                                grid=GRID, rungs=rungs)
+        assert run.verdict == "ExistenceSignature"
+        assert run.spectral_verdict == spectral
+        assert run.agrees is agrees
+
+    def test_unresolved_ladder_agrees_with_inconclusive(self, exppow3):
+        run = dichotomy_verdict(exppow3, 0.35, caps=(10.0, 100.0, 1000.0), T=1.0,
+                                grid=GRID, rungs=2)
+        assert run.verdict == "Inconclusive"
+        assert run.spectral_verdict == "Unresolved"
+        assert run.agrees is True

@@ -21,7 +21,8 @@ from hardykit import (
     quotient_phi_n,
     weighted_vs_flat_crosscheck,
 )
-from hardykit.errors import BadBracket, InadmissibleGamma, UnsupportedFunction
+from hardykit.errors import BadBracket, InadmissibleGamma, InvalidParams, UnsupportedFunction
+from hardykit import spectral
 from hardykit.spectral import TestFunctionFamily, phi_n_gamma_bounds, _theta, _theta_deriv
 from hardykit.weights import RadialBump, surface_measure
 
@@ -101,6 +102,14 @@ class TestLambda1:
                         with_ladder=False).lambda1
         assert lam2_ / lam1_ == pytest.approx(16.0, rel=0.01)
 
+    @pytest.mark.parametrize("rungs", [1, 2])
+    def test_short_ladder_is_unresolved(self, exppow3, rungs):
+        # c = 0.5 diverges (critical 0.25), but too few rungs cannot show it
+        res = lambda1(SpectralProblem(exppow3, 0.5, GRID), rungs=rungs)
+        assert len(res.ladder) == rungs
+        assert res.verdict == "Unresolved"
+        assert lambda1(SpectralProblem(exppow3, 0.5, GRID), rungs=4).verdict == "Diverging"
+
     def test_ladder_shape(self, exppow3):
         res = lambda1(SpectralProblem(exppow3, 0.2, GRID))
         assert len(res.ladder) == 4
@@ -137,6 +146,15 @@ class TestCriticalSweep:
     def test_bad_bracket(self, exppow3):
         with pytest.raises(BadBracket):
             critical_sweep(exppow3, 0.5, 0.6, 0.02, grid=GRID)
+
+    @pytest.mark.parametrize("rungs", [0, 1, 2])
+    def test_short_ladder_rejected_before_solving(self, exppow3, rungs, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("critical_sweep solved before rejecting the ladder")
+
+        monkeypatch.setattr(spectral, "lambda1", no_solve)
+        with pytest.raises(InvalidParams):
+            critical_sweep(exppow3, 0.05, 0.6, 0.02, grid=GRID, rungs=rungs)
 
 
 def phi_n_oracle_lebesgue(N, c, g, n):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardykit import Kind, RadialGrid, WeightFamily, eval_mu, log_derivatives, weighted_integral
-from hardykit.errors import DivergentIntegral, InvalidParams, NonPositiveRadius
-from hardykit.weights import RadialBump, log_mu, smooth_transition
+from hardykit.errors import DivergentIntegral, InvalidParams, NonPositiveRadius, QuadratureFailure
+from hardykit.hardy import _integral_diverges
+from hardykit.weights import RadialBump, log_mu, smooth_transition, surface_measure
 
 from conftest import fd_log_derivatives
 
@@ -174,6 +175,58 @@ class TestWeightedIntegral:
         lam = 2.0**-12
         got = weighted_integral(logw_pos, None, 0.0, 1.0, power=lam - 3.0)
         assert got == pytest.approx(4 * math.pi / lam**2, rel=1e-3)
+
+
+class TestQuadratureEngine:
+    """The adaptive Gauss-Legendre bisection against known values."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        power=st.floats(min_value=-2.9, max_value=3.0),
+        r_hi=st.floats(min_value=1e-3, max_value=50.0),
+        lo_share=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=0.5)),
+    )
+    def test_lebesgue_power_moments(self, leb3, power, r_hi, lo_share):
+        # omega_3 int_{r_lo}^{r_hi} r^{power + 2} dr = omega_3 (r_hi^q - r_lo^q) / q
+        q = 3.0 + power
+        r_lo = lo_share * r_hi
+        want = surface_measure(3) * (r_hi**q - r_lo**q) / q
+        got = weighted_integral(leb3, None, r_lo, r_hi, power=power)
+        assert isinstance(got, float)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("power", [-2.0, 0.0, 1.5])
+    def test_exp_power_gamma_closed_form(self, exppow3, power):
+        # omega_3 int_0^oo r^{power + 2} e^{-r^2} dr = 2 pi Gamma((power + 3)/2);
+        # the part beyond r = 30 is below e^-900
+        want = 2.0 * math.pi * math.gamma((power + 3.0) / 2.0)
+        assert weighted_integral(exppow3, None, 0.0, 30.0, power=power) == pytest.approx(
+            want, rel=1e-10)
+
+    def test_kinked_integrand(self, oscillating):
+        # the H2 i probe: |Delta mu / mu| has a kink wherever Delta mu changes
+        # sign; the reference is 20-point Gauss-Legendre on 4.2e5 panels
+        def abs_lap(r):
+            return np.abs(log_derivatives(oscillating, r)[1])
+
+        got = weighted_integral(oscillating, abs_lap, 0.0, 1.0, rtol=1e-8)
+        assert got == pytest.approx(26.2357197079, rel=1e-9)
+
+    def test_divergence_probe_brackets_N0(self, exppow3):
+        assert not _integral_diverges(exppow3, 3.0 - 0.01)
+        assert _integral_diverges(exppow3, 3.0 + 0.01)
+
+    def test_non_settling_integrand_fails_within_budget(self, leb3):
+        # 8e7 oscillations on [1/2, 1]: bisection cannot resolve them
+        with pytest.raises(QuadratureFailure):
+            weighted_integral(leb3, lambda r: np.sin(1e9 * r), 0.5, 1.0)
+
+    def test_integrand_error_is_quadrature_failure(self, leb3):
+        def broken(r):
+            raise ZeroDivisionError("boom")
+
+        with pytest.raises(QuadratureFailure):
+            weighted_integral(leb3, broken, 0.1, 1.0)
 
 
 class TestRadialGrid:
