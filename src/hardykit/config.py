@@ -128,8 +128,9 @@ class EvolutionConfig:
             (self.n_points >= 16, f"n_points = {self.n_points} must be >= 16"),
             (0.0 < self.r_min < self.r_max,
              f"r_min = {self.r_min}, r_max = {self.r_max} need 0 < r_min < r_max"),
-            (0.0 < self.t_star_frac <= 1.0,
-             f"t_star_frac = {self.t_star_frac} must lie in (0, 1]"),
+            (0.0 < self.t_star_frac <= 1.0 and round(self.t_star_frac * self.records) >= 1,
+             f"t_star_frac = {self.t_star_frac} must lie in (0, 1] with "
+             f"round(t_star_frac * records) >= 1 (the cap ratios are read after t = 0)"),
             (0.0 <= self.u0_lo < self.u0_hi,
              f"u0_lo = {self.u0_lo}, u0_hi = {self.u0_hi} need 0 <= u0_lo < u0_hi"),
             (self.u0_lo < self.r_max and self.u0_hi > self.r_min,

@@ -18,10 +18,15 @@ I - dt A an M-matrix, so implicit Euler preserves positivity whenever
 dt * cap <= the documented safety factor.
 
 Time stepping: the implicit-Euler matrix I - dt (A + V_cap) is constant
-for a cap, so each cap factors it once (LAPACK gttrf, partial pivoting)
-and each step is one gttrs back-substitution.  This is the same
-elimination solve_banded performs on every call, so the norms are the
-same to the last bit.
+for a cap, so each cap factors it once (LAPACK gttrf, partial pivoting).
+A record interval of per_rec steps is then, whichever a measured cost
+model finds cheaper (_use_propagator), either per_rec gttrs
+back-substitutions -- the elimination solve_banded performs, so the norms
+are the plain loop's to the last bit -- or one product with the dense
+propagator P = R^per_rec, R = (I - dt (A + V_cap))^{-1}.  R inverts an
+M-matrix, so its powers are entrywise nonnegative and the products
+involve no cancellation: norms agree with stepping to about 1e-12
+relative, and positivity is kept.
 
 Verdict rules (documented tunables): the run is a blowup signature when
 the norm ratio between successive caps at t* = T/2 exceeds the threshold
@@ -31,8 +36,9 @@ stopped growing.  Each verdict is cross-checked against the spectral
 Bounded/Diverging verdict for the same (family, c); an Unresolved spectral
 ladder (fewer than 3 rungs) agrees only with an Inconclusive run.
 
-Cap runs are independent of each other (parallelizable); time stepping
-within a run is strictly sequential.
+Cap runs are independent of each other (parallelizable); within a run the
+records are sequential, each one either per_rec sequential steps or one
+propagator product.
 """
 
 from __future__ import annotations
@@ -46,8 +52,8 @@ from scipy.linalg import solve_banded  # noqa: F401  (bench/tracer.py hooks this
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DegenerateSeries, NegativeDatum, SchemeDivergence
-from .spectral import SpectralProblem, lambda1
-from .weights import RadialBump, RadialGrid, WeightFamily, hat_element_integrals
+from .spectral import SpectralProblem, grid_parts, lambda1
+from .weights import RadialBump, RadialGrid, WeightFamily
 
 __all__ = [
     "EvolutionSeries",
@@ -59,6 +65,35 @@ __all__ = [
 ]
 
 _CAP_DT_SAFETY = 0.5  # dt <= safety/cap keeps I - dt A strictly an M-matrix
+
+# Path cost model, from timings of the raw LAPACK/BLAS calls at n = 126..2046
+# on a 2-vCPU x86-64 host (OpenBLAS 0.3.31, 2 threads).  A gttrs step is a
+# dependent recurrence: 1.5 us + 19 ns * n per call (11.1 us at n = 510,
+# 8.2 us at n = 382), and an n-column gttrs costs the per-row part n times
+# (5.0 ms at n = 510).  An n x n matmul takes about 34 ps * n^3 (4.3-4.9 ms
+# at n = 510, 1.7 ms at n = 382).  A power bit of P is one squaring and at
+# most one n-column gttrs: about 850 steps at n = 510, 530 at n = 382.
+def _use_propagator(n: int, per_rec: int, records: int) -> bool:
+    """True when building R^per_rec (per_rec.bit_length() power bits) is
+    cheaper than records * per_rec gttrs steps on n unknowns."""
+    step_s = 1.5e-6 + 1.9e-8 * n
+    bit_s = 3.4e-11 * n**3 + 1.9e-8 * n * n
+    return per_rec.bit_length() * bit_s < records * per_rec * step_s
+
+
+def _propagator(factors: tuple, n: int, power: int) -> np.ndarray:
+    """R^power, R the inverse of the gttrf-factored matrix, by left-to-right
+    binary powering.  R is one n-column gttrs on the identity; a squaring
+    is one matmul into the spare buffer; a multiply by R is an in-place
+    n-column gttrs (powers of R commute).  At most two n x n arrays live."""
+    P, _ = dgttrs(*factors, np.eye(n, order="F"), overwrite_b=1)
+    spare = np.empty_like(P)
+    for bit in bin(power)[3:]:
+        np.matmul(P, P, out=spare)
+        P, spare = spare, P
+        if bit == "1":
+            P, _ = dgttrs(*factors, P, overwrite_b=1)
+    return P
 
 
 @dataclass(frozen=True)
@@ -77,23 +112,18 @@ class _Stepper:
 
     def __init__(self, family: WeightFamily, grid: RadialGrid, c: float,
                  cap: float, boundary: str = "dirichlet"):
-        nodes = grid.nodes
-        e = hat_element_integrals(family, nodes)
-        g = e.mass / e.h**2            # conductance per element
-        if boundary == "dirichlet":
-            self.r = nodes[1:-1]
-            W = e.mass_r[:-1] + e.mass_l[1:]
-            dd = g[:-1] + g[1:]
-            off = -g[1:-1]
-        elif boundary == "neumann_rmax":
-            self.r = nodes[1:]
-            W = np.concatenate([e.mass_r[:-1] + e.mass_l[1:], [e.mass_r[-1]]])
-            dd = np.concatenate([g[:-1] + g[1:], [g[-1]]])
-            off = -g[1:]
-        else:
+        nodes, e, K, _, W = grid_parts(family, grid.r_min, grid.r_max, grid.n_points)
+        dd, off = K.diag, K.off
+        if boundary == "neumann_rmax":  # no-flux row at r_max
+            if e.mass_r[-1] <= 0.0:
+                raise SchemeDivergence("weight underflow on the grid; shrink r_max")
+            g_last = e.mass[-1] / e.h[-1]**2
+            W = np.append(W, e.mass_r[-1])
+            dd = np.append(dd, g_last)
+            off = np.append(off, -g_last)
+        elif boundary != "dirichlet":
             raise ValueError(f"unknown boundary {boundary!r}")
-        if np.any(W <= 0.0):
-            raise SchemeDivergence("weight underflow on the grid; shrink r_max")
+        self.r = nodes[1:len(W) + 1]
         self.W = W
         self.V = np.minimum(c / self.r**2, cap) if c != 0.0 else np.zeros_like(self.r)
         self._dd = dd
@@ -133,8 +163,10 @@ def run_capped(
     dt is an accuracy knob only (the scheme is unconditionally stable); it
     is additionally clamped to cap_dt_safety/cap so the implicit matrix
     stays inverse-positive, and snapped to divide the record interval.
-    The constant matrix I - dt (A + V) is factored once (gttrf); each step
-    is one gttrs back-substitution.
+    The constant matrix I - dt (A + V) is factored once (gttrf).  Each
+    record interval is then either per_rec gttrs back-substitutions or,
+    when _use_propagator finds it cheaper, one product with the propagator
+    P = (I - dt (A + V))^{-per_rec}, built once per cap.
     """
     stepper = _Stepper(family, grid, c, cap, boundary)
     u = np.array(u0(stepper.r), dtype=float)  # a copy: stepped in place
@@ -148,12 +180,17 @@ def run_capped(
     if info != 0:
         raise SchemeDivergence(
             f"singular implicit-Euler matrix at cap {cap:g} (gttrf info={info})")
+    P = (_propagator((dl, d, du, du2, ipiv), len(u), per_rec)
+         if _use_propagator(len(u), per_rec, records) else None)
     times = [0.0]
     norms = [stepper.norm(u)]
     min_value = float(u.min())
     for rec in range(1, records + 1):
-        for _ in range(per_rec):
-            u, _ = dgttrs(dl, d, du, du2, ipiv, u, overwrite_b=1)
+        if P is not None:
+            u = P @ u
+        else:
+            for _ in range(per_rec):
+                u, _ = dgttrs(dl, d, du, du2, ipiv, u, overwrite_b=1)
         if not np.all(np.isfinite(u)):
             raise SchemeDivergence(f"non-finite state at t={rec * T / records:g}")
         min_value = min(min_value, float(u.min()))
@@ -253,6 +290,10 @@ def dichotomy_verdict(
     """
     if len(caps) < 3 or max(caps) / min(caps) < 100.0:
         raise ValueError("cap ladder needs >= 3 entries spanning >= 2 decades")
+    i_star = int(round(t_star_frac * records))
+    if not 1 <= i_star <= records:
+        raise ValueError(f"t_star_frac * records = {t_star_frac * records:g} must "
+                         f"round into [1, records]: the cap ratios are read after t = 0")
     caps = sorted(float(k) for k in caps)
     grid = grid or RadialGrid(1e-4, 8.0, 512)
     u0 = u0 or RadialBump(0.25, 1.0)
@@ -262,7 +303,6 @@ def dichotomy_verdict(
         for cap in caps
     ]
     envelopes = [fit_envelope(s.times, s.norms) for s in series]
-    i_star = int(round(t_star_frac * records))
     t_star = series[0].times[i_star]
     at_star = [s.norms[i_star] for s in series]
     ratios = [float(b / a) for a, b in zip(at_star[:-1], at_star[1:])]

@@ -111,14 +111,14 @@ class SpectralProblem:
 
 
 @lru_cache(maxsize=256)
-def _grid_parts(family: WeightFamily, r_min: float, r_max: float, n_points: int):
-    """(K, H, M, h) for one grid: Laplacian stiffness, Hardy block, lumped
-    mass, element widths; interior nodes only (Dirichlet)."""
+def grid_parts(family: WeightFamily, r_min: float, r_max: float, n_points: int):
+    """(nodes, e, K, H, M) for one grid: element integrals, Laplacian
+    stiffness from the conductances mass/h^2, Hardy block, lumped mass;
+    interior nodes only (Dirichlet).  The time stepper assembles its
+    operator from the same parts."""
     grid = RadialGrid(r_min, r_max, n_points)
     e = hat_element_integrals(family, grid.nodes)
-    h = e.h
-    kd = e.mass[:-1] / h[:-1] ** 2 + e.mass[1:] / h[1:] ** 2
-    ko = -e.mass[1:-1] / h[1:-1] ** 2
+    g = e.mass / e.h**2
     hd = e.hardy_rr[:-1] + e.hardy_ll[1:]
     ho = e.hardy_lr[1:-1]
     md = e.mass_r[:-1] + e.mass_l[1:]
@@ -127,13 +127,13 @@ def _grid_parts(family: WeightFamily, r_min: float, r_max: float, n_points: int)
             "lumped mass vanished on the grid; the weight underflows before "
             "r_max -- shrink the domain"
         )
-    return grid.nodes, Tridiagonal(kd, ko), Tridiagonal(hd, ho), md
+    return grid.nodes, e, Tridiagonal(g[:-1] + g[1:], -g[1:-1]), Tridiagonal(hd, ho), md
 
 
 def assemble(problem: SpectralProblem) -> Tuple[Tridiagonal, np.ndarray]:
     """(stiffness, mass) on the interior nodes of the problem grid."""
     g = problem.grid
-    _, K, H, M = _grid_parts(problem.family, g.r_min, g.r_max, g.n_points)
+    _, _, K, H, M = grid_parts(problem.family, g.r_min, g.r_max, g.n_points)
     return Tridiagonal(K.diag - problem.c * H.diag, K.off - problem.c * H.off), M
 
 
@@ -255,7 +255,7 @@ def lambda1(
 ) -> RayleighResult:
     """Smallest Rayleigh quotient, with the (r_min/4, n x2) ladder verdict."""
     g = problem.grid
-    nodes, K, H, M = _grid_parts(problem.family, g.r_min, g.r_max, g.n_points)
+    nodes, _, K, H, M = grid_parts(problem.family, g.r_min, g.r_max, g.n_points)
     A = Tridiagonal(K.diag - problem.c * H.diag, K.off - problem.c * H.off)
     lam0, vec, res = _solve_smallest(A, M, residual_tol)
     ladder = [(g.n_points, g.r_min, lam0)]
@@ -263,7 +263,7 @@ def lambda1(
         for k in range(1, rungs):
             rm = g.r_min / rmin_shrink**k
             n = int(round(g.n_points * n_grow**k))
-            _, Kk, Hk, Mk = _grid_parts(problem.family, rm, g.r_max, n)
+            _, _, Kk, Hk, Mk = grid_parts(problem.family, rm, g.r_max, n)
             Ak = Tridiagonal(Kk.diag - problem.c * Hk.diag, Kk.off - problem.c * Hk.off)
             lam, _, _ = _solve_smallest(Ak, Mk, residual_tol, enforce=False)
             ladder.append((n, rm, lam))

@@ -175,7 +175,7 @@ class TestCli:
     @pytest.mark.parametrize("override", [
         "caps=100,1000", "caps=-10,100,1000", "cap_dt_safety=0", "dt=0", "T=0",
         "records=4", "n_points=8", "u0_lo=-1", "r_min=0", "r_min=10", "t_star_frac=2",
-        "r_max=0.2",
+        "r_max=0.2", "t_star_frac=0.005",
     ])
     def test_bad_evolution_values_exit_2(self, tmp_path, capsys, override):
         rc = main(["evolve", "--out", str(tmp_path / "o"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from hardykit import RadialGrid, dichotomy_verdict, evolution, fit_envelope, run_capped
 from hardykit.errors import DegenerateSeries, NegativeDatum, SchemeDivergence
@@ -97,6 +98,52 @@ class TestRunCapped:
         assert abs(norms[1e4] / norms[1e3] - 1.0) < 0.01
 
 
+class TestPropagatorPath:
+    @pytest.mark.parametrize("cap", [1e3, 1e4])
+    def test_propagator_matches_stepping(self, exppow3, cap, monkeypatch):
+        # default evolve grid, coupling and times: these caps take the
+        # propagator; the oracle is the plain loop of gttrs steps
+        grid = RadialGrid(1e-4, 8.0, 512)
+        T, dt, records = 8.0, 0.01, 64
+        built = []
+        real = evolution._propagator
+        monkeypatch.setattr(evolution, "_propagator",
+                            lambda *a: built.append(a[1:]) or real(*a))
+        s = run_capped(exppow3, 0.2, cap, BUMP, T=T, dt=dt, grid=grid, records=records)
+        stepper = _Stepper(exppow3, grid, 0.2, cap)
+        u = BUMP(stepper.r)
+        dt_eff = min(dt, 0.5 / cap)
+        per_rec = max(1, math.ceil(T / records / dt_eff))
+        dt_eff = T / records / per_rec
+        ab = stepper.matrix(dt_eff)
+        dl, d, du, du2, ipiv, _ = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        norms = [stepper.norm(u)]
+        for _ in range(records):
+            for _ in range(per_rec):
+                u, _ = dgttrs(dl, d, du, du2, ipiv, u)
+            norms.append(stepper.norm(u))
+        assert built == [(510, per_rec)]
+        assert np.max(np.abs(s.norms / np.asarray(norms) - 1.0)) <= 1e-11
+        assert s.dt == dt_eff
+        assert s.min_value >= 0.0
+
+    @pytest.mark.parametrize("n,per_rec,records,propagate", [
+        (8190, 13, 64, False),   # refine workload: n = 8190 evolve, caps 10, 100, 1000
+        (8190, 25, 64, False),
+        (8190, 250, 64, False),
+        (510, 25, 64, False),    # default evolve, cap 1e2
+        (510, 250, 64, True),    # default evolve, cap 1e3
+        (510, 2500, 64, True),   # default evolve, cap 1e4
+        (382, 7, 8, False),      # test_factored_steps_match_banded_solve_bitwise
+        (382, 125, 8, False),
+        (382, 313, 8, False),    # test_cap_monotonicity_matched_dt, both caps
+        (382, 7, 16, False),     # test_positivity_preserved
+        (382, 63, 16, False),
+    ])
+    def test_cost_model_side(self, n, per_rec, records, propagate):
+        assert evolution._use_propagator(n, per_rec, records) is propagate
+
+
 class TestFitEnvelope:
     def test_exact_exponential(self):
         t = np.linspace(0.0, 3.0, 32)
@@ -141,3 +188,9 @@ class TestDichotomyCrossCheck:
         assert run.verdict == "Inconclusive"
         assert run.spectral_verdict == "Unresolved"
         assert run.agrees is True
+
+    @pytest.mark.parametrize("t_star_frac", [0.005, 2.0])
+    def test_t_star_outside_the_records_rejected(self, exppow3, t_star_frac):
+        with pytest.raises(ValueError, match="t_star_frac"):
+            dichotomy_verdict(exppow3, 0.2, caps=(10.0, 100.0, 1000.0), T=1.0,
+                              grid=GRID, t_star_frac=t_star_frac)
