@@ -12,10 +12,12 @@ geometric grid,
 
 with conductances g and lumped cell weights W taken from the element
 integrals of mu r^{N-1}.  This is the same pencil the spectral module uses;
-it is symmetric in the weighted inner product, preserves the invariant
-measure exactly under no-flux boundaries, and its off-diagonal signs make
-I - dt A an M-matrix, so implicit Euler preserves positivity whenever
-dt * cap <= the documented safety factor.
+it is symmetric in the weighted inner product, and it is conservative: the
+flux leaving one cell enters its neighbour, so the stiffness rows of
+interior cells sum to zero and d mu changes only through the boundary
+fluxes.  Its off-diagonal signs make I - dt A an M-matrix, so implicit
+Euler preserves positivity whenever dt * cap <= the documented safety
+factor.
 
 Time stepping: the implicit-Euler matrix I - dt (A + V_cap) is constant
 for a cap, so each cap factors it once (LAPACK gttrf, partial pivoting).
@@ -107,42 +109,15 @@ class EvolutionSeries:
     min_value: float    # most negative grid value seen (positivity witness)
 
 
-class _Stepper:
-    """Implicit-Euler stepper for u_t = A u + V u on interior nodes."""
-
-    def __init__(self, family: WeightFamily, grid: RadialGrid, c: float,
-                 cap: float, boundary: str = "dirichlet"):
-        nodes, e, K, _, W = grid_parts(family, grid.r_min, grid.r_max, grid.n_points)
-        dd, off = K.diag, K.off
-        if boundary == "neumann_rmax":  # no-flux row at r_max
-            if e.mass_r[-1] <= 0.0:
-                raise SchemeDivergence("weight underflow on the grid; shrink r_max")
-            g_last = e.mass[-1] / e.h[-1]**2
-            W = np.append(W, e.mass_r[-1])
-            dd = np.append(dd, g_last)
-            off = np.append(off, -g_last)
-        elif boundary != "dirichlet":
-            raise ValueError(f"unknown boundary {boundary!r}")
-        self.r = nodes[1:len(W) + 1]
-        self.W = W
-        self.V = np.minimum(c / self.r**2, cap) if c != 0.0 else np.zeros_like(self.r)
-        self._dd = dd
-        self._off = off
-
-    def matrix(self, dt: float) -> np.ndarray:
-        """Banded (I - dt A - dt V) in solve_banded's (1, 1) layout."""
-        m = len(self.W)
-        ab = np.zeros((3, m))
-        ab[0, 1:] = dt * self._off / self.W[:-1]
-        ab[1, :] = 1.0 + dt * self._dd / self.W - dt * self.V
-        ab[2, :-1] = dt * self._off / self.W[1:]
-        return ab
-
-    def norm(self, u: np.ndarray) -> float:
-        return math.sqrt(float(self.W @ (u * u)))
-
-    def mass(self, u: np.ndarray) -> float:
-        return float(self.W @ u)
+def _implicit_euler(family: WeightFamily, grid: RadialGrid, c: float,
+                    cap: float, dt: float):
+    """(r, W, (dl, d, du)): the interior radii, the lumped cell weights and
+    the sub-, main and super-diagonal of I - dt (A + V_cap), with
+    A = -W^{-1} K built from the spectral module's grid parts."""
+    nodes, _, K, _, W = grid_parts(family, grid.r_min, grid.r_max, grid.n_points)
+    r = nodes[1:-1]
+    V = np.minimum(c / r**2, cap)
+    return r, W, (dt * K.off / W[1:], 1.0 + dt * K.diag / W - dt * V, dt * K.off / W[:-1])
 
 
 def run_capped(
@@ -154,7 +129,6 @@ def run_capped(
     dt: float,
     grid: RadialGrid,
     *,
-    boundary: str = "dirichlet",
     records: int = 64,
     cap_dt_safety: float = _CAP_DT_SAFETY,
 ) -> EvolutionSeries:
@@ -168,22 +142,22 @@ def run_capped(
     when _use_propagator finds it cheaper, one product with the propagator
     P = (I - dt (A + V))^{-per_rec}, built once per cap.
     """
-    stepper = _Stepper(family, grid, c, cap, boundary)
-    u = np.array(u0(stepper.r), dtype=float)  # a copy: stepped in place
-    if np.any(u < 0.0):
-        raise NegativeDatum("initial datum must be nonnegative")
     dt_eff = min(dt, cap_dt_safety / max(cap, 1.0))
     per_rec = max(1, int(math.ceil(T / records / dt_eff)))
     dt_eff = T / records / per_rec
-    ab = stepper.matrix(dt_eff)
-    dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    r, W, diagonals = _implicit_euler(family, grid, c, cap, dt_eff)
+    u = np.array(u0(r), dtype=float)  # a copy: stepped in place
+    if np.any(u < 0.0):
+        raise NegativeDatum("initial datum must be nonnegative")
+    dl, d, du, du2, ipiv, info = dgttrf(*diagonals)
     if info != 0:
         raise SchemeDivergence(
             f"singular implicit-Euler matrix at cap {cap:g} (gttrf info={info})")
     P = (_propagator((dl, d, du, du2, ipiv), len(u), per_rec)
          if _use_propagator(len(u), per_rec, records) else None)
+    norm = lambda u: math.sqrt(float(W @ (u * u)))
     times = [0.0]
-    norms = [stepper.norm(u)]
+    norms = [norm(u)]
     min_value = float(u.min())
     for rec in range(1, records + 1):
         if P is not None:
@@ -195,7 +169,7 @@ def run_capped(
             raise SchemeDivergence(f"non-finite state at t={rec * T / records:g}")
         min_value = min(min_value, float(u.min()))
         times.append(rec * T / records)
-        norms.append(stepper.norm(u))
+        norms.append(norm(u))
     return EvolutionSeries(
         cap=cap,
         times=np.asarray(times),

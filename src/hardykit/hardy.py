@@ -152,7 +152,7 @@ def estimate_N0(family: WeightFamily, *, k_min: int = 10, k_max: int = 40,
     integrability flag of r^{-delta} against dmu."""
     N = family.dimension
     slope_n0 = N + _dyadic_slope_intercept(family, k_min, k_max)
-    lo, hi = 0.5, N + 1.5
+    lo, hi = 0.0, N + 1.5   # delta = 0 is mu(B_1), finite for any admissible mu
     if _integral_diverges(family, lo) or not _integral_diverges(family, hi):
         raise ProfileUndefined("effective-dimension bisection bracket failed")
     while hi - lo > tol:

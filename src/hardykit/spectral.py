@@ -29,7 +29,7 @@ points carry no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -51,6 +51,7 @@ from .weights import (
     RadialBump,
     RadialGrid,
     WeightFamily,
+    _transition_logderivs,
     hat_element_integrals,
     smooth_transition,
     weighted_integral,
@@ -255,23 +256,20 @@ def lambda1(
 ) -> RayleighResult:
     """Smallest Rayleigh quotient, with the (r_min/4, n x2) ladder verdict."""
     g = problem.grid
-    nodes, _, K, H, M = grid_parts(problem.family, g.r_min, g.r_max, g.n_points)
-    A = Tridiagonal(K.diag - problem.c * H.diag, K.off - problem.c * H.off)
-    lam0, vec, res = _solve_smallest(A, M, residual_tol)
+    lam0, vec, res = _solve_smallest(*assemble(problem), residual_tol)
     ladder = [(g.n_points, g.r_min, lam0)]
     if with_ladder:
         for k in range(1, rungs):
             rm = g.r_min / rmin_shrink**k
             n = int(round(g.n_points * n_grow**k))
-            _, _, Kk, Hk, Mk = grid_parts(problem.family, rm, g.r_max, n)
-            Ak = Tridiagonal(Kk.diag - problem.c * Hk.diag, Kk.off - problem.c * Hk.off)
-            lam, _, _ = _solve_smallest(Ak, Mk, residual_tol, enforce=False)
+            rung = replace(problem, grid=RadialGrid(rm, g.r_max, n))
+            lam, _, _ = _solve_smallest(*assemble(rung), residual_tol, enforce=False)
             ladder.append((n, rm, lam))
     verdict = _ladder_verdict([row[2] for row in ladder], diverge_factor, lambda_floor)
     return RayleighResult(
         lambda1=lam0,
         eigvec=vec,
-        nodes=nodes[1:-1],
+        nodes=g.nodes[1:-1],
         residual=res,
         ladder=ladder,
         verdict=verdict,
@@ -340,17 +338,12 @@ def _theta(r):
 
 
 def _theta_deriv(r):
+    """theta' = theta (log theta)' on the window (1, 2), zero off it."""
     arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    val = np.atleast_1d(np.asarray(smooth_transition(arr, 1.0, 2.0), dtype=float))
-    out = np.zeros_like(val)
     mid = (arr > 1.0) & (arr < 2.0)
-    if mid.any():
-        s = arr[mid] - 1.0
-        g = 1.0 - s * s
-        out[mid] = val[mid] * (-2.0 * s / g**2)
-    return float(out[0]) if scalar else out
+    dlog, _ = _transition_logderivs(np.where(mid, arr, 1.5), 1.0, 2.0)
+    out = np.where(mid, _theta(arr) * dlog, 0.0)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,19 @@ A weight family is a radial density mu(r) > 0 together with its exact
 logarithmic derivatives.  Everything downstream (Hardy profiles, spectral
 assembly, the parabolic stepper) consumes only this interface:
 
-    eval_mu(family, r)          mu(r)
+    log_mu(family, s)           log mu(e^s), the one definition of mu
+    eval_mu(family, r)          mu(r) = exp(log_mu(log r))
     log_derivatives(family, r)  (mu'/mu, Delta mu / mu)
     weighted_integral(...)      omega_N * int f(r) r^power mu(r) r^{N-1} dr
+
+mu is defined once, per kind, by log_mu; eval_mu exponentiates it, so the
+element integrals and the log-axis quadrature see the same weight.
 
 Built-in kinds
 --------------
 Lebesgue          mu = 1
 ExpPower          mu = exp(-b r^m),                b >= 0, m > 0
-PowerExpPower     mu = r^{-beta} exp(-b r^m)
+PowerExpPower     mu = r^{-beta} exp(-b r^m),      beta < N
 LogWeight         mu = theta(r) (log 1/r)^alpha    (theta = 1 on r <= 1/2,
                                                     0 on r >= 1)
 Oscillating       mu = 2 + sin(log r) on r <= 1/2, C^2 blend to the
@@ -52,6 +56,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import (
     DivergentIntegral,
@@ -108,8 +113,15 @@ def surface_measure(dimension: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# smooth transitions (the bump template exp(-1/(1-s^2)), rescaled)
+# the bump template exp(1 - 1/(1-s^2)) and its rescalings
 # ----------------------------------------------------------------------
+
+def _bump_log(s):
+    """log T, (log T)' and (log T)'' of the bump template
+    T(s) = exp(1 - 1/(1 - s^2)), for |s| < 1."""
+    g = 1.0 - s * s
+    return 1.0 - 1.0 / g, -2.0 * s / g**2, -2.0 / g**2 - 8.0 * s * s / g**3
+
 
 def smooth_transition(r, lo: float, hi: float):
     """C^1 transition from 1 at r <= lo to 0 at r >= hi.
@@ -120,25 +132,18 @@ def smooth_transition(r, lo: float, hi: float):
     strictly inside or outside the transition window.
     """
     arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
     s = np.atleast_1d((arr - lo) / (hi - lo))
-    out = np.ones_like(s)
-    out[s >= 1.0] = 0.0
+    out = np.where(s >= 1.0, 0.0, 1.0)
     mid = (s > 0.0) & (s < 1.0)
-    sm = s[mid]
-    out[mid] = np.exp(1.0 - 1.0 / (1.0 - sm * sm))
-    return float(out[0]) if scalar else out
+    out[mid] = np.exp(_bump_log(s[mid])[0])
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def _transition_logderivs(r, lo: float, hi: float):
     """(log theta)' and (log theta)'' on the open transition window."""
-    r = np.asarray(r, dtype=float)
     c1 = 1.0 / (hi - lo)
-    s = (r - lo) * c1
-    g = 1.0 - s * s
-    d1 = -2.0 * s / g**2 * c1
-    d2 = (-2.0 / g**2 - 8.0 * s * s / g**3) * c1**2
-    return d1, d2
+    _, d1, d2 = _bump_log((np.asarray(r, dtype=float) - lo) * c1)
+    return d1 * c1, d2 * c1**2
 
 
 # ----------------------------------------------------------------------
@@ -154,29 +159,10 @@ def _oscillating_blend() -> np.ndarray:
     val = 2.0 + math.sin(t)
     d1 = math.cos(t) / 0.5
     d2 = (-math.sin(t) - math.cos(t)) / 0.25
-    A = np.zeros((6, 6))
-    b = np.array([val, d1, d2, 2.0, 0.0, 0.0])
-    for i, rr in enumerate((0.5, 1.0)):
-        for k in range(3):
-            for p in range(6):
-                if p - k >= 0:
-                    coef = 1.0
-                    for q in range(k):
-                        coef *= p - q
-                    A[3 * i + k, p] = coef * rr ** (p - k)
-    return np.linalg.solve(A, b)
-
-
-def _poly_eval(coeffs: np.ndarray, r, order: int = 0):
-    out = np.zeros_like(np.asarray(r, dtype=float))
-    for p, c in enumerate(coeffs):
-        if p - order < 0:
-            continue
-        fac = 1.0
-        for q in range(order):
-            fac *= p - q
-        out = out + c * fac * np.asarray(r, dtype=float) ** (p - order)
-    return out
+    unit = np.eye(6)
+    A = [[P.polyval(rr, P.polyder(unit[p], k)) for p in range(6)]
+         for rr in (0.5, 1.0) for k in range(3)]
+    return np.linalg.solve(A, [val, d1, d2, 2.0, 0.0, 0.0])
 
 
 # ----------------------------------------------------------------------
@@ -212,6 +198,9 @@ class WeightFamily:
                 raise InvalidParams("exponential coefficient b must be >= 0")
             if self.m <= 0:
                 raise InvalidParams("exponential power m must be > 0")
+            if self.power_order >= self.dimension:
+                raise InvalidParams(f"beta must be < dimension for mu to be locally "
+                                    f"integrable, got beta={self.beta:g}")
         if self.kind is Kind.CUSTOM:
             if self.custom_profile is None or len(self.custom_profile) != 3:
                 raise InvalidParams("custom kind requires a (mu, mu'/mu, mu''/mu) triple")
@@ -279,38 +268,13 @@ def _check_radius(r):
 
 @_quiet_overflow
 def eval_mu(family: WeightFamily, r):
-    """mu(r).  Vectorized; scalar in, scalar out.
+    """mu(r) = exp(log_mu(log r)).  Vectorized; scalar in, scalar out.
 
     For LogWeight/Oscillating beyond r = 1/2 this returns the smooth
     compactly-supported (resp. constant) closure value.
     """
-    arr = _check_radius(r)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    k = family.kind
-    if k is Kind.LEBESGUE:
-        out = np.ones_like(arr)
-    elif k is Kind.EXP_POWER:
-        out = np.exp(-family.b * arr**family.m)
-    elif k is Kind.POWER_EXP_POWER:
-        out = arr ** (-family.beta) * np.exp(-family.b * arr**family.m)
-    elif k is Kind.LOG_WEIGHT:
-        theta = smooth_transition(arr, 0.5, 1.0)
-        out = np.zeros_like(arr)
-        pos = theta > 0.0
-        out[pos] = theta[pos] * (-np.log(arr[pos])) ** family.alpha
-    elif k is Kind.OSCILLATING:
-        out = np.empty_like(arr)
-        near = arr <= 0.5
-        far = arr >= 1.0
-        mid = ~near & ~far
-        out[near] = 2.0 + np.sin(np.log(arr[near]))
-        out[far] = 2.0
-        if mid.any():
-            out[mid] = _poly_eval(_oscillating_blend(), arr[mid])
-    else:
-        out = np.atleast_1d(np.asarray(family.custom_profile[0](arr), dtype=float))
-    return float(out[0]) if scalar else out
+    out = np.exp(log_mu(family, np.log(_check_radius(r))))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 @_quiet_overflow
@@ -340,14 +304,13 @@ def log_mu(family: WeightFamily, s):
         val = family.alpha * np.log(-sc)
         trans = sc > LOG_HALF
         if trans.any():
-            x = (np.exp(sc[trans]) - 0.5) / 0.5
-            val[trans] += 1.0 - 1.0 / (1.0 - x * x)
+            val[trans] += _bump_log((np.exp(sc[trans]) - 0.5) / 0.5)[0]
         out[core] = val
     elif k is Kind.OSCILLATING:
         out = np.where(s <= LOG_HALF, np.log(2.0 + np.sin(s)), np.log(2.0))
         mid = (s > LOG_HALF) & (s < 0.0)
         if mid.any():
-            out[mid] = np.log(_poly_eval(_oscillating_blend(), np.exp(s[mid])))
+            out[mid] = np.log(P.polyval(np.exp(s[mid]), _oscillating_blend()))
     else:
         r = np.exp(np.maximum(s, -700.0))  # custom callables only see r >= ~1e-304
         with np.errstate(divide="ignore"):
@@ -409,10 +372,10 @@ def log_derivatives(family: WeightFamily, r):
         d1[far] = 0.0
         mu2[far] = 0.0
         if mid.any():
-            coeffs = _oscillating_blend()
-            p0 = _poly_eval(coeffs, arr[mid])
-            d1[mid] = _poly_eval(coeffs, arr[mid], 1) / p0
-            mu2[mid] = _poly_eval(coeffs, arr[mid], 2) / p0
+            coeffs, x = _oscillating_blend(), arr[mid]
+            p0 = P.polyval(x, coeffs)
+            d1[mid] = P.polyval(x, P.polyder(coeffs)) / p0
+            mu2[mid] = P.polyval(x, P.polyder(coeffs, 2)) / p0
     else:
         mu_fn, d1_fn, lap2_fn = family.custom_profile
         d1 = np.atleast_1d(np.asarray(d1_fn(arr), dtype=float))
@@ -631,10 +594,6 @@ class RadialGrid:
     def nodes(self) -> np.ndarray:
         return np.geomspace(self.r_min, self.r_max, self.n_points)
 
-    @property
-    def ratio(self) -> float:
-        return (self.r_max / self.r_min) ** (1.0 / (self.n_points - 1))
-
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 
@@ -696,45 +655,34 @@ def hat_element_integrals(family: WeightFamily, nodes: np.ndarray) -> ElementInt
 class RadialBump:
     """Smooth bump supported on (lo, hi), normalized to 1 at the center.
 
-    For lo = 0 the profile is exp(-1/(1 - (r/hi)^2)) scaled to 1 at r = 0,
-    smooth as a function of x in R^N.  For lo > 0 it is the symmetric bump
-    in the mapped coordinate s = (2r - lo - hi)/(hi - lo).
+    The bump template exp(1 - 1/(1 - s^2)) in the mapped coordinate
+    s = (2r - lo - hi)/(hi - lo).  For lo = 0 it is the symmetric bump on
+    (-hi, hi), i.e. s = r/hi, smooth as a function of x in R^N.
     """
 
     lo: float
     hi: float
     amplitude: float = 1.0
 
-    def __call__(self, r):
+    def _profile(self, r):
+        """(scalar input?, value, d log value / dr), zero outside (lo, hi)."""
         arr = np.asarray(r, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        if self.lo == 0.0:
-            t = (arr / self.hi) ** 2
-            inside = t < 1.0
-            out = np.zeros_like(arr)
-            out[inside] = math.e * np.exp(-1.0 / (1.0 - t[inside]))
-        else:
-            s = (2.0 * arr - self.lo - self.hi) / (self.hi - self.lo)
-            inside = np.abs(s) < 1.0
-            out = np.zeros_like(arr)
-            out[inside] = math.e * np.exp(-1.0 / (1.0 - s[inside] ** 2))
-        out *= self.amplitude
-        return float(out[0]) if scalar else out
+        lo = -self.hi if self.lo == 0.0 else self.lo
+        half = 0.5 * (self.hi - lo)
+        s = np.atleast_1d(arr - (self.hi - half)) / half
+        val = np.zeros_like(s)
+        dlog = np.zeros_like(s)
+        inside = np.abs(s) < 1.0
+        log_t, d1, _ = _bump_log(s[inside])
+        val[inside] = self.amplitude * np.exp(log_t)
+        dlog[inside] = d1 / half
+        return arr.ndim == 0, val, dlog
+
+    def __call__(self, r):
+        scalar, val, _ = self._profile(r)
+        return float(val[0]) if scalar else val
 
     def deriv(self, r):
-        arr = np.asarray(r, dtype=float)
-        scalar = arr.ndim == 0
-        arr = np.atleast_1d(arr)
-        val = np.atleast_1d(np.asarray(self(arr), dtype=float))
-        out = np.zeros_like(val)
-        if self.lo == 0.0:
-            t = (arr / self.hi) ** 2
-            inside = t < 1.0
-            out[inside] = val[inside] * (-2.0 * arr[inside] / self.hi**2 / (1.0 - t[inside]) ** 2)
-        else:
-            c = 2.0 / (self.hi - self.lo)
-            s = (2.0 * arr - self.lo - self.hi) / (self.hi - self.lo)
-            inside = np.abs(s) < 1.0
-            out[inside] = val[inside] * (-2.0 * s[inside] / (1.0 - s[inside] ** 2) ** 2 * c)
+        scalar, val, dlog = self._profile(r)
+        out = val * dlog
         return float(out[0]) if scalar else out

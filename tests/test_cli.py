@@ -154,6 +154,26 @@ class TestCli:
         assert payload["h2_iv"]["holds"] is False
         assert payload["classification"] == "H2_prime_only"
 
+    def test_effective_dimension_below_one_half(self, tmp_path):
+        # N0 = N - beta = 1/2: the N0 bisection bracket must reach below it
+        rc = main(["analyze", "--out", str(tmp_path / "o"),
+                   "--override", "family.kind=power_exp_power",
+                   "--override", "family.dimension=3",
+                   "--override", "family.beta=2.5"])
+        assert rc == 0
+        profile = json.loads((tmp_path / "o" / "hypotheses.json").read_text())["profile"]
+        assert profile["N0"] == 0.5
+        assert profile["n0_estimators_agree"] is True
+
+    def test_beta_at_dimension_exit_2(self, tmp_path, capsys):
+        # mu = r^{-3} is not locally integrable in R^3
+        rc = main(["analyze", "--out", str(tmp_path / "o"),
+                   "--override", "family.kind=power_exp_power",
+                   "--override", "family.dimension=3",
+                   "--override", "family.beta=3"])
+        assert rc == 2
+        assert "beta" in capsys.readouterr().err
+
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[family]\nkind = bogus\n")

@@ -7,11 +7,20 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from hardykit import RadialGrid, dichotomy_verdict, evolution, fit_envelope, run_capped
 from hardykit.errors import DegenerateSeries, NegativeDatum, SchemeDivergence
-from hardykit.evolution import _Stepper
+from hardykit.evolution import _implicit_euler
+from hardykit.spectral import grid_parts
 from hardykit.weights import RadialBump
 
 GRID = RadialGrid(1e-4, 8.0, 384)
 BUMP = RadialBump(0.25, 1.0)
+
+
+def _banded(family, grid, c, cap, dt):
+    """(r, W, ab): the implicit-Euler matrix in solve_banded's (1, 1) layout."""
+    r, W, (dl, d, du) = _implicit_euler(family, grid, c, cap, dt)
+    ab = np.zeros((3, len(d)))
+    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+    return r, W, ab
 
 
 class TestRunCapped:
@@ -39,38 +48,30 @@ class TestRunCapped:
         with pytest.raises(NegativeDatum):
             run_capped(exppow3, 0.2, 10.0, bad, T=0.1, dt=1e-2, grid=GRID)
 
-    def test_mass_conserved_neumann_variant(self, exppow3):
-        # c = 0 with no-flux at r_max: d mu is the invariant measure; the
-        # only leak is the Dirichlet end at r_min = 1e-8
-        grid = RadialGrid(1e-8, 8.0, 512)
-        stepper = _Stepper(exppow3, grid, 0.0, 0.0, boundary="neumann_rmax")
-        u = BUMP(stepper.r)
-        from scipy.linalg import solve_banded
-        dt = 1e-3
-        ab = stepper.matrix(dt)
-        m0 = stepper.mass(u)
-        for _ in range(1000):
-            u = solve_banded((1, 1), ab, u, check_finite=False)
-        m1 = stepper.mass(u)
-        assert abs(m1 - m0) <= 1e-6 * m0  # relative drift per unit time
+    def test_flux_form_conserves_on_interior_rows(self, exppow3):
+        # c = 0: every flux leaving a cell enters its neighbour, so the
+        # stiffness rows away from the Dirichlet ends sum to zero
+        _, _, K, _, _ = grid_parts(exppow3, 1e-8, 8.0, 512)
+        row_sums = K.matvec(np.ones(K.n))
+        assert np.all(np.abs(row_sums[1:-1]) <= 1e-12 * K.diag[1:-1])
 
     @pytest.mark.parametrize("cap", [1e2, 1e4])
     def test_factored_steps_match_banded_solve_bitwise(self, exppow3, cap):
         # oracle: the plain loop, one solve_banded per step on the same matrix
         T, dt, records = 0.05, 1e-3, 8
         s = run_capped(exppow3, 0.3, cap, BUMP, T=T, dt=dt, grid=GRID, records=records)
-        stepper = _Stepper(exppow3, GRID, 0.3, cap)
-        u = BUMP(stepper.r)
         dt_eff = min(dt, 0.5 / cap)
         per_rec = max(1, math.ceil(T / records / dt_eff))
         dt_eff = T / records / per_rec
-        ab = stepper.matrix(dt_eff)
-        norms, min_value = [stepper.norm(u)], float(u.min())
+        r, W, ab = _banded(exppow3, GRID, 0.3, cap, dt_eff)
+        norm = lambda u: math.sqrt(float(W @ (u * u)))
+        u = BUMP(r)
+        norms, min_value = [norm(u)], float(u.min())
         for _ in range(records):
             for _ in range(per_rec):
                 u = solve_banded((1, 1), ab, u, check_finite=False)
             min_value = min(min_value, float(u.min()))
-            norms.append(stepper.norm(u))
+            norms.append(norm(u))
         assert np.array_equal(s.norms, np.asarray(norms))
         assert s.dt == dt_eff
         assert s.min_value == min_value
@@ -110,18 +111,18 @@ class TestPropagatorPath:
         monkeypatch.setattr(evolution, "_propagator",
                             lambda *a: built.append(a[1:]) or real(*a))
         s = run_capped(exppow3, 0.2, cap, BUMP, T=T, dt=dt, grid=grid, records=records)
-        stepper = _Stepper(exppow3, grid, 0.2, cap)
-        u = BUMP(stepper.r)
         dt_eff = min(dt, 0.5 / cap)
         per_rec = max(1, math.ceil(T / records / dt_eff))
         dt_eff = T / records / per_rec
-        ab = stepper.matrix(dt_eff)
-        dl, d, du, du2, ipiv, _ = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
-        norms = [stepper.norm(u)]
+        r, W, diagonals = _implicit_euler(exppow3, grid, 0.2, cap, dt_eff)
+        norm = lambda u: math.sqrt(float(W @ (u * u)))
+        u = BUMP(r)
+        dl, d, du, du2, ipiv, _ = dgttrf(*diagonals)
+        norms = [norm(u)]
         for _ in range(records):
             for _ in range(per_rec):
                 u, _ = dgttrs(dl, d, du, du2, ipiv, u)
-            norms.append(stepper.norm(u))
+            norms.append(norm(u))
         assert built == [(510, per_rec)]
         assert np.max(np.abs(s.norms / np.asarray(norms) - 1.0)) <= 1e-11
         assert s.dt == dt_eff

@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 from hardykit import Kind, RadialGrid, WeightFamily, eval_mu, log_derivatives, weighted_integral
 from hardykit.errors import DivergentIntegral, InvalidParams, NonPositiveRadius, QuadratureFailure
 from hardykit.hardy import _integral_diverges
-from hardykit.weights import RadialBump, log_mu, smooth_transition, surface_measure
+from hardykit.spectral import _theta, _theta_deriv
+from hardykit.weights import (
+    RadialBump,
+    _transition_logderivs,
+    log_mu,
+    smooth_transition,
+    surface_measure,
+)
 
 from conftest import fd_log_derivatives
 
@@ -66,6 +73,21 @@ class TestEvalMu:
             WeightFamily(Kind.LEBESGUE, 2)
         with pytest.raises(InvalidParams):
             WeightFamily(Kind.CUSTOM, 3)
+        with pytest.raises(InvalidParams, match="beta"):  # r^{-3} not L^1_loc(R^3)
+            WeightFamily(Kind.POWER_EXP_POWER, 3, beta=3.0)
+
+    def test_eval_mu_domain_and_closure(self, leb3, logw_pos):
+        # eval_mu is exp(log_mu(log r)): the radius check still comes first,
+        # and log mu = -inf beyond the LogWeight support reads mu = 0
+        for fam in (leb3, logw_pos):
+            with pytest.raises(NonPositiveRadius):
+                eval_mu(fam, np.array([0.5, 0.0]))
+            with pytest.raises(NonPositiveRadius):
+                eval_mu(fam, -0.5)
+        mu = eval_mu(logw_pos, np.array([0.25, 1.0, 1.5, 20.0]))
+        assert mu[0] > 0.0
+        assert np.array_equal(mu[1:], np.zeros(3))
+        assert isinstance(eval_mu(logw_pos, 2.0), float)
 
     def test_log_mu_matches_eval_mu(self, exppow3, pexp4, logw_pos, oscillating):
         s = np.log(np.geomspace(1e-6, 0.9, 50))
@@ -283,3 +305,34 @@ class TestBumpsAndCutoffs:
         h = 1e-7
         fd = (b(r + h) - b(r - h)) / (2 * h)
         assert np.allclose(b.deriv(r), fd, atol=1e-5, rtol=1e-4)
+
+
+def _central(f, r, h):
+    return (f(r + h) - f(r - h)) / (2.0 * h)
+
+
+class TestTemplateDerivatives:
+    """Every derivative built on the bump template, against a central
+    difference of the function it differentiates (h = 1e-5, error ~1e-10)."""
+
+    @pytest.mark.parametrize("lo,hi", [(0.0, 0.6), (0.25, 1.0)])
+    def test_bump_deriv(self, lo, hi):
+        b = RadialBump(lo, hi, amplitude=2.0)
+        r = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 200)
+        assert np.allclose(b.deriv(r), _central(b, r, 1e-5), rtol=1e-6, atol=1e-8)
+        assert np.array_equal(b.deriv(np.array([hi, hi + 0.1])), np.zeros(2))
+
+    def test_theta_deriv(self):
+        r = np.linspace(1.05, 1.95, 200)
+        assert np.allclose(_theta_deriv(r), _central(_theta, r, 1e-5), rtol=1e-6, atol=1e-8)
+        assert np.array_equal(_theta_deriv(np.array([0.5, 1.0, 2.0, 3.0])), np.zeros(4))
+        assert isinstance(_theta_deriv(1.5), float)
+
+    def test_transition_logderivs(self):
+        lo, hi = 0.5, 1.0
+        r = np.linspace(0.55, 0.95, 200)
+        d1, d2 = _transition_logderivs(r, lo, hi)
+        log_theta = lambda x: np.log(smooth_transition(x, lo, hi))
+        first = lambda x: _transition_logderivs(x, lo, hi)[0]
+        assert np.allclose(d1, _central(log_theta, r, 1e-5), rtol=1e-6, atol=1e-8)
+        assert np.allclose(d2, _central(first, r, 1e-5), rtol=1e-6, atol=1e-8)
