@@ -15,11 +15,9 @@ from dataclasses import dataclass, field, fields
 from typing import Tuple
 
 from .errors import ConfigError, InvalidParams
-from .weights import WeightFamily, family_from_mapping
+from .weights import Kind, WeightFamily
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "load_config", "apply_overrides"]
-
-TASKS = ("analyze", "spectrum", "sweep", "sharpness", "evolve", "report-all")
 
 
 def _check(section: str, rules) -> None:
@@ -40,7 +38,11 @@ class FamilyConfig:
 
     def build(self) -> WeightFamily:
         try:
-            return family_from_mapping(vars(self) | {"dimension": self.dimension})
+            kind = Kind(self.kind.lower())
+        except ValueError as exc:
+            raise ConfigError(f"[family] unknown or missing weight kind: {self.kind!r}") from exc
+        try:
+            return WeightFamily(kind, self.dimension, self.b, self.m, self.beta, self.alpha)
         except InvalidParams as exc:
             raise ConfigError(f"[family] {exc}") from exc
 
@@ -141,7 +143,6 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    task: str = "report-all"
     outdir: str = "out"
     family: FamilyConfig = field(default_factory=FamilyConfig)
     grid: GridConfig = field(default_factory=GridConfig)
@@ -196,12 +197,7 @@ def parse_config(text: str) -> RunConfig:
     kwargs = {}
     if cp.has_section("run"):
         for key, raw in cp.items("run"):
-            if key == "task":
-                task = raw.strip()
-                if task not in TASKS:
-                    raise ConfigError(f"unknown task {task!r}; expected one of {TASKS}")
-                kwargs["task"] = task
-            elif key == "outdir":
+            if key == "outdir":
                 kwargs["outdir"] = raw.strip()
             else:
                 raise ConfigError(f"unknown key [run] {key}")
@@ -231,7 +227,6 @@ def parse_config(text: str) -> RunConfig:
 def serialize_config(cfg: RunConfig) -> str:
     out = io.StringIO()
     out.write("[run]\n")
-    out.write(f"task = {cfg.task}\n")
     out.write(f"outdir = {cfg.outdir}\n")
     for section in _SECTIONS:
         block = getattr(cfg, section)
@@ -273,7 +268,7 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
         lhs, value = item.split("=", 1)
         if "." in lhs:
             section, key = lhs.split(".", 1)
-        elif lhs.strip() in ("task", "outdir"):
+        elif lhs.strip() == "outdir":
             section, key = "run", lhs
         else:
             raise ConfigError(f"override must be section.key=value, got {item!r}")

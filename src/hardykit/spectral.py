@@ -51,8 +51,9 @@ from .weights import (
     RadialBump,
     RadialGrid,
     WeightFamily,
-    _transition_logderivs,
+    _bump_log,
     hat_element_integrals,
+    log_derivatives,
     smooth_transition,
     weighted_integral,
 )
@@ -341,7 +342,7 @@ def _theta_deriv(r):
     """theta' = theta (log theta)' on the window (1, 2), zero off it."""
     arr = np.asarray(r, dtype=float)
     mid = (arr > 1.0) & (arr < 2.0)
-    dlog, _ = _transition_logderivs(np.where(mid, arr, 1.5), 1.0, 2.0)
+    dlog = _bump_log(np.where(mid, arr, 1.5) - 1.0)[1]
     out = np.where(mid, _theta(arr) * dlog, 0.0)
     return out if out.ndim else float(out)
 
@@ -585,8 +586,6 @@ def weighted_vs_flat_crosscheck(
     )
     lhs = profile.c0_mu * hardy
     rhs = grad2 + u_term
-
-    from .weights import log_derivatives
 
     def flat_grad(r):
         d1, _ = log_derivatives(family, r)

@@ -4,13 +4,14 @@ A weight family is a radial density mu(r) > 0 together with its exact
 logarithmic derivatives.  Everything downstream (Hardy profiles, spectral
 assembly, the parabolic stepper) consumes only this interface:
 
-    log_mu(family, s)           log mu(e^s), the one definition of mu
-    eval_mu(family, r)          mu(r) = exp(log_mu(log r))
-    log_derivatives(family, r)  (mu'/mu, Delta mu / mu)
+    log_mu(family, s)           g(s) = log mu(e^s)
+    eval_mu(family, r)          mu(r) = exp(g(log r))
+    log_derivatives(family, r)  (mu'/mu, Delta mu / mu) = (g'/r, (g'' + (N-2) g' + g'^2)/r^2)
     weighted_integral(...)      omega_N * int f(r) r^power mu(r) r^{N-1} dr
 
-mu is defined once, per kind, by log_mu; eval_mu exponentiates it, so the
-element integrals and the log-axis quadrature see the same weight.
+mu is defined once per kind, by one jet in s = log r that returns g and,
+on request, g' and g''; everything above reads that jet, so the element
+integrals, the log-axis quadrature and the Hardy profile see one weight.
 
 Built-in kinds
 --------------
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Tuple
@@ -77,7 +78,6 @@ __all__ = [
     "weighted_integral",
     "hat_element_integrals",
     "smooth_transition",
-    "family_from_mapping",
 ]
 
 
@@ -137,13 +137,6 @@ def smooth_transition(r, lo: float, hi: float):
     mid = (s > 0.0) & (s < 1.0)
     out[mid] = np.exp(_bump_log(s[mid])[0])
     return float(out[0]) if arr.ndim == 0 else out
-
-
-def _transition_logderivs(r, lo: float, hi: float):
-    """(log theta)' and (log theta)'' on the open transition window."""
-    c1 = 1.0 / (hi - lo)
-    _, d1, d2 = _bump_log((np.asarray(r, dtype=float) - lo) * c1)
-    return d1 * c1, d2 * c1**2
 
 
 # ----------------------------------------------------------------------
@@ -241,24 +234,6 @@ class WeightFamily:
         return " ".join(bits)
 
 
-def family_from_mapping(params: dict) -> WeightFamily:
-    """Build a family from plain key=value strings (the config grammar)."""
-    try:
-        kind = Kind(str(params["kind"]).strip().lower())
-    except (KeyError, ValueError) as exc:
-        raise InvalidParams(f"unknown or missing weight kind: {params.get('kind')!r}") from exc
-    def _f(key, default=0.0):
-        return float(params.get(key, default))
-    return WeightFamily(
-        kind=kind,
-        dimension=int(float(params.get("dimension", params.get("N", 3)))),
-        b=_f("b"),
-        m=_f("m", 1.0),
-        beta=_f("beta"),
-        alpha=_f("alpha"),
-    )
-
-
 def _check_radius(r):
     arr = np.asarray(r, dtype=float)
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
@@ -277,6 +252,60 @@ def eval_mu(family: WeightFamily, r):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _log_mu_jet(family: WeightFamily, s: np.ndarray, derivs: bool):
+    """g(s) = log mu(e^s) on a 1-d array s, the one definition of mu per
+    kind; with `derivs`, the triple (g, g', g'') of s-derivatives.
+
+    g is -inf where mu vanishes (the compact-support closure), and g', g''
+    are nan there.  Custom profiles have the value only.
+    """
+    k = family.kind
+    if k is Kind.LEBESGUE:
+        return (np.zeros_like(s),) * 3 if derivs else np.zeros_like(s)
+    if k in (Kind.EXP_POWER, Kind.POWER_EXP_POWER):
+        p, b, m = family.power_order, family.b, family.m
+        e = -b * np.exp(np.minimum(m * s, 709.0)) if b else np.zeros_like(s)
+        g = e - p * s if p else e
+        return (g, m * e - p, m * m * e) if derivs else g
+    if k is Kind.LOG_WEIGHT:
+        g = np.full_like(s, -np.inf)
+        core = s < -1e-15
+        sc = s[core]
+        g[core] = family.alpha * np.log(-sc)
+        if derivs:
+            g1, g2 = np.full((2, s.size), np.nan)
+            g1[core], g2[core] = family.alpha / sc, -family.alpha / sc**2
+        trans = core & (s > LOG_HALF)
+        if trans.any():
+            w = 2.0 * np.exp(s[trans])       # d/ds of the window coordinate 2r - 1
+            t0, t1, t2 = _bump_log(w - 1.0)
+            g[trans] += t0
+            if derivs:
+                g1[trans] += w * t1
+                g2[trans] += w * w * t2 + w * t1
+        return (g, g1, g2) if derivs else g
+    if k is Kind.OSCILLATING:
+        near = s <= LOG_HALF
+        q = 2.0 + np.sin(s)
+        g = np.where(near, np.log(q), np.log(2.0))
+        if derivs:
+            g1 = np.where(near, np.cos(s) / q, 0.0)
+            g2 = np.where(near, (3.0 - 2.0 * q) / q**2, 0.0)
+        mid = ~near & (s < 0.0)
+        if mid.any():
+            c, x = _oscillating_blend(), np.exp(s[mid])
+            p0 = P.polyval(x, c)
+            g[mid] = np.log(p0)
+            if derivs:
+                x1 = x * P.polyval(x, P.polyder(c)) / p0
+                g1[mid] = x1
+                g2[mid] = x1 + x * x * P.polyval(x, P.polyder(c, 2)) / p0 - x1 * x1
+        return (g, g1, g2) if derivs else g
+    r = np.exp(np.maximum(s, -700.0))  # custom callables only see r >= ~1e-304
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(family.custom_profile[0](r), dtype=float))
+
+
 @_quiet_overflow
 def log_mu(family: WeightFamily, s):
     """log mu as a function of s = log r, stable for arbitrarily negative s.
@@ -286,36 +315,8 @@ def log_mu(family: WeightFamily, s):
     r = exp(s), so it remains exact far below the smallest positive float.
     """
     s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    s = np.atleast_1d(s)
-    k = family.kind
-    if k is Kind.LEBESGUE:
-        out = np.zeros_like(s)
-    elif k is Kind.EXP_POWER:
-        out = -family.b * np.exp(np.minimum(family.m * s, 709.0)) if family.b else np.zeros_like(s)
-    elif k is Kind.POWER_EXP_POWER:
-        out = -family.beta * s
-        if family.b:
-            out = out - family.b * np.exp(np.minimum(family.m * s, 709.0))
-    elif k is Kind.LOG_WEIGHT:
-        out = np.full_like(s, -np.inf)
-        core = s < -1e-15
-        sc = s[core]
-        val = family.alpha * np.log(-sc)
-        trans = sc > LOG_HALF
-        if trans.any():
-            val[trans] += _bump_log((np.exp(sc[trans]) - 0.5) / 0.5)[0]
-        out[core] = val
-    elif k is Kind.OSCILLATING:
-        out = np.where(s <= LOG_HALF, np.log(2.0 + np.sin(s)), np.log(2.0))
-        mid = (s > LOG_HALF) & (s < 0.0)
-        if mid.any():
-            out[mid] = np.log(P.polyval(np.exp(s[mid]), _oscillating_blend()))
-    else:
-        r = np.exp(np.maximum(s, -700.0))  # custom callables only see r >= ~1e-304
-        with np.errstate(divide="ignore"):
-            out = np.log(np.asarray(family.custom_profile[0](r), dtype=float))
-    return float(out[0]) if scalar else out
+    out = _log_mu_jet(family, np.atleast_1d(s), False)
+    return float(out[0]) if s.ndim == 0 else out
 
 
 @_quiet_overflow
@@ -323,60 +324,15 @@ def log_derivatives(family: WeightFamily, r):
     """(d1, lap_ratio) = (mu'/mu, Delta mu / mu) at radius r.
 
     lap_ratio is the radial Laplacian ratio mu''/mu + (N-1)/r * mu'/mu.
+    With g(s) = log mu(e^s) these are g'/r and (g'' + (N-2) g' + g'^2)/r^2.
     Where mu vanishes (beyond the LogWeight support) the ratios are
     undefined and returned as nan.
     """
     arr = _check_radius(r)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    k = family.kind
     N = family.dimension
-    if k is Kind.LEBESGUE:
-        d1 = np.zeros_like(arr)
-        mu2 = np.zeros_like(arr)
-    elif k is Kind.EXP_POWER:
-        b, m = family.b, family.m
-        d1 = -b * m * arr ** (m - 1.0)
-        glog2 = -b * m * (m - 1.0) * arr ** (m - 2.0)
-        mu2 = glog2 + d1 * d1
-    elif k is Kind.POWER_EXP_POWER:
-        b, m, beta = family.b, family.m, family.beta
-        d1 = -beta / arr - b * m * arr ** (m - 1.0)
-        glog2 = beta / arr**2 - b * m * (m - 1.0) * arr ** (m - 2.0)
-        mu2 = glog2 + d1 * d1
-    elif k is Kind.LOG_WEIGHT:
-        alpha = family.alpha
-        ell = -np.log(arr)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d1 = -alpha / (arr * ell)
-            glog2 = alpha * (ell - 1.0) / (arr**2 * ell**2)
-        trans = (arr > 0.5) & (arr < 1.0)
-        if trans.any():
-            td1, td2 = _transition_logderivs(arr[trans], 0.5, 1.0)
-            d1[trans] += td1
-            glog2[trans] += td2
-        dead = arr >= 1.0
-        d1[dead] = np.nan
-        glog2[dead] = np.nan
-        mu2 = glog2 + d1 * d1
-    elif k is Kind.OSCILLATING:
-        d1 = np.empty_like(arr)
-        mu2 = np.empty_like(arr)
-        t = np.log(arr)
-        near = arr <= 0.5
-        far = arr >= 1.0
-        mid = ~near & ~far
-        muv = 2.0 + np.sin(t[near])
-        d1[near] = np.cos(t[near]) / (arr[near] * muv)
-        mu2[near] = -(np.sin(t[near]) + np.cos(t[near])) / (arr[near] ** 2 * muv)
-        d1[far] = 0.0
-        mu2[far] = 0.0
-        if mid.any():
-            coeffs, x = _oscillating_blend(), arr[mid]
-            p0 = P.polyval(x, coeffs)
-            d1[mid] = P.polyval(x, P.polyder(coeffs)) / p0
-            mu2[mid] = P.polyval(x, P.polyder(coeffs, 2)) / p0
-    else:
+    if family.kind is Kind.CUSTOM:
         mu_fn, d1_fn, lap2_fn = family.custom_profile
         d1 = np.atleast_1d(np.asarray(d1_fn(arr), dtype=float))
         if lap2_fn is not None:
@@ -388,7 +344,11 @@ def log_derivatives(family: WeightFamily, r):
             g2 = (-g(arr + 2 * h) + 16 * g(arr + h) - 30 * g(arr)
                   + 16 * g(arr - h) - g(arr - 2 * h)) / (12 * h * h)
             mu2 = g2 + d1 * d1
-    lap = mu2 + (N - 1.0) / arr * d1
+        lap = mu2 + (N - 1.0) / arr * d1
+    else:
+        _, g1, g2 = _log_mu_jet(family, np.log(arr), True)
+        d1 = g1 / arr
+        lap = (g2 + (N - 2.0) * g1 + g1 * g1) / (arr * arr)
     if scalar:
         return float(d1[0]), float(lap[0])
     return d1, lap
@@ -508,10 +468,14 @@ def weighted_integral(
     if r_lo < 0.0 or r_hi <= r_lo:
         raise InvalidParams(f"bad integration range ({r_lo}, {r_hi})")
     N = family.dimension
-    total_pow = N + power
+    # mu's power law joins r^{N + power} before the product with s: two
+    # separate s-products would cancel to rounding noise deep in the tail
+    p0 = family.power_order
+    smooth = replace(family, beta=0.0) if p0 else family
+    total_pow = N + power - p0
 
     def F(s: np.ndarray) -> np.ndarray:
-        e = log_mu(family, s) + total_pow * s
+        e = log_mu(smooth, s) + total_pow * s
         out = np.zeros_like(s)
         live = ~(e < _EXP_UNDERFLOW)   # -inf where mu vanishes; nan stays
         out[live] = np.exp(e[live])

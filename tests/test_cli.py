@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -38,7 +39,6 @@ class TestConfig:
     def test_roundtrip_after_parse(self):
         text = """
 [run]
-task = analyze
 outdir = somewhere
 
 [family]
@@ -50,7 +50,6 @@ alpha = -1.0
 sweep_tol = 0.01
 """
         cfg = parse_config(text)
-        assert cfg.task == "analyze"
         assert cfg.family.kind == "log_weight"
         assert cfg.family.alpha == -1.0
         assert cfg.spectral.sweep_tol == 0.01
@@ -164,6 +163,20 @@ class TestCli:
         profile = json.loads((tmp_path / "o" / "hypotheses.json").read_text())["profile"]
         assert profile["N0"] == 0.5
         assert profile["n0_estimators_agree"] is True
+
+    @pytest.mark.parametrize("beta", [2.2, 2.4])
+    def test_h3p_ladder_settles_for_beta_in_last_unit(self, tmp_path, beta):
+        # N - 1 < beta < N: lambda * int_B1 r^{lambda - N0} dmu tends to omega_3 = 4 pi
+        # only if the power law and r^{N + power} do not cancel in the exponent
+        rc = main(["analyze", "--out", str(tmp_path / "o"),
+                   "--override", "family.kind=power_exp_power",
+                   "--override", "family.dimension=3",
+                   "--override", f"family.beta={beta}"])
+        assert rc == 0
+        h3p = json.loads((tmp_path / "o" / "hypotheses.json").read_text())["h3p_iii"]
+        assert h3p["diverges"] is False
+        assert len(h3p["values"]) == 20
+        assert h3p["values"][-1] == pytest.approx(4.0 * math.pi, rel=1e-6)
 
     def test_beta_at_dimension_exit_2(self, tmp_path, capsys):
         # mu = r^{-3} is not locally integrable in R^3

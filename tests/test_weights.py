@@ -10,7 +10,6 @@ from hardykit.hardy import _integral_diverges
 from hardykit.spectral import _theta, _theta_deriv
 from hardykit.weights import (
     RadialBump,
-    _transition_logderivs,
     log_mu,
     smooth_transition,
     surface_measure,
@@ -129,6 +128,16 @@ class TestLogDerivatives:
             d1_fd, lap_fd = fd_log_derivatives(fam, r_eff)
             assert abs(d1 - d1_fd) <= 1e-6 * max(1.0, abs(d1))
             assert abs(lap - lap_fd) <= 1e-6 * max(1.0, abs(lap))
+
+    def test_deep_tail_matches_log_mu(self, exppow3, pexp4, leb3, logw_pos, logw_neg,
+                                      oscillating):
+        # r mu'/mu is d/ds log mu(e^s): central difference in s, far below r = 1e-3
+        s = np.linspace(-60.0, -0.05, 400)
+        h = 1e-5
+        for fam in (exppow3, pexp4, leb3, logw_pos, logw_neg, oscillating):
+            got = np.exp(s) * log_derivatives(fam, np.exp(s))[0]
+            want = (log_mu(fam, s + h) - log_mu(fam, s - h)) / (2.0 * h)
+            assert np.allclose(got, want, rtol=1e-6, atol=1e-8), fam.kind
 
     def test_transition_region_log_weight(self, logw_pos):
         d1, lap = log_derivatives(logw_pos, 0.75)
@@ -327,12 +336,3 @@ class TestTemplateDerivatives:
         assert np.allclose(_theta_deriv(r), _central(_theta, r, 1e-5), rtol=1e-6, atol=1e-8)
         assert np.array_equal(_theta_deriv(np.array([0.5, 1.0, 2.0, 3.0])), np.zeros(4))
         assert isinstance(_theta_deriv(1.5), float)
-
-    def test_transition_logderivs(self):
-        lo, hi = 0.5, 1.0
-        r = np.linspace(0.55, 0.95, 200)
-        d1, d2 = _transition_logderivs(r, lo, hi)
-        log_theta = lambda x: np.log(smooth_transition(x, lo, hi))
-        first = lambda x: _transition_logderivs(x, lo, hi)[0]
-        assert np.allclose(d1, _central(log_theta, r, 1e-5), rtol=1e-6, atol=1e-8)
-        assert np.allclose(d2, _central(first, r, 1e-5), rtol=1e-6, atol=1e-8)
