@@ -38,7 +38,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, apply_overrides, load_config, serialize_config
-from .errors import ConfigError, HardyKitError
+from .errors import BadBracket, ConfigError, HardyKitError
 from .hardy import check_hypotheses, compute_profile
 from .schemas import EIGVEC, EVOLUTION, PHI_GAMMA, PHI_N, SPECTRUM_LADDER, SWEEP_TRACE
 from .spectral import (
@@ -144,14 +144,23 @@ def run_sweep(cfg: RunConfig, outdir: Path):
     _require_sweep_ladder(cfg)
     family = cfg.family.build()
     s = cfg.spectral
-    res = critical_sweep(family, s.sweep_c_lo, s.sweep_c_hi, s.sweep_tol,
-                         grid=_grid(cfg), **_ladder_kwargs(cfg))
+    profile = _profile(cfg, family)
+    try:
+        res = critical_sweep(family, s.sweep_c_lo, s.sweep_c_hi, s.sweep_tol,
+                             grid=_grid(cfg), **_ladder_kwargs(cfg))
+    except BadBracket as exc:
+        if exc.verdicts == ("Bounded", "Bounded") and s.sweep_c_hi <= profile.c0_mu:
+            raise BadBracket(
+                f"{exc}; [spectral] sweep_c_hi = {s.sweep_c_hi:g} is not above "
+                f"c0_mu = {profile.c0_mu:g}, raise spectral.sweep_c_hi past it",
+                exc.verdicts,
+            ) from exc
+        raise
     rows = []
     for entry in res.trace:
         for n, r_min, lam in entry["ladder"]:
             rows.append((entry["c"], r_min, n, lam, entry["verdict"]))
     _write_csv(outdir / "sweep_trace.csv", SWEEP_TRACE, rows)
-    profile = _profile(cfg, family)
     # operational additive constant: -lambda1 at the weighted Hardy coupling
     # (couplings <= 0 are trivially valid and need no constant)
     if profile.c0_mu > 0.0:

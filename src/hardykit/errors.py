@@ -32,6 +32,10 @@ class NoConvergence(HardyKitError, ArithmeticError):
 class BadBracket(HardyKitError, ValueError):
     """Bisection endpoints do not produce differing verdicts."""
 
+    def __init__(self, message: str, verdicts: tuple = ()):
+        super().__init__(message)
+        self.verdicts = verdicts  # (at c_lo, at c_hi)
+
 
 class InadmissibleGamma(HardyKitError, ValueError):
     """Test-function exponent outside the admissible interval."""

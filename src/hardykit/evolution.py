@@ -50,11 +50,10 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded  # noqa: F401  (bench/tracer.py hooks this name)
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DegenerateSeries, NegativeDatum, SchemeDivergence
 from .spectral import SpectralProblem, grid_parts, lambda1
+from .spectral import solve_banded  # noqa: F401  (bench/tracer.py hooks this name)
 from .weights import RadialBump, RadialGrid, WeightFamily
 
 __all__ = [
@@ -67,6 +66,15 @@ __all__ = [
 ]
 
 _CAP_DT_SAFETY = 0.5  # dt <= safety/cap keeps I - dt A strictly an M-matrix
+
+
+# LAPACK loads with scipy.linalg on the first factorization (see spectral).
+# The per-step gttrs is bound once per caller by a local import instead, so
+# the stepping loop calls LAPACK directly.
+def dgttrf(dl, d, du):
+    from scipy.linalg import lapack
+    return lapack.dgttrf(dl, d, du)
+
 
 # Path cost model, from timings of the raw LAPACK/BLAS calls at n = 126..2046
 # on a 2-vCPU x86-64 host (OpenBLAS 0.3.31, 2 threads).  A gttrs step is a
@@ -88,6 +96,7 @@ def _propagator(factors: tuple, n: int, power: int) -> np.ndarray:
     binary powering.  R is one n-column gttrs on the identity; a squaring
     is one matmul into the spare buffer; a multiply by R is an in-place
     n-column gttrs (powers of R commute).  At most two n x n arrays live."""
+    from scipy.linalg.lapack import dgttrs
     P, _ = dgttrs(*factors, np.eye(n, order="F"), overwrite_b=1)
     spare = np.empty_like(P)
     for bit in bin(power)[3:]:
@@ -149,6 +158,7 @@ def run_capped(
     u = np.array(u0(r), dtype=float)  # a copy: stepped in place
     if np.any(u < 0.0):
         raise NegativeDatum("initial datum must be nonnegative")
+    from scipy.linalg.lapack import dgttrs
     dl, d, du, du2, ipiv, info = dgttrf(*diagonals)
     if info != 0:
         raise SchemeDivergence(

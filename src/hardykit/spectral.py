@@ -34,7 +34,6 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .errors import (
     BadBracket,
@@ -78,6 +77,20 @@ __all__ = [
     "CrosscheckResult",
     "weighted_vs_flat_crosscheck",
 ]
+
+
+# scipy.linalg costs more to import than the rest of the package together,
+# and the audit tasks (analyze, sharpness) never solve anything: the two
+# solvers load it on first call.  They stay module attributes, so a caller
+# can rebind them to count or replace the solves.
+def eigh_tridiagonal(d, e, *args, **kwargs):
+    from scipy import linalg
+    return linalg.eigh_tridiagonal(d, e, *args, **kwargs)
+
+
+def solve_banded(l_and_u, ab, b, *args, **kwargs):
+    from scipy import linalg
+    return linalg.solve_banded(l_and_u, ab, b, *args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -317,7 +330,8 @@ def critical_sweep(
     v_lo, v_hi = probe(c_lo), probe(c_hi)
     if v_lo != "Bounded" or v_hi != "Diverging":
         raise BadBracket(
-            f"need Bounded at c_lo and Diverging at c_hi, got {v_lo}/{v_hi}"
+            f"need Bounded at c_lo and Diverging at c_hi, got {v_lo}/{v_hi}",
+            (v_lo, v_hi),
         )
     lo, hi = c_lo, c_hi
     while hi - lo > tol:
@@ -433,6 +447,12 @@ def quotient_phi_n(
     if n < 2:
         raise InvalidParams("n must be >= 2")
     profile = profile or compute_profile(family)
+    if profile.N0 <= 2.0:
+        # dmu ~ r^{N0-1} dr at the origin, so the cap term has no finite value
+        raise NonIntegrableTestFunction(
+            f"phi_n has no Hardy quotient for N0 = {profile.N0:g} <= 2: "
+            f"the cap integral int_0^(1/n) r^-2 dmu diverges"
+        )
     lo, hi = phi_n_gamma_bounds(c, profile.N0)
     if not (lo - 1e-12 <= gamma <= hi + 1e-12):
         raise InadmissibleGamma(

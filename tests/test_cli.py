@@ -276,6 +276,27 @@ class TestCli:
                    "--override", "spectral.sweep_c_hi=0.1"])
         assert rc == 3
 
+    def test_bracket_below_c0_mu_names_sweep_c_hi(self, tmp_path, capsys):
+        # lebesgue N=5: c0_mu = 9/4 lies above the default sweep_c_hi = 0.6
+        rc = main(["sweep", "--out", str(tmp_path / "o"),
+                   "--override", "family.kind=lebesgue",
+                   "--override", "family.dimension=5"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "Bounded/Bounded" in err
+        assert "spectral.sweep_c_hi" in err
+        assert "0.6" in err and "2.25" in err
+
+    @pytest.mark.parametrize("beta", [1.5, 2.5])
+    def test_phi_n_without_quotient_names_n0(self, tmp_path, capsys, beta):
+        # N0 = 3 - beta <= 2: int_0^{1/n} r^-2 dmu diverges
+        rc = main(["sharpness", "--out", str(tmp_path / "o"),
+                   "--override", "family.kind=power_exp_power",
+                   "--override", "family.dimension=3",
+                   "--override", f"family.beta={beta}"])
+        assert rc == 3
+        assert f"N0 = {3 - beta:g}" in capsys.readouterr().err
+
     def test_spectrum_outputs_schema(self, tmp_path):
         rc = main(["spectrum", "--out", str(tmp_path / "o"),
                    "--override", "spectral.c=0.2",
@@ -345,3 +366,21 @@ def test_import_leaves_unused_scipy_out():
                          text=True, check=True).stdout.splitlines()
     assert out[0].startswith(src)
     assert out[1] == "[]"
+
+
+def test_audit_tasks_never_load_scipy_linalg(tmp_path):
+    # scipy.linalg loads on the first eigen-solve or factorization; analyze
+    # and sharpness have none, sweep does (so the check is not vacuous)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, hardykit.cli; "
+            "loaded = lambda: 'scipy.linalg' in sys.modules; "
+            "print(loaded()); "
+            "hardykit.cli.main(['analyze', '--out', sys.argv[1]]); "
+            "hardykit.cli.main(['sharpness', '--out', sys.argv[1]]); "
+            "print(loaded()); "
+            "hardykit.cli.main(['sweep', '--out', sys.argv[1]]); "
+            "print(loaded())")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert [line for line in out if line in ("True", "False")] == ["False", "False", "True"]

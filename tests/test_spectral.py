@@ -22,7 +22,7 @@ from hardykit import (
     weighted_vs_flat_crosscheck,
 )
 from hardykit.errors import BadBracket, InadmissibleGamma, InvalidParams, UnsupportedFunction
-from hardykit import spectral
+from hardykit import evolution, spectral
 from hardykit.spectral import TestFunctionFamily, phi_n_gamma_bounds, _theta, _theta_deriv
 from hardykit.weights import RadialBump, surface_measure
 
@@ -117,6 +117,26 @@ class TestLambda1:
         ns = [row[0] for row in res.ladder]
         assert r_mins == sorted(r_mins, reverse=True)
         assert ns == sorted(ns)
+
+    def test_eigensolves_route_through_module_attribute(self, exppow3, monkeypatch):
+        # a caller that rebinds spectral.eigh_tridiagonal sees every solve
+        prob = SpectralProblem(exppow3, 0.2, GRID)
+        want = lambda1(prob)
+        real = spectral.eigh_tridiagonal
+        calls = []
+
+        def counted(d, e, *args, **kwargs):
+            calls.append(len(d))
+            return real(d, e, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigh_tridiagonal", counted)
+        got = lambda1(prob)
+        assert len(calls) == len(want.ladder) > 0
+        assert got.lambda1 == want.lambda1
+        assert got.ladder == want.ladder
+        assert got.verdict == want.verdict
+        assert np.array_equal(got.eigvec, want.eigvec)
+        assert callable(evolution.solve_banded)
 
     @pytest.mark.parametrize("family_name,c0n0", [
         ("exppow3", 0.25), ("pexp4", 0.25), ("leb4", 1.0),
