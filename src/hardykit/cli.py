@@ -50,6 +50,7 @@ from .spectral import (
     phi_gamma_ladder,
     phi_n_gamma_bounds,
     quotient_phi_n,
+    require_phi_n_quotient,
 )
 from .evolution import dichotomy_verdict
 from .weights import RadialBump
@@ -237,7 +238,9 @@ def run_evolve(cfg: RunConfig, outdir: Path):
 
 
 def run_report_all(cfg: RunConfig, outdir: Path):
-    _require_sweep_ladder(cfg)  # before the analyze stage spends its time
+    # before the analyze stage spends its time or writes a file
+    _require_sweep_ladder(cfg)
+    require_phi_n_quotient(_profile(cfg, cfg.family.build()).N0)
     stages = [runner(cfg, outdir) for runner in (run_analyze, run_sweep, run_sharpness, run_evolve)]
     names = [name for files, _ in stages for name in files] + ["summary.md"]
     hyp, sweep, sharp, evo = (payload for _, payload in stages)

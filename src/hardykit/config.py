@@ -91,6 +91,19 @@ class SpectralConfig:
     sweep_c_hi: float = 0.6
     sweep_tol: float = 0.02
 
+    def __post_init__(self):
+        _check("spectral", (
+            (self.rmin_shrink > 1.0,
+             f"rmin_shrink = {self.rmin_shrink} must be > 1 (each rung shrinks r_min)"),
+            (self.n_grow >= 1.0, f"n_grow = {self.n_grow} must be >= 1 (no rung coarsens)"),
+            (self.residual_tol > 0.0, f"residual_tol = {self.residual_tol} must be > 0"),
+            (self.sweep_c_lo < self.sweep_c_hi,
+             f"sweep_c_lo = {self.sweep_c_lo}, sweep_c_hi = {self.sweep_c_hi} "
+             f"need sweep_c_lo < sweep_c_hi"),
+            (self.sweep_tol > 0.0,
+             f"sweep_tol = {self.sweep_tol} must be > 0 (the bisection stops at it)"),
+        ))
+
 
 @dataclass(frozen=True)
 class SharpnessConfig:

@@ -15,20 +15,22 @@ integrals of mu r^{N-1}.  This is the same pencil the spectral module uses;
 it is symmetric in the weighted inner product, and it is conservative: the
 flux leaving one cell enters its neighbour, so the stiffness rows of
 interior cells sum to zero and d mu changes only through the boundary
-fluxes.  Its off-diagonal signs make I - dt A an M-matrix, so implicit
-Euler preserves positivity whenever dt * cap <= the documented safety
-factor.
+fluxes.  Scaled by W^{1/2}, the implicit-Euler matrix becomes the symmetric
+S = I + dt W^{-1/2} K W^{-1/2} - dt V_cap, with nonpositive off-diagonal;
+whenever dt * cap < 1 (the documented safety factor keeps it below) S is a
+positive definite Stieltjes matrix, so it is inverse-positive and implicit
+Euler preserves positivity.
 
-Time stepping: the implicit-Euler matrix I - dt (A + V_cap) is constant
-for a cap, so each cap factors it once (LAPACK gttrf, partial pivoting).
-A record interval of per_rec steps is then, whichever a measured cost
-model finds cheaper (_use_propagator), either per_rec gttrs
-back-substitutions -- the elimination solve_banded performs, so the norms
-are the plain loop's to the last bit -- or one product with the dense
-propagator P = R^per_rec, R = (I - dt (A + V_cap))^{-1}.  R inverts an
-M-matrix, so its powers are entrywise nonnegative and the products
-involve no cancellation: norms agree with stepping to about 1e-12
-relative, and positivity is kept.
+Time stepping: the state stepped is y = W^{1/2} u, whose Euclidean norm is
+the weighted L^2 norm of u.  S is constant for a cap, so each cap factors
+it once (LAPACK pttrf, LDL^T without pivoting).  A record interval of
+per_rec steps is then, whichever a measured cost model finds cheaper
+(_use_propagator), either per_rec pttrs solves -- the norms are those of a
+plain solveh_banded loop on S to the last bit, and within 7e-11 relative
+(n = 8190) of a plain solve_banded loop on the unscaled I - dt (A + V_cap)
+-- or one product with the dense propagator P = R^per_rec, R = S^{-1}.  R is
+entrywise nonnegative, so the products involve no cancellation: norms
+agree with stepping to about 1e-12 relative, and positivity is kept.
 
 Verdict rules (documented tunables): the run is a blowup signature when
 the norm ratio between successive caps at t* = T/2 exceeds the threshold
@@ -65,45 +67,48 @@ __all__ = [
     "dichotomy_verdict",
 ]
 
-_CAP_DT_SAFETY = 0.5  # dt <= safety/cap keeps I - dt A strictly an M-matrix
+_CAP_DT_SAFETY = 0.5  # dt * cap < 1 keeps the step an SPD Stieltjes matrix, inverse-positive
 
 
 # LAPACK loads with scipy.linalg on the first factorization (see spectral).
-# The per-step gttrs is bound once per caller by a local import instead, so
+# The per-step pttrs is bound once per caller by a local import instead, so
 # the stepping loop calls LAPACK directly.
-def dgttrf(dl, d, du):
+def dpttrf(d, e):
     from scipy.linalg import lapack
-    return lapack.dgttrf(dl, d, du)
+    return lapack.dpttrf(d, e)
 
 
-# Path cost model, from timings of the raw LAPACK/BLAS calls at n = 126..2046
-# on a 2-vCPU x86-64 host (OpenBLAS 0.3.31, 2 threads).  A gttrs step is a
-# dependent recurrence: 1.5 us + 19 ns * n per call (11.1 us at n = 510,
-# 8.2 us at n = 382), and an n-column gttrs costs the per-row part n times
-# (5.0 ms at n = 510).  An n x n matmul takes about 34 ps * n^3 (4.3-4.9 ms
-# at n = 510, 1.7 ms at n = 382).  A power bit of P is one squaring and at
-# most one n-column gttrs: about 850 steps at n = 510, 530 at n = 382.
+# Path cost model, from timings of the raw LAPACK/BLAS calls at n = 126..8190
+# on a 2-vCPU x86-64 host (OpenBLAS 0.3.31, 2 threads).  A pttrs step is a
+# dependent recurrence without pivoting: 1.1 us + 8.8 ns * n per call (5.8 us
+# at n = 510, 72 us at n = 8190), and an n-column pttrs costs the per-row part
+# n times (2.4 ms at n = 510).  An n x n matmul takes about 34 ps * n^3
+# (3.7-4.9 ms at n = 510, 1.7-3.8 ms at n = 382).  A power bit of P is one
+# squaring and at most one n-column pttrs: about 1200 steps at n = 510, 710
+# at n = 382.  The sides the tests pin hold by 1.6x at (n, per_rec, records)
+# = (510, 250, 64), 2.6x at (382, 313, 8), 3.8x at (510, 25, 64) and more
+# than 4x elsewhere.
 def _use_propagator(n: int, per_rec: int, records: int) -> bool:
     """True when building R^per_rec (per_rec.bit_length() power bits) is
-    cheaper than records * per_rec gttrs steps on n unknowns."""
-    step_s = 1.5e-6 + 1.9e-8 * n
-    bit_s = 3.4e-11 * n**3 + 1.9e-8 * n * n
+    cheaper than records * per_rec pttrs steps on n unknowns."""
+    step_s = 1.1e-6 + 8.8e-9 * n
+    bit_s = 3.4e-11 * n**3 + 8.8e-9 * n * n
     return per_rec.bit_length() * bit_s < records * per_rec * step_s
 
 
 def _propagator(factors: tuple, n: int, power: int) -> np.ndarray:
-    """R^power, R the inverse of the gttrf-factored matrix, by left-to-right
-    binary powering.  R is one n-column gttrs on the identity; a squaring
+    """R^power, R the inverse of the pttrf-factored matrix, by left-to-right
+    binary powering.  R is one n-column pttrs on the identity; a squaring
     is one matmul into the spare buffer; a multiply by R is an in-place
-    n-column gttrs (powers of R commute).  At most two n x n arrays live."""
-    from scipy.linalg.lapack import dgttrs
-    P, _ = dgttrs(*factors, np.eye(n, order="F"), overwrite_b=1)
+    n-column pttrs (powers of R commute).  At most two n x n arrays live."""
+    from scipy.linalg.lapack import dpttrs
+    P, _ = dpttrs(*factors, np.eye(n, order="F"), overwrite_b=1)
     spare = np.empty_like(P)
     for bit in bin(power)[3:]:
         np.matmul(P, P, out=spare)
         P, spare = spare, P
         if bit == "1":
-            P, _ = dgttrs(*factors, P, overwrite_b=1)
+            P, _ = dpttrs(*factors, P, overwrite_b=1)
     return P
 
 
@@ -120,13 +125,16 @@ class EvolutionSeries:
 
 def _implicit_euler(family: WeightFamily, grid: RadialGrid, c: float,
                     cap: float, dt: float):
-    """(r, W, (dl, d, du)): the interior radii, the lumped cell weights and
-    the sub-, main and super-diagonal of I - dt (A + V_cap), with
-    A = -W^{-1} K built from the spectral module's grid parts."""
+    """(r, sqrt(W), (d, e)): the interior radii, the square roots of the
+    lumped cell weights W, and the main and off-diagonal of the symmetric
+    S = W^{1/2} (I - dt (A + V_cap)) W^{-1/2} = I + dt W^{-1/2} K W^{-1/2} - dt V_cap,
+    with A = -W^{-1} K built from the spectral module's grid parts."""
     nodes, _, K, _, W = grid_parts(family, grid.r_min, grid.r_max, grid.n_points)
     r = nodes[1:-1]
     V = np.minimum(c / r**2, cap)
-    return r, W, (dt * K.off / W[1:], 1.0 + dt * K.diag / W - dt * V, dt * K.off / W[:-1])
+    sqrt_w = np.sqrt(W)
+    d = 1.0 + dt * K.diag / W - dt * V
+    return r, sqrt_w, (d, dt * K.off / (sqrt_w[:-1] * sqrt_w[1:]))
 
 
 def run_capped(
@@ -146,40 +154,42 @@ def run_capped(
     dt is an accuracy knob only (the scheme is unconditionally stable); it
     is additionally clamped to cap_dt_safety/cap so the implicit matrix
     stays inverse-positive, and snapped to divide the record interval.
-    The constant matrix I - dt (A + V) is factored once (gttrf).  Each
-    record interval is then either per_rec gttrs back-substitutions or,
-    when _use_propagator finds it cheaper, one product with the propagator
-    P = (I - dt (A + V))^{-per_rec}, built once per cap.
+    The state stepped is y = W^{1/2} u, whose Euclidean norm is the weighted
+    norm of u; its constant symmetric matrix is factored once (pttrf, LDL^T).
+    Each record interval is then either per_rec pttrs solves or, when
+    _use_propagator finds it cheaper, one product with the propagator
+    P = S^{-per_rec}, S the scaled matrix, built once per cap.
     """
     dt_eff = min(dt, cap_dt_safety / max(cap, 1.0))
     per_rec = max(1, int(math.ceil(T / records / dt_eff)))
     dt_eff = T / records / per_rec
-    r, W, diagonals = _implicit_euler(family, grid, c, cap, dt_eff)
-    u = np.array(u0(r), dtype=float)  # a copy: stepped in place
+    r, sqrt_w, diagonals = _implicit_euler(family, grid, c, cap, dt_eff)
+    u = np.asarray(u0(r), dtype=float)
     if np.any(u < 0.0):
         raise NegativeDatum("initial datum must be nonnegative")
-    from scipy.linalg.lapack import dgttrs
-    dl, d, du, du2, ipiv, info = dgttrf(*diagonals)
+    from scipy.linalg.lapack import dpttrs
+    d, e, info = dpttrf(*diagonals)
     if info != 0:
         raise SchemeDivergence(
-            f"singular implicit-Euler matrix at cap {cap:g} (gttrf info={info})")
-    P = (_propagator((dl, d, du, du2, ipiv), len(u), per_rec)
+            f"singular or indefinite implicit-Euler matrix at cap {cap:g} (pttrf info={info})")
+    P = (_propagator((d, e), len(u), per_rec)
          if _use_propagator(len(u), per_rec, records) else None)
-    norm = lambda u: math.sqrt(float(W @ (u * u)))
+    y = sqrt_w * u  # a new array: stepped in place
+    norm = lambda y: math.sqrt(float(y @ y))
     times = [0.0]
-    norms = [norm(u)]
+    norms = [norm(y)]
     min_value = float(u.min())
     for rec in range(1, records + 1):
         if P is not None:
-            u = P @ u
+            y = P @ y
         else:
             for _ in range(per_rec):
-                u, _ = dgttrs(dl, d, du, du2, ipiv, u, overwrite_b=1)
-        if not np.all(np.isfinite(u)):
+                y, _ = dpttrs(d, e, y, overwrite_b=1)
+        if not np.all(np.isfinite(y)):
             raise SchemeDivergence(f"non-finite state at t={rec * T / records:g}")
-        min_value = min(min_value, float(u.min()))
+        min_value = min(min_value, float((y / sqrt_w).min()))
         times.append(rec * T / records)
-        norms.append(norm(u))
+        norms.append(norm(y))
     return EvolutionSeries(
         cap=cap,
         times=np.asarray(times),

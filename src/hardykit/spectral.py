@@ -68,6 +68,7 @@ __all__ = [
     "critical_sweep",
     "TestFunctionFamily",
     "phi_n_gamma_bounds",
+    "require_phi_n_quotient",
     "quotient_phi_n",
     "PhiNQuotient",
     "quotient_phi_gamma",
@@ -312,13 +313,16 @@ def critical_sweep(
     Returns the midpoint of the final bracket; |c_hat - critical constant|
     is informally tol plus the ladder's detection bias (calibrated against
     the shipped families; see the sweep defaults).  A ladder shorter than
-    MIN_RUNGS would read Unresolved at every c, so `rungs` below it raises
+    MIN_RUNGS would read Unresolved at every c, and a bracket cannot shrink
+    below adjacent floats, so `rungs` below MIN_RUNGS or `tol <= 0` raises
     InvalidParams before any solve.
     """
     if ladder_opts.get("rungs", MIN_RUNGS) < MIN_RUNGS:
         raise InvalidParams(
             f"a sweep needs ladders of >= {MIN_RUNGS} rungs, got {ladder_opts['rungs']}"
         )
+    if not tol > 0.0:
+        raise InvalidParams(f"a sweep needs tol > 0, got {tol:g}")
     grid = grid or RadialGrid(1e-5, 20.0, 256)
     trace: List[dict] = []
 
@@ -433,6 +437,17 @@ def _outside_integrals(family: WeightFamily, c: float, gamma: float, rtol: float
     return num, den, C1, den  # C2 equals the denominator annulus integral
 
 
+def require_phi_n_quotient(N0: float) -> None:
+    """Raise NonIntegrableTestFunction unless phi_n has a Hardy quotient
+    (N0 > 2): dmu ~ r^{N0-1} dr at the origin, so for N0 <= 2 the cap term
+    has no finite value."""
+    if N0 <= 2.0:
+        raise NonIntegrableTestFunction(
+            f"phi_n has no Hardy quotient for N0 = {N0:g} <= 2: "
+            f"the cap integral int_0^(1/n) r^-2 dmu diverges"
+        )
+
+
 def quotient_phi_n(
     family: WeightFamily,
     c: float,
@@ -447,12 +462,7 @@ def quotient_phi_n(
     if n < 2:
         raise InvalidParams("n must be >= 2")
     profile = profile or compute_profile(family)
-    if profile.N0 <= 2.0:
-        # dmu ~ r^{N0-1} dr at the origin, so the cap term has no finite value
-        raise NonIntegrableTestFunction(
-            f"phi_n has no Hardy quotient for N0 = {profile.N0:g} <= 2: "
-            f"the cap integral int_0^(1/n) r^-2 dmu diverges"
-        )
+    require_phi_n_quotient(profile.N0)
     lo, hi = phi_n_gamma_bounds(c, profile.N0)
     if not (lo - 1e-12 <= gamma <= hi + 1e-12):
         raise InadmissibleGamma(

@@ -77,6 +77,20 @@ sweep_tol = 0.01
         with pytest.raises(ConfigError):
             parse_config("[grid]\nn_points = many\n")
 
+    @pytest.mark.parametrize("assignment,message", [
+        ("sweep_tol = 0", "sweep_tol = 0.0 must be > 0"),
+        ("sweep_tol = -1", "sweep_tol = -1.0 must be > 0"),
+        ("sweep_tol = nan", "sweep_tol = nan must be > 0"),
+        ("sweep_c_lo = 0.6", "sweep_c_lo = 0.6, sweep_c_hi = 0.6 need sweep_c_lo < sweep_c_hi"),
+        ("sweep_c_hi = 0.01", "sweep_c_lo = 0.05, sweep_c_hi = 0.01 need sweep_c_lo <"),
+        ("rmin_shrink = 1", "rmin_shrink = 1.0 must be > 1"),
+        ("n_grow = 0.5", "n_grow = 0.5 must be >= 1"),
+        ("residual_tol = 0", "residual_tol = 0.0 must be > 0"),
+    ])
+    def test_spectral_ranges_rejected(self, assignment, message):
+        with pytest.raises(ConfigError, match=re.escape(f"[spectral] {message}")):
+            parse_config(f"[spectral]\n{assignment}\n")
+
     def test_overrides(self):
         cfg = apply_overrides(RunConfig(), ["family.kind=lebesgue",
                                             "family.dimension=4",
@@ -286,6 +300,29 @@ class TestCli:
         assert "Bounded/Bounded" in err
         assert "spectral.sweep_c_hi" in err
         assert "0.6" in err and "2.25" in err
+
+    def test_sweep_tol_zero_exit_2(self, tmp_path, capsys):
+        # the bisection cannot shrink the bracket below adjacent floats
+        rc = main(["sweep", "--out", str(tmp_path / "o"), "--override", "spectral.sweep_tol=0"])
+        assert rc == 2
+        assert "sweep_tol = 0.0 must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_report_all_without_phi_n_quotient_runs_no_stage(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # N0 = 3 - 1.5 <= 2: the sharpness stage would refuse, so nothing runs
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran before phi_n was rejected")
+
+        monkeypatch.setattr(cli, "check_hypotheses", no_stage)
+        monkeypatch.setattr(cli, "critical_sweep", no_stage)
+        rc = main(["report-all", "--out", str(tmp_path / "o"),
+                   "--override", "family.kind=power_exp_power",
+                   "--override", "family.dimension=3",
+                   "--override", "family.beta=1.5"])
+        assert rc == 3
+        assert "N0 = 1.5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("beta", [1.5, 2.5])
     def test_phi_n_without_quotient_names_n0(self, tmp_path, capsys, beta):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded, solveh_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from hardykit import RadialGrid, dichotomy_verdict, evolution, fit_envelope, run_capped
@@ -15,12 +15,32 @@ GRID = RadialGrid(1e-4, 8.0, 384)
 BUMP = RadialBump(0.25, 1.0)
 
 
-def _banded(family, grid, c, cap, dt):
-    """(r, W, ab): the implicit-Euler matrix in solve_banded's (1, 1) layout."""
-    r, W, (dl, d, du) = _implicit_euler(family, grid, c, cap, dt)
-    ab = np.zeros((3, len(d)))
-    ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
-    return r, W, ab
+def _dt_eff(T, dt, records, cap):
+    """(dt_eff, per_rec) as run_capped snaps them at the default safety 0.5."""
+    dt_eff = min(dt, 0.5 / cap)
+    per_rec = max(1, math.ceil(T / records / dt_eff))
+    return T / records / per_rec, per_rec
+
+
+def _unscaled(family, grid, c, cap, dt):
+    """(r, W, (dl, d, du)): the non-symmetric implicit-Euler matrix
+    I - dt (A + V_cap), A = -W^{-1} K, that the stepper once factored with
+    pivoting, built directly from the spectral grid parts."""
+    nodes, _, K, _, W = grid_parts(family, grid.r_min, grid.r_max, grid.n_points)
+    r = nodes[1:-1]
+    V = np.minimum(c / r**2, cap)
+    return r, W, (dt * K.off / W[1:], 1.0 + dt * K.diag / W - dt * V, dt * K.off / W[:-1])
+
+
+def _weighted_norms(u, step, W, records, per_rec):
+    """sqrt(W u.u) at t = 0 and after each record of per_rec steps."""
+    norm = lambda u: math.sqrt(float(W @ (u * u)))
+    norms = [norm(u)]
+    for _ in range(records):
+        for _ in range(per_rec):
+            u = step(u)
+        norms.append(norm(u))
+    return np.asarray(norms)
 
 
 class TestRunCapped:
@@ -57,32 +77,67 @@ class TestRunCapped:
 
     @pytest.mark.parametrize("cap", [1e2, 1e4])
     def test_factored_steps_match_banded_solve_bitwise(self, exppow3, cap):
-        # oracle: the plain loop, one solve_banded per step on the same matrix
+        # oracle: the plain loop, one solveh_banded per step on the same
+        # scaled symmetric matrix, stepping y = sqrt(W) u
         T, dt, records = 0.05, 1e-3, 8
         s = run_capped(exppow3, 0.3, cap, BUMP, T=T, dt=dt, grid=GRID, records=records)
-        dt_eff = min(dt, 0.5 / cap)
-        per_rec = max(1, math.ceil(T / records / dt_eff))
-        dt_eff = T / records / per_rec
-        r, W, ab = _banded(exppow3, GRID, 0.3, cap, dt_eff)
-        norm = lambda u: math.sqrt(float(W @ (u * u)))
+        dt_eff, per_rec = _dt_eff(T, dt, records, cap)
+        r, sqrt_w, (d, e) = _implicit_euler(exppow3, GRID, 0.3, cap, dt_eff)
+        ab = np.zeros((2, len(d)))
+        ab[0, 1:], ab[1] = e, d
+        norm = lambda y: math.sqrt(float(y @ y))
         u = BUMP(r)
-        norms, min_value = [norm(u)], float(u.min())
+        y = sqrt_w * u
+        norms, min_value = [norm(y)], float(u.min())
         for _ in range(records):
             for _ in range(per_rec):
-                u = solve_banded((1, 1), ab, u, check_finite=False)
-            min_value = min(min_value, float(u.min()))
-            norms.append(norm(u))
+                y = solveh_banded(ab, y, check_finite=False)
+            min_value = min(min_value, float((y / sqrt_w).min()))
+            norms.append(norm(y))
         assert np.array_equal(s.norms, np.asarray(norms))
         assert s.dt == dt_eff
         assert s.min_value == min_value
 
+    @pytest.mark.parametrize("cap", [1e2, 1e4])
+    def test_symmetric_steps_match_unscaled_banded_solve(self, exppow3, cap):
+        # the scaled LDL^T stepping against the plain solve_banded loop on
+        # the unscaled matrix I - dt (A + V_cap): the same scheme, rounded
+        # differently
+        T, dt, records = 0.05, 1e-3, 8
+        s = run_capped(exppow3, 0.3, cap, BUMP, T=T, dt=dt, grid=GRID, records=records)
+        dt_eff, per_rec = _dt_eff(T, dt, records, cap)
+        r, W, (dl, d, du) = _unscaled(exppow3, GRID, 0.3, cap, dt_eff)
+        ab = np.zeros((3, len(d)))
+        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+        step = lambda u: solve_banded((1, 1), ab, u, check_finite=False)
+        norms = _weighted_norms(BUMP(r), step, W, records, per_rec)
+        assert len(r) == 382
+        assert np.max(np.abs(s.norms / norms - 1.0)) <= 1e-13
+
     def test_singular_matrix_is_scheme_divergence(self, exppow3, monkeypatch):
-        # feed gttrf an exactly singular matrix (zero diagonal and superdiagonal)
-        real = evolution.dgttrf
-        monkeypatch.setattr(evolution, "dgttrf",
-                            lambda dl, d, du: real(dl, 0.0 * d, 0.0 * du))
+        # feed pttrf a matrix that is not positive definite (negated diagonal)
+        real = evolution.dpttrf
+        monkeypatch.setattr(evolution, "dpttrf", lambda d, e: real(-d, e))
         with pytest.raises(SchemeDivergence, match="singular"):
             run_capped(exppow3, 0.2, 10.0, BUMP, T=0.1, dt=1e-2, grid=GRID)
+
+    def test_factors_at_the_safety_edge(self, exppow3, monkeypatch):
+        # dt * cap = 0.99: the scaled matrix is still positive definite and
+        # inverse-positive, so pttrf succeeds and positivity is kept
+        infos = []
+        real = evolution.dpttrf
+
+        def factor(d, e):
+            factors = real(d, e)
+            infos.append(factors[2])
+            return factors
+
+        monkeypatch.setattr(evolution, "dpttrf", factor)
+        s = run_capped(exppow3, 0.3, 1e4, BUMP, T=0.05, dt=1.0, grid=GRID, records=8,
+                       cap_dt_safety=0.99)
+        assert infos == [0]
+        assert 0.97 < s.dt * 1e4 <= 0.99
+        assert s.min_value >= 0.0
 
     def test_dt_clamped_by_cap(self, exppow3):
         s = run_capped(exppow3, 0.3, 1e4, BUMP, T=0.1, dt=1.0, grid=GRID, records=8)
@@ -103,7 +158,8 @@ class TestPropagatorPath:
     @pytest.mark.parametrize("cap", [1e3, 1e4])
     def test_propagator_matches_stepping(self, exppow3, cap, monkeypatch):
         # default evolve grid, coupling and times: these caps take the
-        # propagator; the oracle is the plain loop of gttrs steps
+        # propagator; the oracle is the plain loop of pivoted gttrs steps on
+        # the unscaled matrix
         grid = RadialGrid(1e-4, 8.0, 512)
         T, dt, records = 8.0, 0.01, 64
         built = []
@@ -111,20 +167,13 @@ class TestPropagatorPath:
         monkeypatch.setattr(evolution, "_propagator",
                             lambda *a: built.append(a[1:]) or real(*a))
         s = run_capped(exppow3, 0.2, cap, BUMP, T=T, dt=dt, grid=grid, records=records)
-        dt_eff = min(dt, 0.5 / cap)
-        per_rec = max(1, math.ceil(T / records / dt_eff))
-        dt_eff = T / records / per_rec
-        r, W, diagonals = _implicit_euler(exppow3, grid, 0.2, cap, dt_eff)
-        norm = lambda u: math.sqrt(float(W @ (u * u)))
-        u = BUMP(r)
+        dt_eff, per_rec = _dt_eff(T, dt, records, cap)
+        r, W, diagonals = _unscaled(exppow3, grid, 0.2, cap, dt_eff)
         dl, d, du, du2, ipiv, _ = dgttrf(*diagonals)
-        norms = [norm(u)]
-        for _ in range(records):
-            for _ in range(per_rec):
-                u, _ = dgttrs(dl, d, du, du2, ipiv, u)
-            norms.append(norm(u))
+        step = lambda u: dgttrs(dl, d, du, du2, ipiv, u)[0]
+        norms = _weighted_norms(BUMP(r), step, W, records, per_rec)
         assert built == [(510, per_rec)]
-        assert np.max(np.abs(s.norms / np.asarray(norms) - 1.0)) <= 1e-11
+        assert np.max(np.abs(s.norms / norms - 1.0)) <= 1e-11
         assert s.dt == dt_eff
         assert s.min_value >= 0.0
 

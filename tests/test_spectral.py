@@ -176,6 +176,15 @@ class TestCriticalSweep:
         with pytest.raises(InvalidParams):
             critical_sweep(exppow3, 0.05, 0.6, 0.02, grid=GRID, rungs=rungs)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_nonpositive_tol_rejected_before_solving(self, exppow3, tol, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("critical_sweep solved before rejecting tol")
+
+        monkeypatch.setattr(spectral, "lambda1", no_solve)
+        with pytest.raises(InvalidParams, match="tol > 0"):
+            critical_sweep(exppow3, 0.05, 0.6, tol, grid=GRID)
+
 
 def phi_n_oracle_lebesgue(N, c, g, n):
     """Closed-form power integrals for the inner pieces, direct r-axis
