@@ -96,6 +96,8 @@ class SpectralConfig:
             (self.rmin_shrink > 1.0,
              f"rmin_shrink = {self.rmin_shrink} must be > 1 (each rung shrinks r_min)"),
             (self.n_grow >= 1.0, f"n_grow = {self.n_grow} must be >= 1 (no rung coarsens)"),
+            (self.diverge_factor > 1.0,
+             f"diverge_factor = {self.diverge_factor} must be > 1 (a cascade grows)"),
             (self.residual_tol > 0.0, f"residual_tol = {self.residual_tol} must be > 0"),
             (self.sweep_c_lo < self.sweep_c_hi,
              f"sweep_c_lo = {self.sweep_c_lo}, sweep_c_hi = {self.sweep_c_hi} "

@@ -70,12 +70,13 @@ __all__ = [
 _CAP_DT_SAFETY = 0.5  # dt * cap < 1 keeps the step an SPD Stieltjes matrix, inverse-positive
 
 
-# LAPACK loads with scipy.linalg on the first factorization (see spectral).
-# The per-step pttrs is bound once per caller by a local import instead, so
-# the stepping loop calls LAPACK directly.
+# pttrf stays a module attribute, so a caller can rebind it to inspect or
+# replace the factorization.  LAPACK loads on the first factorization (see
+# the lapack module); the per-step pttrs is bound once per caller from the
+# same extension, so the stepping loop calls LAPACK directly.
 def dpttrf(d, e):
-    from scipy.linalg import lapack
-    return lapack.dpttrf(d, e)
+    from .lapack import flapack
+    return flapack.dpttrf(d, e)
 
 
 # Path cost model, from timings of the raw LAPACK/BLAS calls at n = 126..8190
@@ -101,7 +102,8 @@ def _propagator(factors: tuple, n: int, power: int) -> np.ndarray:
     binary powering.  R is one n-column pttrs on the identity; a squaring
     is one matmul into the spare buffer; a multiply by R is an in-place
     n-column pttrs (powers of R commute).  At most two n x n arrays live."""
-    from scipy.linalg.lapack import dpttrs
+    from .lapack import flapack
+    dpttrs = flapack.dpttrs
     P, _ = dpttrs(*factors, np.eye(n, order="F"), overwrite_b=1)
     spare = np.empty_like(P)
     for bit in bin(power)[3:]:
@@ -167,7 +169,8 @@ def run_capped(
     u = np.asarray(u0(r), dtype=float)
     if np.any(u < 0.0):
         raise NegativeDatum("initial datum must be nonnegative")
-    from scipy.linalg.lapack import dpttrs
+    from .lapack import flapack
+    dpttrs = flapack.dpttrs
     d, e, info = dpttrf(*diagonals)
     if info != 0:
         raise SchemeDivergence(

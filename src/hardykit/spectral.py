@@ -80,18 +80,17 @@ __all__ = [
 ]
 
 
-# scipy.linalg costs more to import than the rest of the package together,
-# and the audit tasks (analyze, sharpness) never solve anything: the two
-# solvers load it on first call.  They stay module attributes, so a caller
-# can rebind them to count or replace the solves.
-def eigh_tridiagonal(d, e, *args, **kwargs):
-    from scipy import linalg
-    return linalg.eigh_tridiagonal(d, e, *args, **kwargs)
+# The two solvers stay module attributes, so a caller can rebind them to
+# count or replace the solves.  LAPACK loads on the first call (see the
+# lapack module), so the audit tasks (analyze, sharpness) never load it.
+def eigh_tridiagonal(d, e):
+    from . import lapack
+    return lapack.eigh_tridiagonal(d, e)
 
 
-def solve_banded(l_and_u, ab, b, *args, **kwargs):
-    from scipy import linalg
-    return linalg.solve_banded(l_and_u, ab, b, *args, **kwargs)
+def solve_banded(l_and_u, ab, b):
+    from . import lapack
+    return lapack.solve_banded(l_and_u, ab, b)
 
 
 @dataclass(frozen=True)
@@ -110,11 +109,6 @@ class Tridiagonal:
         out[:-1] += self.off * v[1:]
         out[1:] += self.off * v[:-1]
         return out
-
-    def smallest_ritz(self) -> float:
-        w = eigh_tridiagonal(self.diag, self.off, select="i",
-                             select_range=(0, 0), eigvals_only=True)
-        return float(w[0])
 
 
 @dataclass(frozen=True)
@@ -171,7 +165,7 @@ def _solve_smallest(A: Tridiagonal, M: np.ndarray, residual_tol: float,
     sq = np.sqrt(M)
     d = A.diag / M
     e = A.off / (sq[:-1] * sq[1:])
-    w, v = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+    w, v = eigh_tridiagonal(d, e)
     vg = v[:, 0] / sq
     lam, res = _rayleigh_residual(A, M, vg)
     for _ in range(3):
@@ -205,7 +199,7 @@ def _inverse_iterate(A: Tridiagonal, M: np.ndarray, v: np.ndarray, lam: float):
     ab[0, 1:] = A.off
     ab[1, :] = A.diag - shift * M
     ab[2, :-1] = A.off
-    w = solve_banded((1, 1), ab, M * v, check_finite=False)
+    w = solve_banded((1, 1), ab, M * v)
     return w / np.linalg.norm(w)
 
 

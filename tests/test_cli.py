@@ -85,6 +85,9 @@ sweep_tol = 0.01
         ("sweep_c_hi = 0.01", "sweep_c_lo = 0.05, sweep_c_hi = 0.01 need sweep_c_lo <"),
         ("rmin_shrink = 1", "rmin_shrink = 1.0 must be > 1"),
         ("n_grow = 0.5", "n_grow = 0.5 must be >= 1"),
+        ("diverge_factor = 1", "diverge_factor = 1.0 must be > 1"),
+        ("diverge_factor = 0.5", "diverge_factor = 0.5 must be > 1"),
+        ("diverge_factor = nan", "diverge_factor = nan must be > 1"),
         ("residual_tol = 0", "residual_tol = 0.0 must be > 0"),
     ])
     def test_spectral_ranges_rejected(self, assignment, message):
@@ -392,7 +395,8 @@ class TestCli:
 
 
 def test_import_leaves_unused_scipy_out():
-    # hardykit needs only scipy.linalg; the heavier subpackages cost start-up time
+    # of scipy, hardykit loads only the compiled LAPACK extension, on the
+    # first solve (hardykit.lapack); the subpackages would cost start-up time
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, hardykit.cli; "
@@ -406,18 +410,23 @@ def test_import_leaves_unused_scipy_out():
 
 
 def test_audit_tasks_never_load_scipy_linalg(tmp_path):
-    # scipy.linalg loads on the first eigen-solve or factorization; analyze
-    # and sharpness have none, sweep does (so the check is not vacuous)
+    # no task imports scipy.linalg: the first eigen-solve or factorization
+    # imports hardykit.lapack, which loads only scipy's compiled LAPACK
+    # extension.  analyze and sharpness have none, so it is not loaded after
+    # them; sweep has, so it is loaded after that (the check is not vacuous)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, hardykit.cli; "
-            "loaded = lambda: 'scipy.linalg' in sys.modules; "
-            "print(loaded()); "
+            "state = lambda: print([m in sys.modules for m in ('scipy.linalg', 'hardykit.lapack')]); "
+            "state(); "
             "hardykit.cli.main(['analyze', '--out', sys.argv[1]]); "
             "hardykit.cli.main(['sharpness', '--out', sys.argv[1]]); "
-            "print(loaded()); "
+            "state(); "
             "hardykit.cli.main(['sweep', '--out', sys.argv[1]]); "
-            "print(loaded())")
+            "state(); "
+            "hardykit.cli.main(['evolve', '--out', sys.argv[1]]); "
+            "state()")
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")], env=env,
                          capture_output=True, text=True, check=True).stdout.splitlines()
-    assert [line for line in out if line in ("True", "False")] == ["False", "False", "True"]
+    states = [line for line in out if line.startswith("[")]
+    assert states == ["[False, False]", "[False, False]", "[False, True]", "[False, True]"]

@@ -1,9 +1,11 @@
+import importlib.machinery
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import lapack as scipy_lapack
 
 from hardykit import (
     Kind,
@@ -21,8 +23,16 @@ from hardykit import (
     quotient_phi_n,
     weighted_vs_flat_crosscheck,
 )
-from hardykit.errors import BadBracket, InadmissibleGamma, InvalidParams, UnsupportedFunction
+from hardykit.errors import (
+    BadBracket,
+    HardyKitError,
+    InadmissibleGamma,
+    InvalidParams,
+    NoConvergence,
+    UnsupportedFunction,
+)
 from hardykit import evolution, spectral
+from hardykit import lapack as hk_lapack
 from hardykit.spectral import TestFunctionFamily, phi_n_gamma_bounds, _theta, _theta_deriv
 from hardykit.weights import RadialBump, surface_measure
 
@@ -47,7 +57,8 @@ class TestAssemble:
         prob = SpectralProblem(leb3, 0.0, RadialGrid(0.1, 1.0, 16))
         A, M = assemble(prob)
         assert (M > 0).all()
-        assert A.smallest_ritz() >= -1e-10
+        assert eigh_tridiagonal(A.diag, A.off, select="i", select_range=(0, 0),
+                                eigvals_only=True)[0] >= -1e-10
 
     def test_hardy_block_vanishes_at_c0(self, exppow3):
         g = RadialGrid(1e-3, 10.0, 64)
@@ -184,6 +195,73 @@ class TestCriticalSweep:
         monkeypatch.setattr(spectral, "lambda1", no_solve)
         with pytest.raises(InvalidParams, match="tol > 0"):
             critical_sweep(exppow3, 0.05, 0.6, tol, grid=GRID)
+
+
+def _scaled_pencil(A, M):
+    """(d, e) of B^{-1/2} A B^{-1/2}, as _solve_smallest forms it."""
+    sq = np.sqrt(M)
+    return A.diag / M, A.off / (sq[:-1] * sq[1:])
+
+
+class TestLapackLoader:
+    def test_solvers_match_scipy_linalg_bitwise(self, leb4):
+        # the graded pencil of the n = 8192 spectrum case (Lebesgue N = 4,
+        # c = 0.5), where the eigen-solver's rounding matters most
+        A, M = assemble(SpectralProblem(leb4, 0.5, RadialGrid(1e-5, 20.0, 8192)))
+        d, e = _scaled_pencil(A, M)
+        w, v = spectral.eigh_tridiagonal(d, e)
+        w_ref, v_ref = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+        ab = np.zeros((3, A.n))
+        ab[0, 1:], ab[1], ab[2, :-1] = A.off, A.diag - w[0] * M, A.off
+        b = M * v[:, 0]
+        assert np.array_equal(spectral.solve_banded((1, 1), ab, b),
+                              solve_banded((1, 1), ab, b, check_finite=False))
+
+        s = 1.0 + 1e-3 * d
+        t = 1e-3 * e
+        factors = evolution.dpttrf(s, t)
+        assert factors[2] == 0
+        for got, want in zip(factors, scipy_lapack.dpttrf(s, t)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(hk_lapack.flapack.dpttrs(*factors[:2], b)[0],
+                              scipy_lapack.dpttrs(*factors[:2], b)[0])
+
+    def test_fallback_to_public_lapack_is_bitwise_equal(self, exppow3, monkeypatch):
+        # a scipy without linalg/_flapack where hardykit looks: the loader
+        # imports scipy.linalg.lapack, and every number stays the same
+        prob = SpectralProblem(exppow3, 0.3, GRID)
+        run = lambda: (lambda1(prob),
+                       evolution.run_capped(exppow3, 0.3, 1e3, RadialBump(0.25, 1.0),
+                                            T=0.5, dt=1e-2, grid=RadialGrid(1e-4, 8.0, 384),
+                                            records=8))
+        direct, capped = run()
+        assert hk_lapack.flapack is not scipy_lapack
+
+        find_spec = importlib.machinery.PathFinder.find_spec
+        monkeypatch.setattr(
+            importlib.machinery.PathFinder, "find_spec",
+            lambda name, path=None, target=None:
+                None if name == "_flapack" else find_spec(name, path, target))
+        monkeypatch.setattr(hk_lapack, "flapack", hk_lapack.load())
+        assert hk_lapack.flapack is scipy_lapack
+        fallback, capped_fb = run()
+        assert fallback.ladder == direct.ladder
+        assert np.array_equal(fallback.eigvec, direct.eigvec)
+        assert np.array_equal(capped_fb.norms, capped.norms)
+
+    def test_non_finite_pencil_is_no_convergence(self, exppow3):
+        A, M = assemble(SpectralProblem(exppow3, 0.2, GRID))
+        diag = A.diag.copy()
+        diag[A.n // 2] = np.nan
+        with pytest.raises(NoConvergence, match="dstebz") as err:
+            spectral._solve_smallest(spectral.Tridiagonal(diag, A.off), M, 1e-8)
+        assert isinstance(err.value, HardyKitError)  # the CLI exits 3
+
+    def test_singular_banded_solve_is_no_convergence(self):
+        with pytest.raises(NoConvergence, match="dgtsv"):
+            spectral.solve_banded((1, 1), np.zeros((3, 4)), np.ones(4))
 
 
 def phi_n_oracle_lebesgue(N, c, g, n):
