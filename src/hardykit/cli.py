@@ -17,8 +17,9 @@ evolution; a family block is e.g.
     beta = 0.0
     alpha = 0.0
 
-Every task reads the profile of dmu with the [hardy] knobs and every
-spectral ladder, evolve's cross-check included, with the [spectral] knobs.
+Every task reads the profile of dmu with the [hardy] section and every
+spectral ladder, evolve's cross-check included, with the [spectral]
+section: the numeric layers take the section objects themselves.
 report-all runs each stage once and composes summary.md and index.json in
 memory from the payloads the stages wrote.
 
@@ -43,7 +44,6 @@ from .hardy import check_hypotheses, compute_profile
 from .schemas import EIGVEC, EVOLUTION, PHI_GAMMA, PHI_N, SPECTRUM_LADDER, SWEEP_TRACE
 from .spectral import (
     MIN_RUNGS,
-    RadialGrid,
     SpectralProblem,
     critical_sweep,
     lambda1,
@@ -53,7 +53,6 @@ from .spectral import (
     require_phi_n_quotient,
 )
 from .evolution import dichotomy_verdict
-from .weights import RadialBump
 
 
 def _fmt(x) -> str:
@@ -86,25 +85,6 @@ def _write_json(path: Path, payload) -> None:
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _grid(cfg: RunConfig) -> RadialGrid:
-    return RadialGrid(cfg.grid.r_min, cfg.grid.r_max, cfg.grid.n_points)
-
-
-def _profile(cfg: RunConfig, family):
-    # the keyword form check_hypotheses uses, so both share one cache entry
-    h = cfg.hardy
-    return compute_profile(family, k_min=h.k_min, k_max=h.k_max, tail_window=h.tail_window)
-
-
-def _ladder_kwargs(cfg: RunConfig) -> dict:
-    s = cfg.spectral
-    return dict(
-        rungs=s.rungs, rmin_shrink=s.rmin_shrink, n_grow=s.n_grow,
-        diverge_factor=s.diverge_factor, lambda_floor=s.lambda_floor,
-        residual_tol=s.residual_tol,
-    )
-
-
 def _require_sweep_ladder(cfg: RunConfig) -> None:
     # a shorter ladder reads Unresolved at every c, so the bisection cannot start
     if cfg.spectral.rungs < MIN_RUNGS:
@@ -115,9 +95,9 @@ def _require_sweep_ladder(cfg: RunConfig) -> None:
 
 def run_analyze(cfg: RunConfig, outdir: Path):
     family = cfg.family.build()
-    report = check_hypotheses(family, **vars(cfg.hardy))
+    report = check_hypotheses(family, cfg.hardy)
     payload = report.to_json_dict()
-    payload["profile"] = _profile(cfg, family).to_json_dict()
+    payload["profile"] = compute_profile(family, cfg.hardy).to_json_dict()
     _write_json(outdir / "hypotheses.json", payload)
     _atomic_write(outdir / "hypotheses.txt", report.to_table())
     return ("hypotheses.json", "hypotheses.txt"), payload
@@ -125,7 +105,7 @@ def run_analyze(cfg: RunConfig, outdir: Path):
 
 def run_spectrum(cfg: RunConfig, outdir: Path):
     family = cfg.family.build()
-    res = lambda1(SpectralProblem(family, cfg.spectral.c, _grid(cfg)), **_ladder_kwargs(cfg))
+    res = lambda1(SpectralProblem(family, cfg.spectral.c, cfg.grid.build()), cfg.spectral)
     _write_csv(outdir / "spectrum_ladder.csv", SPECTRUM_LADDER,
                [(cfg.spectral.c, r_min, n, lam, res.verdict) for n, r_min, lam in res.ladder])
     _write_csv(outdir / "eigvec.csv", EIGVEC, zip(res.nodes, res.eigvec))
@@ -145,10 +125,10 @@ def run_sweep(cfg: RunConfig, outdir: Path):
     _require_sweep_ladder(cfg)
     family = cfg.family.build()
     s = cfg.spectral
-    profile = _profile(cfg, family)
+    profile = compute_profile(family, cfg.hardy)
     try:
         res = critical_sweep(family, s.sweep_c_lo, s.sweep_c_hi, s.sweep_tol,
-                             grid=_grid(cfg), **_ladder_kwargs(cfg))
+                             grid=cfg.grid.build(), ladder=s)
     except BadBracket as exc:
         if exc.verdicts == ("Bounded", "Bounded") and s.sweep_c_hi <= profile.c0_mu:
             raise BadBracket(
@@ -165,8 +145,8 @@ def run_sweep(cfg: RunConfig, outdir: Path):
     # operational additive constant: -lambda1 at the weighted Hardy coupling
     # (couplings <= 0 are trivially valid and need no constant)
     if profile.c0_mu > 0.0:
-        lam_at_c0mu = lambda1(SpectralProblem(family, profile.c0_mu, _grid(cfg)),
-                              with_ladder=False, **_ladder_kwargs(cfg)).lambda1
+        lam_at_c0mu = lambda1(SpectralProblem(family, profile.c0_mu, cfg.grid.build()), s,
+                              with_ladder=False).lambda1
         c_mu_op = max(0.0, -lam_at_c0mu)
     else:
         c_mu_op = 0.0
@@ -184,7 +164,7 @@ def run_sweep(cfg: RunConfig, outdir: Path):
 
 def run_sharpness(cfg: RunConfig, outdir: Path):
     family = cfg.family.build()
-    profile = _profile(cfg, family)
+    profile = compute_profile(family, cfg.hardy)
     sh = cfg.sharpness
     c_n = profile.c0_N0 + sh.c_offset
     lo, hi = phi_n_gamma_bounds(c_n, profile.N0)
@@ -218,15 +198,8 @@ def run_sharpness(cfg: RunConfig, outdir: Path):
 
 def run_evolve(cfg: RunConfig, outdir: Path):
     family = cfg.family.build()
-    e = cfg.evolution
-    run = dichotomy_verdict(
-        family, e.c, caps=e.caps, T=e.T, dt=e.dt,
-        grid=RadialGrid(e.r_min, e.r_max, e.n_points),
-        u0=RadialBump(e.u0_lo, e.u0_hi), records=e.records,
-        t_star_frac=e.t_star_frac, blowup_ratio=e.blowup_ratio,
-        omega_rtol=e.omega_rtol, cap_dt_safety=e.cap_dt_safety,
-        spectral_grid=_grid(cfg), **_ladder_kwargs(cfg),
-    )
+    run = dichotomy_verdict(family, cfg.evolution.c, cfg.evolution, ladder=cfg.spectral,
+                            spectral_grid=cfg.grid.build())
     rows = []
     for s in run.series:
         for t, nn in zip(s.times, s.norms):
@@ -240,7 +213,7 @@ def run_evolve(cfg: RunConfig, outdir: Path):
 def run_report_all(cfg: RunConfig, outdir: Path):
     # before the analyze stage spends its time or writes a file
     _require_sweep_ladder(cfg)
-    require_phi_n_quotient(_profile(cfg, cfg.family.build()).N0)
+    require_phi_n_quotient(compute_profile(cfg.family.build(), cfg.hardy).N0)
     stages = [runner(cfg, outdir) for runner in (run_analyze, run_sweep, run_sharpness, run_evolve)]
     names = [name for files, _ in stages for name in files] + ["summary.md"]
     hyp, sweep, sharp, evo = (payload for _, payload in stages)

@@ -1,9 +1,11 @@
 """Run configuration: line-oriented key=value with [section] headers.
 
-Every tunable documented in the numeric modules appears here with its
-default, so a config file pins a run completely (there is no randomness
-anywhere in the toolkit).  Configs round-trip: parse -> serialize -> parse
-is the identity.
+Each section class is the one definition of its knobs' defaults and
+ranges: the numeric layers take the section object itself (HardyConfig for
+the profile and the audit, SpectralConfig for the refinement ladder,
+EvolutionConfig for the cap ladder), so a config file pins a run
+completely (there is no randomness anywhere in the toolkit).  Configs
+round-trip: parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -11,11 +13,11 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Tuple
 
 from .errors import ConfigError, InvalidParams
-from .weights import Kind, WeightFamily
+from .weights import Kind, RadialGrid, WeightFamily
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "load_config", "apply_overrides"]
 
@@ -60,6 +62,9 @@ class GridConfig:
             (self.n_points >= 16, f"n_points = {self.n_points} must be >= 16"),
         ))
 
+    def build(self) -> RadialGrid:
+        return RadialGrid(self.r_min, self.r_max, self.n_points)
+
 
 @dataclass(frozen=True)
 class HardyConfig:
@@ -76,6 +81,23 @@ class HardyConfig:
     cond1_k_min: int = 2
     cond1_k_max: int = 12
     cond1_tol: float = 0.02
+
+    def __post_init__(self):
+        _check("hardy", (
+            (3 <= self.tail_window <= self.k_max - self.k_min + 1,
+             f"tail_window = {self.tail_window}, k_min = {self.k_min}, k_max = {self.k_max} "
+             f"need 3 <= tail_window <= k_max - k_min + 1 (the tail fit needs three rungs)"),
+            (self.h2iv_k_max >= 1, f"h2iv_k_max = {self.h2iv_k_max} must be >= 1"),
+            (len(self.h2iii_radii) > 0, "h2iii_radii must name at least one radius"),
+            (all(0.0 < R < self.h2iii_r_hi for R in self.h2iii_radii),
+             f"h2iii_radii = {self.h2iii_radii} must lie in (0, h2iii_r_hi = {self.h2iii_r_hi:g})"),
+            (self.h3p_j_max >= 3,
+             f"h3p_j_max = {self.h3p_j_max} must be >= 3 (the divergence test reads the last three)"),
+            (len(self.cond1_p) > 0, "cond1_p must name at least one exponent"),
+            (self.cond1_k_min < self.cond1_k_max,
+             f"cond1_k_min = {self.cond1_k_min}, cond1_k_max = {self.cond1_k_max} "
+             f"need cond1_k_min < cond1_k_max (the slope needs two balls)"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -130,7 +152,7 @@ class EvolutionConfig:
     t_star_frac: float = 0.5
     blowup_ratio: float = 2.0
     omega_rtol: float = 0.1
-    cap_dt_safety: float = 0.5
+    cap_dt_safety: float = 0.5  # dt * cap < 1 keeps the step SPD and inverse-positive
 
     def __post_init__(self):
         caps = self.caps
@@ -181,7 +203,7 @@ def _coerce(raw: str, default, key: str):
     """Parse `raw` as the type of the field's default value.
 
     Dataclass field types are strings under future annotations, so the
-    default instance carries the type; tuples are comma-separated scalars.
+    default value carries the type; tuples are comma-separated scalars.
     """
     raw = raw.strip()
     try:
@@ -201,42 +223,45 @@ def _serialize_value(v) -> str:
     return str(v)
 
 
-def parse_config(text: str) -> RunConfig:
-    cp = configparser.ConfigParser(interpolation=None)
+def _merge(cfg: RunConfig, raw: dict) -> RunConfig:
+    """`cfg` with `raw` (section -> key -> text) applied.  Each section is
+    rebuilt once, so a check on two keys (sweep_c_lo < sweep_c_hi) sees
+    both new values."""
+    changes = {}
+    for key, text in raw.get("run", {}).items():
+        if key != "outdir":
+            raise ConfigError(f"unknown key [run] {key}")
+        changes["outdir"] = text.strip()
+    for section, cls in _SECTIONS.items():
+        resolved = {}
+        for key, text in raw.get(section, {}).items():
+            if key not in {f.name for f in fields(cls)}:
+                raise ConfigError(f"unknown key [{section}] {key}")
+            resolved[key] = _coerce(text, getattr(cls, key), f"[{section}] {key}")
+        if resolved:
+            changes[section] = replace(getattr(cfg, section), **resolved)
+    extra = set(raw) - set(_SECTIONS) - {"run"}
+    if extra:
+        raise ConfigError(f"unknown section(s): {sorted(extra)}")
+    cfg = replace(cfg, **changes)
+    cfg.family.build()  # validate family parameters eagerly
+    return cfg
+
+
+def _parse(text: str):
+    """(config, its sections as section -> key -> text) from one parse of `text`."""
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     cp.optionxform = str
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
+    raw = {section: dict(cp.items(section)) for section in cp.sections()}
+    return _merge(RunConfig(), raw), raw
 
-    kwargs = {}
-    if cp.has_section("run"):
-        for key, raw in cp.items("run"):
-            if key == "outdir":
-                kwargs["outdir"] = raw.strip()
-            else:
-                raise ConfigError(f"unknown key [run] {key}")
-    for section, cls in _SECTIONS.items():
-        if not cp.has_section(section):
-            continue
-        known = {f.name for f in fields(cls)}
-        resolved = {}
-        for key, raw in cp.items(section):
-            if key not in known:
-                raise ConfigError(f"unknown key [{section}] {key}")
-            resolved[key] = _coerce(raw, getattr(cls(), key), f"[{section}] {key}")
-        try:
-            kwargs[section] = cls(**resolved)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
-    for name, cls in _SECTIONS.items():
-        kwargs.setdefault(name, cls())
-    extra = set(cp.sections()) - set(_SECTIONS) - {"run"}
-    if extra:
-        raise ConfigError(f"unknown section(s): {sorted(extra)}")
-    cfg = RunConfig(**kwargs)
-    cfg.family.build()  # validate family parameters eagerly
-    return cfg
+
+def parse_config(text: str) -> RunConfig:
+    return _parse(text)[0]
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -260,23 +285,18 @@ def load_config(path) -> RunConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    cfg = parse_config(text)
-    probe = configparser.ConfigParser(interpolation=None)
-    probe.optionxform = str
-    probe.read_string(text)
-    if not probe.has_section("family") or not probe.has_option("family", "kind"):
+    cfg, raw = _parse(text)
+    if "kind" not in raw.get("family", {}):
         raise ConfigError(f"{path}: the family block must name a kind")
     return cfg
 
 
 def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
-    """Apply `section.key=value` strings on top of a parsed config."""
-    if not overrides:
-        return cfg
-    text = serialize_config(cfg)
-    cp = configparser.ConfigParser(interpolation=None)
-    cp.optionxform = str
-    cp.read_string(text)
+    """Apply `section.key=value` strings on top of a parsed config.
+
+    Every override is read before any section is rebuilt, so the result does
+    not depend on their order (a later override of the same key wins)."""
+    raw = {}
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must be section.key=value, got {item!r}")
@@ -288,9 +308,7 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
         else:
             raise ConfigError(f"override must be section.key=value, got {item!r}")
         section, key = section.strip(), key.strip()
-        if not cp.has_section(section):
+        if section != "run" and section not in _SECTIONS:
             raise ConfigError(f"unknown section in override: {section!r}")
-        cp.set(section, key, value.strip())
-    rendered = io.StringIO()
-    cp.write(rendered)
-    return parse_config(rendered.getvalue())
+        raw.setdefault(section, {})[key] = value.strip()
+    return _merge(cfg, raw) if raw else cfg

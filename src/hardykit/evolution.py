@@ -53,6 +53,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from .config import EvolutionConfig, GridConfig, SpectralConfig
 from .errors import DegenerateSeries, NegativeDatum, SchemeDivergence
 from .spectral import SpectralProblem, grid_parts, lambda1
 from .spectral import solve_banded  # noqa: F401  (bench/tracer.py hooks this name)
@@ -66,9 +67,6 @@ __all__ = [
     "EvolutionRun",
     "dichotomy_verdict",
 ]
-
-_CAP_DT_SAFETY = 0.5  # dt * cap < 1 keeps the step an SPD Stieltjes matrix, inverse-positive
-
 
 # pttrf stays a module attribute, so a caller can rebind it to inspect or
 # replace the factorization.  LAPACK loads on the first factorization (see
@@ -148,8 +146,8 @@ def run_capped(
     dt: float,
     grid: RadialGrid,
     *,
-    records: int = 64,
-    cap_dt_safety: float = _CAP_DT_SAFETY,
+    records: int = EvolutionConfig.records,
+    cap_dt_safety: float = EvolutionConfig.cap_dt_safety,
 ) -> EvolutionSeries:
     """Evolve the capped problem and record the weighted L^2 norms.
 
@@ -231,11 +229,8 @@ class EvolutionRun:
 
     family: WeightFamily
     c: float
-    caps: List[float]
-    u0: Callable
-    T: float
-    dt: float                    # requested step (per-cap effective dt in series)
-    grid: RadialGrid
+    knobs: EvolutionConfig       # the run's; each series carries its effective dt
+    caps: List[float]            # knobs.caps, ascending
     series: List[EvolutionSeries]
     envelopes: List[Envelope]
     ratios: List[float]          # ||u_{k+1}(t*)|| / ||u_k(t*)||
@@ -249,7 +244,7 @@ class EvolutionRun:
             "family": self.family.label(),
             "c": self.c,
             "caps": list(self.caps),
-            "T": self.T,
+            "T": self.knobs.T,
             "t_star": self.t_star,
             "envelopes": [{"M": e.M, "omega": e.omega} for e in self.envelopes],
             "cap_ratios_at_t_star": self.ratios,
@@ -262,41 +257,28 @@ class EvolutionRun:
 def dichotomy_verdict(
     family: WeightFamily,
     c: float,
+    knobs: EvolutionConfig = EvolutionConfig(),
     *,
-    caps: Sequence[float] = (1e2, 1e3, 1e4),
-    T: float = 8.0,
-    dt: float = 0.01,
-    grid: Optional[RadialGrid] = None,
-    u0: Optional[Callable] = None,
-    records: int = 64,
-    t_star_frac: float = 0.5,
-    blowup_ratio: float = 2.0,
-    omega_rtol: float = 0.1,
-    cap_dt_safety: float = _CAP_DT_SAFETY,
+    ladder: SpectralConfig = SpectralConfig(),
     spectral_grid: Optional[RadialGrid] = None,
-    **ladder_opts,
 ) -> EvolutionRun:
-    """Run the cap ladder and classify the outcome.
+    """Run the cap ladder of the knobs, from the bump on (u0_lo, u0_hi),
+    and classify the outcome.
 
     BlowupSignature: the norm at t* = T * t_star_frac grows superlinearly in
-    the cap (last ratio above the threshold and ratios nondecreasing).
+    the cap (last ratio above blowup_ratio and ratios nondecreasing).
     ExistenceSignature: envelope rates Cauchy in the cap and the ratio has
     settled.  Anything else is Inconclusive.  The verdict is cross-checked
-    against the spectral ladder (`lambda1` with `ladder_opts`) for the same
-    (family, c); an Unresolved ladder agrees only with Inconclusive.
+    against `lambda1` with `ladder` on `spectral_grid` (default: [grid]) for
+    the same (family, c); an Unresolved ladder agrees only with Inconclusive.
     """
-    if len(caps) < 3 or max(caps) / min(caps) < 100.0:
-        raise ValueError("cap ladder needs >= 3 entries spanning >= 2 decades")
-    i_star = int(round(t_star_frac * records))
-    if not 1 <= i_star <= records:
-        raise ValueError(f"t_star_frac * records = {t_star_frac * records:g} must "
-                         f"round into [1, records]: the cap ratios are read after t = 0")
-    caps = sorted(float(k) for k in caps)
-    grid = grid or RadialGrid(1e-4, 8.0, 512)
-    u0 = u0 or RadialBump(0.25, 1.0)
+    i_star = int(round(knobs.t_star_frac * knobs.records))
+    caps = sorted(float(k) for k in knobs.caps)
+    grid = RadialGrid(knobs.r_min, knobs.r_max, knobs.n_points)
+    u0 = RadialBump(knobs.u0_lo, knobs.u0_hi)
     series = [
-        run_capped(family, c, cap, u0, T, dt, grid, records=records,
-                   cap_dt_safety=cap_dt_safety)
+        run_capped(family, c, cap, u0, knobs.T, knobs.dt, grid, records=knobs.records,
+                   cap_dt_safety=knobs.cap_dt_safety)
         for cap in caps
     ]
     envelopes = [fit_envelope(s.times, s.norms) for s in series]
@@ -305,10 +287,10 @@ def dichotomy_verdict(
     ratios = [float(b / a) for a, b in zip(at_star[:-1], at_star[1:])]
 
     nondecreasing = all(r2 >= r1 * 0.999 for r1, r2 in zip(ratios[:-1], ratios[1:]))
-    blowup = ratios[-1] > blowup_ratio and nondecreasing
+    blowup = ratios[-1] > knobs.blowup_ratio and nondecreasing
     om_last, om_prev = envelopes[-1].omega, envelopes[-2].omega
-    omega_cauchy = abs(om_last - om_prev) <= max(omega_rtol * abs(om_last), 0.02)
-    existence = omega_cauchy and ratios[-1] <= blowup_ratio
+    omega_cauchy = abs(om_last - om_prev) <= max(knobs.omega_rtol * abs(om_last), 0.02)
+    existence = omega_cauchy and ratios[-1] <= knobs.blowup_ratio
 
     if blowup:
         verdict = "BlowupSignature"
@@ -317,8 +299,8 @@ def dichotomy_verdict(
     else:
         verdict = "Inconclusive"
 
-    sgrid = spectral_grid or RadialGrid(1e-5, 20.0, 256)
-    spectral = lambda1(SpectralProblem(family, c, sgrid), **ladder_opts).verdict
+    sgrid = spectral_grid or GridConfig().build()
+    spectral = lambda1(SpectralProblem(family, c, sgrid), ladder).verdict
     agrees = verdict == "Inconclusive" or (
         spectral != "Unresolved"
         and (verdict == "BlowupSignature") == (spectral == "Diverging")
@@ -326,11 +308,8 @@ def dichotomy_verdict(
     return EvolutionRun(
         family=family,
         c=c,
-        caps=list(caps),
-        u0=u0,
-        T=T,
-        dt=dt,
-        grid=grid,
+        knobs=knobs,
+        caps=caps,
         series=series,
         envelopes=envelopes,
         ratios=ratios,

@@ -35,6 +35,7 @@ from typing import Optional
 import numpy as np
 
 from . import weights
+from .config import HardyConfig
 from .errors import DivergentIntegral, ProfileUndefined, QuadratureFailure
 from .weights import WeightFamily, Kind, eval_mu, log_derivatives, weighted_integral
 
@@ -121,6 +122,13 @@ class N0Estimate:
         return self.quadrature
 
 
+def _inverse_k_fit(k: np.ndarray, y: np.ndarray):
+    """Least-squares fit y ~ a + b/k: ((a, b), the fitted values)."""
+    A = np.vstack([np.ones_like(k), 1.0 / k]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return coef, A @ coef
+
+
 def _dyadic_slope_intercept(family: WeightFamily, k_min: int, k_max: int) -> float:
     """k->oo intercept of the local log-log slope of mu on r = 2^{-k}.
 
@@ -132,9 +140,7 @@ def _dyadic_slope_intercept(family: WeightFamily, k_min: int, k_max: int) -> flo
     if not np.all(np.isfinite(lg)):
         raise ProfileUndefined("weight not evaluable on the dyadic ladder")
     slopes = (lg[1:] - lg[:-1]) / (-math.log(2.0))
-    kmid = 0.5 * (ks[1:] + ks[:-1])
-    A = np.vstack([np.ones_like(kmid), 1.0 / kmid]).T
-    coef, *_ = np.linalg.lstsq(A, slopes, rcond=None)
+    coef, _ = _inverse_k_fit(0.5 * (ks[1:] + ks[:-1]), slopes)
     return float(coef[0])
 
 
@@ -146,12 +152,12 @@ def _integral_diverges(family: WeightFamily, delta: float) -> bool:
         return True
 
 
-def estimate_N0(family: WeightFamily, *, k_min: int = 10, k_max: int = 40,
+def estimate_N0(family: WeightFamily, knobs: HardyConfig = HardyConfig(), *,
                 tol: float = 0.02, agree_tol: float = _N0_AGREE_TOL) -> N0Estimate:
-    """Estimate N_0 twice: log-log slope of mu near 0, and bisection on the
-    integrability flag of r^{-delta} against dmu."""
+    """Estimate N_0 twice: log-log slope of mu on r = 2^{-k}, k = k_min..k_max,
+    and bisection on the integrability flag of r^{-delta} against dmu."""
     N = family.dimension
-    slope_n0 = N + _dyadic_slope_intercept(family, k_min, k_max)
+    slope_n0 = N + _dyadic_slope_intercept(family, knobs.k_min, knobs.k_max)
     lo, hi = 0.0, N + 1.5   # delta = 0 is mu(B_1), finite for any admissible mu
     if _integral_diverges(family, lo) or not _integral_diverges(family, hi):
         raise ProfileUndefined("effective-dimension bisection bracket failed")
@@ -170,8 +176,7 @@ def estimate_N0(family: WeightFamily, *, k_min: int = 10, k_max: int = 40,
 
 
 @lru_cache(maxsize=64)
-def compute_profile(family: WeightFamily, k_min: int = 10, k_max: int = 40,
-                    tail_window: int = 10) -> HardyProfile:
+def compute_profile(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -> HardyProfile:
     """Estimate L = limsup r^2 U_mu, c_{0,mu} and N_0 for a family.
 
     The r^2 U_mu ladder runs over r = 2^{-k}, k = k_min..k_max.  On the tail
@@ -183,7 +188,7 @@ def compute_profile(family: WeightFamily, k_min: int = 10, k_max: int = 40,
     H3' integrand is exponentially sensitive to N_0 errors); the two data
     -driven estimators are still computed and cross-checked against it.
     """
-    ks = np.arange(k_min, k_max + 1)
+    ks = np.arange(knobs.k_min, knobs.k_max + 1)
     rs = 2.0 ** (-ks.astype(float))
     try:
         vals = np.asarray(rs**2 * compute_Umu(family, rs), dtype=float)
@@ -192,11 +197,9 @@ def compute_profile(family: WeightFamily, k_min: int = 10, k_max: int = 40,
     if not np.all(np.isfinite(vals)):
         raise ProfileUndefined("r^2 U_mu not finite on the dyadic ladder")
 
-    tail = vals[-tail_window:]
-    kt = ks[-tail_window:].astype(float)
-    A = np.vstack([np.ones_like(kt), 1.0 / kt]).T
-    coef, *_ = np.linalg.lstsq(A, tail, rcond=None)
-    fit_resid = float(np.max(np.abs(tail - A @ coef)))
+    tail = vals[-knobs.tail_window:]
+    coef, fitted = _inverse_k_fit(ks[-knobs.tail_window:].astype(float), tail)
+    fit_resid = float(np.max(np.abs(tail - fitted)))
     scale = max(1.0, float(np.max(np.abs(tail))))
     oscillatory = fit_resid > 1e-3 * scale
     if oscillatory:
@@ -206,7 +209,7 @@ def compute_profile(family: WeightFamily, k_min: int = 10, k_max: int = 40,
         L = float(coef[0])
         L_inf = L
 
-    n0_est = estimate_N0(family, k_min=k_min, k_max=k_max)
+    n0_est = estimate_N0(family, knobs)
     analytic = family.analytic_N0()
     N0 = analytic if analytic is not None else n0_est.value
 
@@ -329,26 +332,10 @@ def _h2_i_check(family: WeightFamily) -> bool:
         return False
 
 
-def check_hypotheses(
-    family: WeightFamily,
-    *,
-    k_min: int = 10,
-    k_max: int = 40,
-    tail_window: int = 10,
-    h2iv_k_max: int = 40,
-    h2iii_radii=(0.1, 1.0, 10.0),
-    h2iii_r_hi: float = 1e3,
-    h2iii_per_decade: int = 40,
-    h3p_j_max: int = 20,
-    h3p_threshold: float = 1e3,
-    cond1_p=(1.0, 2.0, 3.0),
-    cond1_k_min: int = 2,
-    cond1_k_max: int = 12,
-    cond1_tol: float = 0.02,
-) -> HypothesisReport:
-    """Audit every hypothesis on documented meshes; failures are findings,
-    not errors."""
-    profile = compute_profile(family, k_min=k_min, k_max=k_max, tail_window=tail_window)
+def check_hypotheses(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -> HypothesisReport:
+    """Audit every hypothesis on the meshes the knobs (the [hardy] section)
+    set; failures are findings, not errors."""
+    profile = compute_profile(family, knobs)
 
     h2_i = _h2_i_check(family)
     h2_ii_finite = math.isfinite(profile.c0_mu)
@@ -357,9 +344,9 @@ def check_hypotheses(
     # vanishes (compact support) carry no measure and are skipped.
     h2_iii_bounds = {}
     h2_iii_ok = True
-    for R in h2iii_radii:
-        n = max(16, int(h2iii_per_decade * math.log10(h2iii_r_hi / R)))
-        mesh = np.geomspace(R, h2iii_r_hi, n)
+    for R in knobs.h2iii_radii:
+        n = max(16, int(knobs.h2iii_per_decade * math.log10(knobs.h2iii_r_hi / R)))
+        mesh = np.geomspace(R, knobs.h2iii_r_hi, n)
         alive = eval_mu(family, mesh) > 0.0
         if not alive.any():
             h2_iii_bounds[f"{R:g}"] = None
@@ -372,7 +359,7 @@ def check_hypotheses(
         else:
             # growth screen: increasing upper envelope on the last decade
             # at a large level is treated as unbounded above
-            last = mesh[alive] >= h2iii_r_hi / 10.0
+            last = mesh[alive] >= knobs.h2iii_r_hi / 10.0
             if last.sum() >= 4:
                 tail_u = u[last]
                 if sup > 1e6 and tail_u[-1] >= 0.99 * sup and tail_u[-1] > 2.0 * tail_u[0]:
@@ -380,7 +367,7 @@ def check_hypotheses(
 
     # H2 iv on the dyadic mesh: R0 = largest 2^{-k} below which
     # r^2 U <= 1/4 |log r|^{-2} holds at every finer mesh point.
-    ks = np.arange(1, h2iv_k_max + 1)
+    ks = np.arange(1, knobs.h2iv_k_max + 1)
     rs = 2.0 ** (-ks.astype(float))
     r2U = rs**2 * compute_U(family, rs, profile)
     bound = 0.25 / np.log(rs) ** 2
@@ -404,7 +391,7 @@ def check_hypotheses(
     # H3' iii: lambda ladder of lambda * int_B1 r^{lambda - N0} dmu.
     h3p_values = []
     diverged_hard = False
-    for j in range(1, h3p_j_max + 1):
+    for j in range(1, knobs.h3p_j_max + 1):
         lam = 2.0 ** (-j)
         try:
             v = lam * weighted_integral(family, None, 0.0, 1.0, power=lam - N0)
@@ -418,21 +405,21 @@ def check_hypotheses(
         h3p_diverges = True
     elif len(h3p_values) >= 3:
         tail_inc = h3p_values[-1] > h3p_values[-2] > h3p_values[-3]
-        h3p_diverges = tail_inc and h3p_values[-1] > h3p_threshold
+        h3p_diverges = tail_inc and h3p_values[-1] > knobs.h3p_threshold
     else:
         h3p_diverges = False
 
     # Appendix small-ball condition: decay exponent of delta^{-p} mu(B_delta).
     cond1 = {}
-    ks_c = np.arange(cond1_k_min, cond1_k_max + 1)
+    ks_c = np.arange(knobs.cond1_k_min, knobs.cond1_k_max + 1)
     ball = np.array([
         weighted_integral(family, None, 0.0, 2.0 ** (-float(k))) for k in ks_c
     ])
     logd = -ks_c * math.log(2.0)
-    for p in cond1_p:
+    for p in knobs.cond1_p:
         q = np.log(ball) - p * logd
         slope = float(np.polyfit(logd, q, 1)[0])
-        cond1[f"{p:g}"] = {"holds": slope > cond1_tol, "exponent": slope}
+        cond1[f"{p:g}"] = {"holds": slope > knobs.cond1_tol, "exponent": slope}
 
     h2_full = h2_i and h2_ii_finite and h2_iii_ok and h2_iv_holds
     h2_prime = h2_i and h2_ii_finite and h2_iii_ok

@@ -35,6 +35,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .config import GridConfig, SharpnessConfig, SpectralConfig
 from .errors import (
     BadBracket,
     DivergentIntegral,
@@ -254,33 +255,30 @@ def _ladder_verdict(lams: List[float], factor: float, floor: float) -> str:
 
 def lambda1(
     problem: SpectralProblem,
+    ladder: SpectralConfig = SpectralConfig(),
     *,
-    rungs: int = 4,
-    rmin_shrink: float = 4.0,
-    n_grow: float = 2.0,
-    diverge_factor: float = 4.0,
-    lambda_floor: float = 1e-6,
-    residual_tol: float = 1e-8,
     with_ladder: bool = True,
 ) -> RayleighResult:
-    """Smallest Rayleigh quotient, with the (r_min/4, n x2) ladder verdict."""
+    """Smallest Rayleigh quotient, with the verdict of a ladder of `rungs`
+    rungs, each (r_min / rmin_shrink, n x n_grow) from the one before."""
     g = problem.grid
-    lam0, vec, res = _solve_smallest(*assemble(problem), residual_tol)
-    ladder = [(g.n_points, g.r_min, lam0)]
+    lam0, vec, res = _solve_smallest(*assemble(problem), ladder.residual_tol)
+    rows = [(g.n_points, g.r_min, lam0)]
     if with_ladder:
-        for k in range(1, rungs):
-            rm = g.r_min / rmin_shrink**k
-            n = int(round(g.n_points * n_grow**k))
+        for k in range(1, ladder.rungs):
+            rm = g.r_min / ladder.rmin_shrink**k
+            n = int(round(g.n_points * ladder.n_grow**k))
             rung = replace(problem, grid=RadialGrid(rm, g.r_max, n))
-            lam, _, _ = _solve_smallest(*assemble(rung), residual_tol, enforce=False)
-            ladder.append((n, rm, lam))
-    verdict = _ladder_verdict([row[2] for row in ladder], diverge_factor, lambda_floor)
+            lam, _, _ = _solve_smallest(*assemble(rung), ladder.residual_tol, enforce=False)
+            rows.append((n, rm, lam))
+    verdict = _ladder_verdict([row[2] for row in rows], ladder.diverge_factor,
+                              ladder.lambda_floor)
     return RayleighResult(
         lambda1=lam0,
         eigvec=vec,
         nodes=g.nodes[1:-1],
         residual=res,
-        ladder=ladder,
+        ladder=rows,
         verdict=verdict,
     )
 
@@ -300,28 +298,27 @@ def critical_sweep(
     tol: float,
     *,
     grid: Optional[RadialGrid] = None,
-    **ladder_opts,
+    ladder: SpectralConfig = SpectralConfig(),
 ) -> SweepResult:
-    """Bisect the Bounded/Diverging verdict in c.
+    """Bisect the Bounded/Diverging verdict in c, each probe a `lambda1`
+    ladder on `grid` (the [grid] default when None).
 
     Returns the midpoint of the final bracket; |c_hat - critical constant|
     is informally tol plus the ladder's detection bias (calibrated against
     the shipped families; see the sweep defaults).  A ladder shorter than
     MIN_RUNGS would read Unresolved at every c, and a bracket cannot shrink
-    below adjacent floats, so `rungs` below MIN_RUNGS or `tol <= 0` raises
-    InvalidParams before any solve.
+    below adjacent floats, so `ladder.rungs` below MIN_RUNGS or `tol <= 0`
+    raises InvalidParams before any solve.
     """
-    if ladder_opts.get("rungs", MIN_RUNGS) < MIN_RUNGS:
-        raise InvalidParams(
-            f"a sweep needs ladders of >= {MIN_RUNGS} rungs, got {ladder_opts['rungs']}"
-        )
+    if ladder.rungs < MIN_RUNGS:
+        raise InvalidParams(f"a sweep needs ladders of >= {MIN_RUNGS} rungs, got {ladder.rungs}")
     if not tol > 0.0:
         raise InvalidParams(f"a sweep needs tol > 0, got {tol:g}")
-    grid = grid or RadialGrid(1e-5, 20.0, 256)
+    grid = grid or GridConfig().build()
     trace: List[dict] = []
 
     def probe(c: float) -> str:
-        res = lambda1(SpectralProblem(family, c, grid), **ladder_opts)
+        res = lambda1(SpectralProblem(family, c, grid), ladder)
         trace.append({"c": c, "verdict": res.verdict, "ladder": res.ladder})
         return res.verdict
 
@@ -522,7 +519,7 @@ def phi_gamma_ladder(
     family: WeightFamily,
     c: float,
     *,
-    j_max: int = 12,
+    j_max: int = SharpnessConfig.gamma_j_max,
     profile: Optional[HardyProfile] = None,
 ) -> List[Tuple[float, float]]:
     """Sweep gamma -> ((2 - N0)/2)+ and report the quotients.

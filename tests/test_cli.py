@@ -94,6 +94,30 @@ sweep_tol = 0.01
         with pytest.raises(ConfigError, match=re.escape(f"[spectral] {message}")):
             parse_config(f"[spectral]\n{assignment}\n")
 
+    @pytest.mark.parametrize("assignment,message", [
+        ("k_min = 50", "tail_window = 10, k_min = 50, k_max = 40 need 3 <= tail_window"),
+        ("tail_window = 2", "tail_window = 2, k_min = 10, k_max = 40 need 3 <= tail_window"),
+        ("tail_window = 0", "tail_window = 0, k_min = 10, k_max = 40 need 3 <= tail_window"),
+        ("tail_window = 32", "tail_window = 32, k_min = 10, k_max = 40 need 3 <= tail_window"),
+        ("h2iv_k_max = 0", "h2iv_k_max = 0 must be >= 1"),
+        ("h2iii_radii =", "h2iii_radii must name at least one radius"),
+        ("h2iii_radii = 0,1", "h2iii_radii = (0.0, 1.0) must lie in (0, h2iii_r_hi = 1000)"),
+        ("h2iii_radii = 0.1,1000", "h2iii_radii = (0.1, 1000.0) must lie in (0, h2iii_r_hi"),
+        ("h3p_j_max = 0", "h3p_j_max = 0 must be >= 3"),
+        ("h3p_j_max = 2", "h3p_j_max = 2 must be >= 3"),
+        ("cond1_p =", "cond1_p must name at least one exponent"),
+        ("cond1_k_min = 12", "cond1_k_min = 12, cond1_k_max = 12 need cond1_k_min < cond1_k_max"),
+    ])
+    def test_hardy_ranges_rejected(self, assignment, message):
+        with pytest.raises(ConfigError, match=re.escape(f"[hardy] {message}")):
+            parse_config(f"[hardy]\n{assignment}\n")
+
+    def test_readme_config_block_loads_as_defaults(self):
+        # the block carries inline ; comments after values and section headers
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        assert parse_config(block) == RunConfig()
+
     def test_overrides(self):
         cfg = apply_overrides(RunConfig(), ["family.kind=lebesgue",
                                             "family.dimension=4",
@@ -105,6 +129,15 @@ sweep_tol = 0.01
             apply_overrides(RunConfig(), ["nonsense"])
         with pytest.raises(ConfigError):
             apply_overrides(RunConfig(), ["bad.key=1"])
+
+    @pytest.mark.parametrize("overrides", [
+        ["spectral.sweep_c_lo=0.7", "spectral.sweep_c_hi=1.5"],
+        ["spectral.sweep_c_hi=1.5", "spectral.sweep_c_lo=0.7"],
+    ])
+    def test_overrides_of_one_section_apply_together(self, overrides):
+        # sweep_c_lo = 0.7 alone breaks sweep_c_lo < sweep_c_hi against the default 0.6
+        cfg = apply_overrides(RunConfig(), overrides)
+        assert (cfg.spectral.sweep_c_lo, cfg.spectral.sweep_c_hi) == (0.7, 1.5)
 
     def test_float_17_digits_roundtrip(self):
         cfg = apply_overrides(RunConfig(), ["spectral.c=0.1234567890123456789"])

@@ -6,7 +6,8 @@ from scipy.linalg import solve_banded, solveh_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from hardykit import RadialGrid, dichotomy_verdict, evolution, fit_envelope, run_capped
-from hardykit.errors import DegenerateSeries, NegativeDatum, SchemeDivergence
+from hardykit.config import EvolutionConfig, SpectralConfig
+from hardykit.errors import DegenerateSeries, HardyKitError, NegativeDatum, SchemeDivergence
 from hardykit.evolution import _implicit_euler
 from hardykit.spectral import grid_parts
 from hardykit.weights import RadialBump
@@ -220,27 +221,31 @@ class TestFitEnvelope:
             fit_envelope(np.linspace(0, 1, 10), np.array([1.0] * 9 + [0.0]))
 
 
+def _knobs(**changes):
+    """The cap ladder the cross-check tests run: caps 10..1000, T = 1, on GRID."""
+    return EvolutionConfig(caps=(10.0, 100.0, 1000.0), T=1.0, r_min=GRID.r_min,
+                           r_max=GRID.r_max, n_points=GRID.n_points, **changes)
+
+
 class TestDichotomyCrossCheck:
     @pytest.mark.parametrize("rungs,spectral,agrees", [
         (4, "Bounded", True),
         (2, "Unresolved", False),
     ])
     def test_unresolved_ladder_does_not_agree(self, exppow3, rungs, spectral, agrees):
-        run = dichotomy_verdict(exppow3, 0.2, caps=(10.0, 100.0, 1000.0), T=1.0,
-                                grid=GRID, rungs=rungs)
+        run = dichotomy_verdict(exppow3, 0.2, _knobs(), ladder=SpectralConfig(rungs=rungs))
         assert run.verdict == "ExistenceSignature"
         assert run.spectral_verdict == spectral
         assert run.agrees is agrees
 
     def test_unresolved_ladder_agrees_with_inconclusive(self, exppow3):
-        run = dichotomy_verdict(exppow3, 0.35, caps=(10.0, 100.0, 1000.0), T=1.0,
-                                grid=GRID, rungs=2)
+        run = dichotomy_verdict(exppow3, 0.35, _knobs(), ladder=SpectralConfig(rungs=2))
         assert run.verdict == "Inconclusive"
         assert run.spectral_verdict == "Unresolved"
         assert run.agrees is True
 
     @pytest.mark.parametrize("t_star_frac", [0.005, 2.0])
     def test_t_star_outside_the_records_rejected(self, exppow3, t_star_frac):
-        with pytest.raises(ValueError, match="t_star_frac"):
-            dichotomy_verdict(exppow3, 0.2, caps=(10.0, 100.0, 1000.0), T=1.0,
-                              grid=GRID, t_star_frac=t_star_frac)
+        with pytest.raises(ValueError, match="t_star_frac") as caught:
+            dichotomy_verdict(exppow3, 0.2, _knobs(t_star_frac=t_star_frac))
+        assert isinstance(caught.value, HardyKitError)

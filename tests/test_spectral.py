@@ -32,6 +32,7 @@ from hardykit.errors import (
     UnsupportedFunction,
 )
 from hardykit import evolution, spectral
+from hardykit.config import SpectralConfig
 from hardykit import lapack as hk_lapack
 from hardykit.spectral import TestFunctionFamily, phi_n_gamma_bounds, _theta, _theta_deriv
 from hardykit.weights import RadialBump, surface_measure
@@ -116,10 +117,11 @@ class TestLambda1:
     @pytest.mark.parametrize("rungs", [1, 2])
     def test_short_ladder_is_unresolved(self, exppow3, rungs):
         # c = 0.5 diverges (critical 0.25), but too few rungs cannot show it
-        res = lambda1(SpectralProblem(exppow3, 0.5, GRID), rungs=rungs)
+        res = lambda1(SpectralProblem(exppow3, 0.5, GRID), SpectralConfig(rungs=rungs))
         assert len(res.ladder) == rungs
         assert res.verdict == "Unresolved"
-        assert lambda1(SpectralProblem(exppow3, 0.5, GRID), rungs=4).verdict == "Diverging"
+        assert lambda1(SpectralProblem(exppow3, 0.5, GRID),
+                       SpectralConfig(rungs=4)).verdict == "Diverging"
 
     def test_ladder_shape(self, exppow3):
         res = lambda1(SpectralProblem(exppow3, 0.2, GRID))
@@ -185,7 +187,8 @@ class TestCriticalSweep:
 
         monkeypatch.setattr(spectral, "lambda1", no_solve)
         with pytest.raises(InvalidParams):
-            critical_sweep(exppow3, 0.05, 0.6, 0.02, grid=GRID, rungs=rungs)
+            critical_sweep(exppow3, 0.05, 0.6, 0.02, grid=GRID,
+                           ladder=SpectralConfig(rungs=rungs))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_nonpositive_tol_rejected_before_solving(self, exppow3, tol, monkeypatch):
