@@ -35,6 +35,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -145,8 +146,8 @@ def run_sweep(cfg: RunConfig, outdir: Path):
     # operational additive constant: -lambda1 at the weighted Hardy coupling
     # (couplings <= 0 are trivially valid and need no constant)
     if profile.c0_mu > 0.0:
-        lam_at_c0mu = lambda1(SpectralProblem(family, profile.c0_mu, cfg.grid.build()), s,
-                              with_ladder=False).lambda1
+        lam_at_c0mu = lambda1(SpectralProblem(family, profile.c0_mu, cfg.grid.build()),
+                              replace(s, rungs=1)).lambda1
         c_mu_op = max(0.0, -lam_at_c0mu)
     else:
         c_mu_op = 0.0

@@ -57,8 +57,8 @@ class GridConfig:
 
     def __post_init__(self):
         _check("grid", (
-            (0.0 < self.r_min < self.r_max,
-             f"r_min = {self.r_min}, r_max = {self.r_max} need 0 < r_min < r_max"),
+            (0.0 < self.r_min < self.r_max < math.inf,
+             f"r_min = {self.r_min}, r_max = {self.r_max} need 0 < r_min < r_max < inf"),
             (self.n_points >= 16, f"n_points = {self.n_points} must be >= 16"),
         ))
 
@@ -118,8 +118,8 @@ class SpectralConfig:
             (self.rmin_shrink > 1.0,
              f"rmin_shrink = {self.rmin_shrink} must be > 1 (each rung shrinks r_min)"),
             (self.n_grow >= 1.0, f"n_grow = {self.n_grow} must be >= 1 (no rung coarsens)"),
-            (self.diverge_factor > 1.0,
-             f"diverge_factor = {self.diverge_factor} must be > 1 (a cascade grows)"),
+            (self.diverge_factor >= 2.0,
+             f"diverge_factor = {self.diverge_factor} must be >= 2 (the earlier ratio must exceed factor/2 >= 1)"),
             (self.residual_tol > 0.0, f"residual_tol = {self.residual_tol} must be > 0"),
             (self.sweep_c_lo < self.sweep_c_hi,
              f"sweep_c_lo = {self.sweep_c_lo}, sweep_c_hi = {self.sweep_c_hi} "
@@ -135,6 +135,16 @@ class SharpnessConfig:
     gamma: float = 0.0       # 0 (never admissible) means: choose automatically
     n_ladder: Tuple[int, ...] = (4, 16, 64, 256)
     gamma_j_max: int = 12
+
+    def __post_init__(self):
+        n = self.n_ladder
+        _check("sharpness", (
+            (0.0 < self.c_offset < math.inf, f"c_offset = {self.c_offset} must be finite and > 0"),
+            (len(n) >= 2 and n[0] >= 2 and all(a < b for a, b in zip(n, n[1:])),
+             f"n_ladder = {n} needs >= 2 entries, each >= 2, strictly increasing"),
+            (self.gamma_j_max >= 2, f"gamma_j_max = {self.gamma_j_max} must be >= 2 "
+             f"(the divergence test compares the last quotient with the first)"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -165,8 +175,8 @@ class EvolutionConfig:
              f"cap_dt_safety = {self.cap_dt_safety} must lie in (0, 1)"),
             (self.records >= 8, f"records = {self.records} must be >= 8"),
             (self.n_points >= 16, f"n_points = {self.n_points} must be >= 16"),
-            (0.0 < self.r_min < self.r_max,
-             f"r_min = {self.r_min}, r_max = {self.r_max} need 0 < r_min < r_max"),
+            (0.0 < self.r_min < self.r_max < math.inf,
+             f"r_min = {self.r_min}, r_max = {self.r_max} need 0 < r_min < r_max < inf"),
             (0.0 < self.t_star_frac <= 1.0 and round(self.t_star_frac * self.records) >= 1,
              f"t_star_frac = {self.t_star_frac} must lie in (0, 1] with "
              f"round(t_star_frac * records) >= 1 (the cap ratios are read after t = 0)"),

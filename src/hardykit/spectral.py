@@ -21,7 +21,10 @@ float64 noise at deep rungs from faking a divergence.  A ladder of fewer
 than three rungs cannot show a cascade and reads Unresolved.
 
 Everything operates on the radial subspace: the sharpness constructions are
-radial, and for radial weights the critical constant is visible there.
+radial, and for radial weights the critical constant is visible there.  The
+two share one quotient: phi_gamma = r^gamma theta is phi_n = min(r^gamma
+theta, n^-gamma) without the cap, and the cutoff-annulus integrals, which no
+n reaches, are computed once per (family, c, gamma).
 Assembly and solves are pure per problem instance; ladder rungs and sweep
 points carry no shared mutable state.
 """
@@ -186,10 +189,9 @@ def _solve_smallest(A: Tridiagonal, M: np.ndarray, residual_tol: float,
 
 def _rayleigh_residual(A: Tridiagonal, M: np.ndarray, v: np.ndarray):
     mv = M * v
-    num = float(v @ A.matvec(v))
-    den = float(v @ mv)
-    lam = num / den
-    defect = A.matvec(v) - lam * mv
+    av = A.matvec(v)
+    lam = float(v @ av) / float(v @ mv)
+    defect = av - lam * mv
     res = float(np.linalg.norm(defect) / (np.linalg.norm(mv) * max(1.0, abs(lam))))
     return lam, res
 
@@ -253,34 +255,22 @@ def _ladder_verdict(lams: List[float], factor: float, floor: float) -> str:
     return "Bounded"
 
 
-def lambda1(
-    problem: SpectralProblem,
-    ladder: SpectralConfig = SpectralConfig(),
-    *,
-    with_ladder: bool = True,
-) -> RayleighResult:
+def lambda1(problem: SpectralProblem, ladder: SpectralConfig = SpectralConfig()) -> RayleighResult:
     """Smallest Rayleigh quotient, with the verdict of a ladder of `rungs`
-    rungs, each (r_min / rmin_shrink, n x n_grow) from the one before."""
+    rungs, each (r_min / rmin_shrink, n x n_grow) from the one before;
+    rungs=1 is the single solve on the problem grid (verdict Unresolved)."""
     g = problem.grid
     lam0, vec, res = _solve_smallest(*assemble(problem), ladder.residual_tol)
     rows = [(g.n_points, g.r_min, lam0)]
-    if with_ladder:
-        for k in range(1, ladder.rungs):
-            rm = g.r_min / ladder.rmin_shrink**k
-            n = int(round(g.n_points * ladder.n_grow**k))
-            rung = replace(problem, grid=RadialGrid(rm, g.r_max, n))
-            lam, _, _ = _solve_smallest(*assemble(rung), ladder.residual_tol, enforce=False)
-            rows.append((n, rm, lam))
-    verdict = _ladder_verdict([row[2] for row in rows], ladder.diverge_factor,
-                              ladder.lambda_floor)
-    return RayleighResult(
-        lambda1=lam0,
-        eigvec=vec,
-        nodes=g.nodes[1:-1],
-        residual=res,
-        ladder=rows,
-        verdict=verdict,
-    )
+    for k in range(1, ladder.rungs):
+        rm = g.r_min / ladder.rmin_shrink**k
+        n = int(round(g.n_points * ladder.n_grow**k))
+        rung = replace(problem, grid=RadialGrid(rm, g.r_max, n))
+        lam, _, _ = _solve_smallest(*assemble(rung), ladder.residual_tol, enforce=False)
+        rows.append((n, rm, lam))
+    verdict = _ladder_verdict([row[2] for row in rows], ladder.diverge_factor, ladder.lambda_floor)
+    return RayleighResult(lambda1=lam0, eigvec=vec, nodes=g.nodes[1:-1], residual=res,
+                          ladder=rows, verdict=verdict)
 
 
 @dataclass(frozen=True)
@@ -411,9 +401,9 @@ class PhiNQuotient:
     C2: float
 
 
-def _outside_integrals(family: WeightFamily, c: float, gamma: float, rtol: float):
-    """Integrals over the cutoff annulus 1 <= r <= 2."""
-    g = gamma
+@lru_cache(maxsize=256)
+def _annulus(family: WeightFamily, c: float, g: float, rtol: float):
+    """Numerator and denominator of r^g theta on the cutoff annulus [1, 2], which no cap reaches."""
 
     def f_num(r):
         th = _theta(r)
@@ -421,11 +411,42 @@ def _outside_integrals(family: WeightFamily, c: float, gamma: float, rtol: float
         grad = g * r ** (g - 1.0) * th + r**g * dth
         return grad * grad - c * r ** (2 * g - 2.0) * th * th
 
-    num = weighted_integral(family, f_num, 1.0, 2.0, rtol=rtol)
-    den = weighted_integral(family, lambda r: r ** (2 * g) * _theta(r) ** 2, 1.0, 2.0, rtol=rtol)
+    return (weighted_integral(family, f_num, 1.0, 2.0, rtol=rtol),
+            weighted_integral(family, lambda r: r ** (2 * g) * _theta(r) ** 2, 1.0, 2.0, rtol=rtol))
+
+
+@lru_cache(maxsize=256)
+def _phi_n_bound_constants(family: WeightFamily, c: float, g: float, rtol: float):
+    """C1, C2 of the phi_n upper bound (see PhiNQuotient)."""
     C1 = 2.0 * weighted_integral(family, lambda r: r ** (2 * g) * _theta_deriv(r) ** 2, 1.0, 2.0, rtol=rtol) \
         + 2.0 * g * g * weighted_integral(family, lambda r: r ** (2 * g - 2.0) * _theta(r) ** 2, 1.0, 2.0, rtol=rtol)
-    return num, den, C1, den  # C2 equals the denominator annulus integral
+    C2 = _annulus(family, c, g, rtol)[1]
+    if C2 <= 0.0:
+        # compactly supported weight (dead annulus): bound the denominator
+        # by the mass between 1/2 and 1 instead, where phi_n^2 >= 1
+        C2 = weighted_integral(family, None, 0.5, 1.0, rtol=rtol)
+    return C1, C2
+
+
+def _capped_quotient(family: WeightFamily, c: float, g: float, n: int, rtol: float):
+    """(numerator, denominator, int_{1/n}^1 r^{2g-2} dmu) of the Hardy quotient
+    of min(r^g theta, n^-g): the cap on (0, 1/n), the power on (1/n, 1), the
+    annulus.  n = 0 removes the cap, which leaves phi_gamma = r^g theta."""
+    r_cap = 1.0 / n if n else 0.0
+    cap_num = cap_den = 0.0
+    try:
+        if n:
+            cap_sq = float(n) ** (-2.0 * g)
+            cap_num = -c * cap_sq * weighted_integral(family, None, 0.0, r_cap, power=-2.0, rtol=rtol)
+            cap_den = cap_sq * weighted_integral(family, None, 0.0, r_cap, rtol=rtol)
+        mid_I = weighted_integral(family, None, r_cap, 1.0, power=2.0 * g - 2.0, rtol=rtol)
+        mid_den = weighted_integral(family, None, r_cap, 1.0, power=2.0 * g, rtol=rtol)
+    except DivergentIntegral as exc:
+        raise NonIntegrableTestFunction(
+            str(exc) if n else f"r^{2 * g:g} or r^{2 * g - 2:g} not integrable against dmu"
+        ) from exc
+    out_num, out_den = _annulus(family, c, g, rtol)
+    return cap_num + (g * g - c) * mid_I + out_num, cap_den + mid_den + out_den, mid_I
 
 
 def require_phi_n_quotient(N0: float) -> None:
@@ -460,30 +481,10 @@ def quotient_phi_n(
             f"gamma={gamma:g} outside [{lo:g}, {hi:g}] for c={c:g}, N0={profile.N0:g}"
         )
     g = gamma
-    inv_n = 1.0 / n
-    cap_sq = float(n) ** (-2.0 * g)
-    try:
-        cap_num = -c * cap_sq * weighted_integral(family, None, 0.0, inv_n, power=-2.0, rtol=rtol)
-        mid_I = weighted_integral(family, None, inv_n, 1.0, power=2.0 * g - 2.0, rtol=rtol)
-        cap_den = cap_sq * weighted_integral(family, None, 0.0, inv_n, rtol=rtol)
-        mid_den = weighted_integral(family, None, inv_n, 1.0, power=2.0 * g, rtol=rtol)
-    except DivergentIntegral as exc:
-        raise NonIntegrableTestFunction(str(exc)) from exc
-    out_num, out_den, C1, C2 = _outside_integrals(family, c, g, rtol)
-    num = cap_num + (g * g - c) * mid_I + out_num
-    den = cap_den + mid_den + out_den
-    if C2 <= 0.0:
-        # compactly supported weight (dead annulus): bound the denominator
-        # by the mass between 1/2 and 1 instead, where phi_n^2 >= 1
-        C2 = weighted_integral(family, None, 0.5, 1.0, rtol=rtol)
-    return PhiNQuotient(
-        value=num / den,
-        upper_bound=((g * g - c) * mid_I + C1) / C2,
-        numerator=num,
-        denominator=den,
-        C1=C1,
-        C2=C2,
-    )
+    num, den, mid_I = _capped_quotient(family, c, g, n, rtol)
+    C1, C2 = _phi_n_bound_constants(family, c, g, rtol)
+    return PhiNQuotient(value=num / den, upper_bound=((g * g - c) * mid_I + C1) / C2,
+                        numerator=num, denominator=den, C1=C1, C2=C2)
 
 
 def quotient_phi_gamma(
@@ -494,24 +495,14 @@ def quotient_phi_gamma(
     profile: Optional[HardyProfile] = None,
     rtol: float = 1e-10,
 ) -> float:
-    """Exact Rayleigh quotient of phi_gamma = r^gamma theta."""
+    """Exact Rayleigh quotient of phi_gamma = r^gamma theta, the uncapped phi_n."""
     profile = profile or compute_profile(family)
     lo = (2.0 - profile.N0) / 2.0
     if not (lo - 1e-12 <= gamma < 0.0):
         raise InadmissibleGamma(
             f"gamma={gamma:g} outside [{lo:g}, 0) for N0={profile.N0:g}"
         )
-    g = gamma
-    try:
-        mid_I = weighted_integral(family, None, 0.0, 1.0, power=2.0 * g - 2.0, rtol=rtol)
-        mid_den = weighted_integral(family, None, 0.0, 1.0, power=2.0 * g, rtol=rtol)
-    except DivergentIntegral as exc:
-        raise NonIntegrableTestFunction(
-            f"r^{2 * g:g} or r^{2 * g - 2:g} not integrable against dmu"
-        ) from exc
-    out_num, out_den, _, _ = _outside_integrals(family, c, g, rtol)
-    num = (g * g - c) * mid_I + out_num
-    den = mid_den + out_den
+    num, den, _ = _capped_quotient(family, c, gamma, 0, rtol)
     return num / den
 
 
@@ -531,11 +522,8 @@ def phi_gamma_ladder(
     profile = profile or compute_profile(family)
     g_crit = (2.0 - profile.N0) / 2.0
     step = min(0.25, abs(g_crit) / 2.0)
-    out = []
-    for j in range(1, j_max + 1):
-        g = g_crit + step * 2.0 ** (-j)
-        out.append((g, quotient_phi_gamma(family, c, g, profile=profile)))
-    return out
+    gammas = [g_crit + step * 2.0 ** (-j) for j in range(1, j_max + 1)]
+    return [(g, quotient_phi_gamma(family, c, g, profile=profile)) for g in gammas]
 
 
 # ----------------------------------------------------------------------

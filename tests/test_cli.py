@@ -85,14 +85,33 @@ sweep_tol = 0.01
         ("sweep_c_hi = 0.01", "sweep_c_lo = 0.05, sweep_c_hi = 0.01 need sweep_c_lo <"),
         ("rmin_shrink = 1", "rmin_shrink = 1.0 must be > 1"),
         ("n_grow = 0.5", "n_grow = 0.5 must be >= 1"),
-        ("diverge_factor = 1", "diverge_factor = 1.0 must be > 1"),
-        ("diverge_factor = 0.5", "diverge_factor = 0.5 must be > 1"),
-        ("diverge_factor = nan", "diverge_factor = nan must be > 1"),
+        ("diverge_factor = 1", "diverge_factor = 1.0 must be >= 2"),
+        ("diverge_factor = 0.5", "diverge_factor = 0.5 must be >= 2"),
+        ("diverge_factor = nan", "diverge_factor = nan must be >= 2"),
+        ("diverge_factor = 1.0001", "diverge_factor = 1.0001 must be >= 2"),
+        ("diverge_factor = 1.5", "diverge_factor = 1.5 must be >= 2"),
         ("residual_tol = 0", "residual_tol = 0.0 must be > 0"),
     ])
     def test_spectral_ranges_rejected(self, assignment, message):
         with pytest.raises(ConfigError, match=re.escape(f"[spectral] {message}")):
             parse_config(f"[spectral]\n{assignment}\n")
+
+    @pytest.mark.parametrize("assignment,message", [
+        ("n_ladder =", "n_ladder = () needs >= 2 entries, each >= 2, strictly increasing"),
+        ("n_ladder = 16", "n_ladder = (16,) needs >= 2 entries"),
+        ("n_ladder = 1,4", "n_ladder = (1, 4) needs >= 2 entries, each >= 2"),
+        ("n_ladder = 16,4", "n_ladder = (16, 4) needs >= 2 entries, each >= 2, strictly increasing"),
+        ("n_ladder = 4,4,16", "n_ladder = (4, 4, 16) needs"),
+        ("gamma_j_max = 0", "gamma_j_max = 0 must be >= 2"),
+        ("gamma_j_max = 1", "gamma_j_max = 1 must be >= 2"),
+        ("c_offset = 0", "c_offset = 0.0 must be finite and > 0"),
+        ("c_offset = -5", "c_offset = -5.0 must be finite and > 0"),
+        ("c_offset = inf", "c_offset = inf must be finite and > 0"),
+        ("c_offset = nan", "c_offset = nan must be finite and > 0"),
+    ])
+    def test_sharpness_ranges_rejected(self, assignment, message):
+        with pytest.raises(ConfigError, match=re.escape(f"[sharpness] {message}")):
+            parse_config(f"[sharpness]\n{assignment}\n")
 
     @pytest.mark.parametrize("assignment,message", [
         ("k_min = 50", "tail_window = 10, k_min = 50, k_max = 40 need 3 <= tail_window"),
@@ -258,7 +277,7 @@ class TestCli:
     @pytest.mark.parametrize("override", [
         "caps=100,1000", "caps=-10,100,1000", "cap_dt_safety=0", "dt=0", "T=0",
         "records=4", "n_points=8", "u0_lo=-1", "r_min=0", "r_min=10", "t_star_frac=2",
-        "r_max=0.2", "t_star_frac=0.005",
+        "r_max=0.2", "t_star_frac=0.005", "r_max=inf",
     ])
     def test_bad_evolution_values_exit_2(self, tmp_path, capsys, override):
         rc = main(["evolve", "--out", str(tmp_path / "o"),
@@ -267,7 +286,7 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: [evolution]")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("override", ["r_min=0", "r_max=1e-6", "n_points=8"])
+    @pytest.mark.parametrize("override", ["r_min=0", "r_max=1e-6", "n_points=8", "r_max=inf"])
     def test_bad_grid_values_exit_2(self, tmp_path, capsys, override):
         rc = main(["sweep", "--out", str(tmp_path / "o"), "--override", f"grid.{override}"])
         assert rc == 2

@@ -88,30 +88,30 @@ class TestLambda1:
     def test_shell_matches_dense_oracle(self, leb3):
         n = 400
         res = lambda1(SpectralProblem(leb3, 0.0, RadialGrid(1.0, 2.0, n)),
-                      with_ladder=False)
+                      SpectralConfig(rungs=1))
         want = shell_oracle_lambda1(3, 4 * n)
         assert res.lambda1 == pytest.approx(want, rel=1e-3)
         # radial Dirichlet eigenvalue of the shell in N=3 is pi^2 exactly
         assert res.lambda1 == pytest.approx(math.pi**2, rel=1e-3)
 
     def test_monotone_in_c(self, exppow3):
-        lams = [lambda1(SpectralProblem(exppow3, c, GRID), with_ladder=False).lambda1
+        lams = [lambda1(SpectralProblem(exppow3, c, GRID), SpectralConfig(rungs=1)).lambda1
                 for c in (0.0, 0.1, 0.2, 0.3)]
         assert all(b <= a + 1e-12 for a, b in zip(lams, lams[1:]))
 
     def test_domain_monotonicity(self, exppow3):
         small = lambda1(SpectralProblem(exppow3, 0.1, RadialGrid(1e-3, 10.0, 256)),
-                        with_ladder=False).lambda1
+                        SpectralConfig(rungs=1)).lambda1
         large = lambda1(SpectralProblem(exppow3, 0.1, RadialGrid(1e-4, 20.0, 512)),
-                        with_ladder=False).lambda1
+                        SpectralConfig(rungs=1)).lambda1
         assert large <= small + 1e-12
 
     def test_supercritical_scale_invariance(self, leb3):
         # lambda1 of -u'' - (N-1)/r u' - c/r^2 on [eps, R] scales like 1/eps^2
         lam1_ = lambda1(SpectralProblem(leb3, 0.5, RadialGrid(1e-3, 20.0, 512)),
-                        with_ladder=False).lambda1
+                        SpectralConfig(rungs=1)).lambda1
         lam2_ = lambda1(SpectralProblem(leb3, 0.5, RadialGrid(2.5e-4, 20.0, 1024)),
-                        with_ladder=False).lambda1
+                        SpectralConfig(rungs=1)).lambda1
         assert lam2_ / lam1_ == pytest.approx(16.0, rel=0.01)
 
     @pytest.mark.parametrize("rungs", [1, 2])
@@ -363,7 +363,7 @@ class TestPhiN:
         c = 0.5
         prob = SpectralProblem(exppow3, c, grid)
         A, M = assemble(prob)
-        res = lambda1(prob, with_ladder=False)
+        res = lambda1(prob, SpectralConfig(rungs=1))
         phi = TestFunctionFamily("phi_n", -0.6, 16)
         v = phi.value(grid.nodes[1:-1])
         rq_disc = float(v @ A.matvec(v)) / float(v @ (M * v))
@@ -418,6 +418,33 @@ class TestPhiGamma:
             quotient_phi_gamma(exppow3, 0.25, -0.8, profile=p)
         with pytest.raises(InadmissibleGamma):
             quotient_phi_gamma(exppow3, 0.25, 0.1, profile=p)
+
+    def test_cutoff_annulus_integrated_once_per_c_gamma(self, exppow3, monkeypatch):
+        p = compute_profile(exppow3)
+        for cached in vars(spectral).values():   # start from cold caches
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+        calls = []
+        original = spectral.weighted_integral
+
+        def counted(family, f=None, r_lo=0.0, r_hi=1.0, **kwargs):
+            calls.append((r_lo, r_hi))
+            return original(family, f, r_lo, r_hi, **kwargs)
+
+        monkeypatch.setattr(spectral, "weighted_integral", counted)
+        lo, hi = phi_n_gamma_bounds(0.5, p.N0)
+        for n in (4, 16, 64, 256):
+            quotient_phi_n(exppow3, 0.5, 0.75 * lo + 0.25 * hi, n, profile=p)
+        # each rung: two cap and two middle integrals; once for the ladder:
+        # the annulus numerator and denominator and the two C1 integrals
+        assert len(calls) == 4 * 4 + 4
+        assert calls.count((1.0, 2.0)) == 4
+        calls.clear()
+        phi_gamma_ladder(exppow3, 0.25, j_max=12, profile=p)
+        # each rung (its own gamma): two middle integrals and the annulus
+        # numerator and denominator, no C1
+        assert len(calls) == 12 * 4
+        assert calls.count((1.0, 2.0)) == 12 * 2
 
 
 # slack values frozen from the quadrature oracle below (regression witnesses)
