@@ -21,11 +21,13 @@ Every task reads the profile of dmu with the [hardy] section and every
 spectral ladder, evolve's cross-check included, with the [spectral]
 section: the numeric layers take the section objects themselves.
 report-all runs each stage once and composes summary.md and index.json in
-memory from the payloads the stages wrote.
+memory from the stages' payloads.
 
-All floats in CSV output are serialized with 17 significant digits, all
-file writes are atomic (temp + rename), and identical configs produce
-byte-identical outputs.
+Runners compute and write nothing; `main` writes their files only once the
+runner has returned, so a run that exits 2 or 3 leaves the outdir as it was.
+All floats in CSV output are serialized with 17 significant digits, each
+file write is atomic (temp + rename) under the process umask, and identical
+configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,27 +64,21 @@ def _fmt(x) -> str:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _csv(header, rows) -> str:
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
 
 
-def _write_json(path: Path, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _require_sweep_ladder(cfg: RunConfig) -> None:
@@ -94,22 +89,17 @@ def _require_sweep_ladder(cfg: RunConfig) -> None:
         )
 
 
-def run_analyze(cfg: RunConfig, outdir: Path):
+def run_analyze(cfg: RunConfig):
     family = cfg.family.build()
     report = check_hypotheses(family, cfg.hardy)
     payload = report.to_json_dict()
     payload["profile"] = compute_profile(family, cfg.hardy).to_json_dict()
-    _write_json(outdir / "hypotheses.json", payload)
-    _atomic_write(outdir / "hypotheses.txt", report.to_table())
-    return ("hypotheses.json", "hypotheses.txt"), payload
+    return {"hypotheses.json": _json(payload), "hypotheses.txt": report.to_table()}, payload
 
 
-def run_spectrum(cfg: RunConfig, outdir: Path):
+def run_spectrum(cfg: RunConfig):
     family = cfg.family.build()
     res = lambda1(SpectralProblem(family, cfg.spectral.c, cfg.grid.build()), cfg.spectral)
-    _write_csv(outdir / "spectrum_ladder.csv", SPECTRUM_LADDER,
-               [(cfg.spectral.c, r_min, n, lam, res.verdict) for n, r_min, lam in res.ladder])
-    _write_csv(outdir / "eigvec.csv", EIGVEC, zip(res.nodes, res.eigvec))
     payload = {
         "family": family.label(),
         "c": cfg.spectral.c,
@@ -118,11 +108,15 @@ def run_spectrum(cfg: RunConfig, outdir: Path):
         "verdict": res.verdict,
         "ladder": [{"n_points": n, "r_min": r, "lambda1": lam} for n, r, lam in res.ladder],
     }
-    _write_json(outdir / "spectrum.json", payload)
-    return ("spectrum_ladder.csv", "eigvec.csv", "spectrum.json"), payload
+    return {
+        "spectrum_ladder.csv": _csv(SPECTRUM_LADDER, [(cfg.spectral.c, r_min, n, lam, res.verdict)
+                                                      for n, r_min, lam in res.ladder]),
+        "eigvec.csv": _csv(EIGVEC, zip(res.nodes, res.eigvec)),
+        "spectrum.json": _json(payload),
+    }, payload
 
 
-def run_sweep(cfg: RunConfig, outdir: Path):
+def run_sweep(cfg: RunConfig):
     _require_sweep_ladder(cfg)
     family = cfg.family.build()
     s = cfg.spectral
@@ -138,11 +132,8 @@ def run_sweep(cfg: RunConfig, outdir: Path):
                 exc.verdicts,
             ) from exc
         raise
-    rows = []
-    for entry in res.trace:
-        for n, r_min, lam in entry["ladder"]:
-            rows.append((entry["c"], r_min, n, lam, entry["verdict"]))
-    _write_csv(outdir / "sweep_trace.csv", SWEEP_TRACE, rows)
+    rows = [(entry["c"], r_min, n, lam, entry["verdict"])
+            for entry in res.trace for n, r_min, lam in entry["ladder"]]
     # operational additive constant: -lambda1 at the weighted Hardy coupling
     # (couplings <= 0 are trivially valid and need no constant)
     if profile.c0_mu > 0.0:
@@ -159,11 +150,10 @@ def run_sweep(cfg: RunConfig, outdir: Path):
         "consistent": abs(res.c_hat - profile.c0_N0) <= s.sweep_tol + 0.05,
         "C_mu_operational": c_mu_op,
     }
-    _write_json(outdir / "sweep.json", payload)
-    return ("sweep_trace.csv", "sweep.json"), payload
+    return {"sweep_trace.csv": _csv(SWEEP_TRACE, rows), "sweep.json": _json(payload)}, payload
 
 
-def run_sharpness(cfg: RunConfig, outdir: Path):
+def run_sharpness(cfg: RunConfig):
     family = cfg.family.build()
     profile = compute_profile(family, cfg.hardy)
     sh = cfg.sharpness
@@ -174,7 +164,6 @@ def run_sharpness(cfg: RunConfig, outdir: Path):
     for n in sh.n_ladder:
         q = quotient_phi_n(family, c_n, gamma, n, profile=profile)
         rows_n.append((c_n, gamma, n, q.value, q.upper_bound))
-    _write_csv(outdir / "phi_n.csv", PHI_N, rows_n)
 
     c_g = profile.c0_N0
     rows_g = []
@@ -184,7 +173,6 @@ def run_sharpness(cfg: RunConfig, outdir: Path):
         rows_g = [(c_g, g, q) for g, q in ladder]
         qs = [q for _, q in ladder]
         gamma_diverges = qs[-1] < -1e2 and qs[-1] < qs[0]
-    _write_csv(outdir / "phi_gamma.csv", PHI_GAMMA, rows_g)
     payload = {
         "family": family.label(),
         "phi_n": {"c": c_n, "gamma": gamma,
@@ -193,30 +181,25 @@ def run_sharpness(cfg: RunConfig, outdir: Path):
         "phi_gamma": {"c": c_g, "diverges": gamma_diverges},
         "constant_attained_hint": None if gamma_diverges is None else (not gamma_diverges),
     }
-    _write_json(outdir / "sharpness.json", payload)
-    return ("phi_n.csv", "phi_gamma.csv", "sharpness.json"), payload
+    return {"phi_n.csv": _csv(PHI_N, rows_n), "phi_gamma.csv": _csv(PHI_GAMMA, rows_g),
+            "sharpness.json": _json(payload)}, payload
 
 
-def run_evolve(cfg: RunConfig, outdir: Path):
+def run_evolve(cfg: RunConfig):
     family = cfg.family.build()
     run = dichotomy_verdict(family, cfg.evolution.c, cfg.evolution, ladder=cfg.spectral,
                             spectral_grid=cfg.grid.build())
-    rows = []
-    for s in run.series:
-        for t, nn in zip(s.times, s.norms):
-            rows.append((t, s.cap, nn))
-    _write_csv(outdir / "evolution.csv", EVOLUTION, rows)
+    rows = [(t, s.cap, nn) for s in run.series for t, nn in zip(s.times, s.norms)]
     payload = run.to_json_dict()
-    _write_json(outdir / "evolution.json", payload)
-    return ("evolution.csv", "evolution.json"), payload
+    return {"evolution.csv": _csv(EVOLUTION, rows), "evolution.json": _json(payload)}, payload
 
 
-def run_report_all(cfg: RunConfig, outdir: Path):
-    # before the analyze stage spends its time or writes a file
+def run_report_all(cfg: RunConfig):
+    # fail fast: a failed run writes nothing either way, this saves the stage time
     _require_sweep_ladder(cfg)
     require_phi_n_quotient(compute_profile(cfg.family.build(), cfg.hardy).N0)
-    stages = [runner(cfg, outdir) for runner in (run_analyze, run_sweep, run_sharpness, run_evolve)]
-    names = [name for files, _ in stages for name in files] + ["summary.md"]
+    stages = [runner(cfg) for runner in (run_analyze, run_sweep, run_sharpness, run_evolve)]
+    files = {name: text for stage_files, _ in stages for name, text in stage_files.items()}
     hyp, sweep, sharp, evo = (payload for _, payload in stages)
     profile = hyp["profile"]
     lines = [
@@ -235,13 +218,14 @@ def run_report_all(cfg: RunConfig, outdir: Path):
         f"| evolution verdict (c={evo['c']:g}) | {evo['verdict']} (spectral: {evo['spectral_verdict']}, agrees={evo['agrees_with_spectral']}) |",
         "",
     ]
-    _atomic_write(outdir / "summary.md", "\n".join(lines))
-    index = {"family": hyp["family"], "artifacts": sorted(names)}
-    _write_json(outdir / "index.json", index)
-    return names + ["index.json"], index
+    files["summary.md"] = "\n".join(lines)
+    index = {"family": hyp["family"], "artifacts": sorted(files)}
+    files["index.json"] = _json(index)
+    return files, index
 
 
-# task -> runner(cfg, outdir), returning (artifact file names, the JSON payload it wrote)
+# task -> runner(cfg), returning ({artifact file name: text}, its JSON payload);
+# a runner computes only, and main writes the files once it has returned
 _RUNNERS = {
     "analyze": run_analyze,
     "spectrum": run_spectrum,
@@ -281,15 +265,25 @@ def main(argv=None) -> int:
         return 2
     outdir = Path(args.out) if args.out else Path(cfg.outdir)
     try:
-        names, _ = _RUNNERS[args.task](cfg, outdir)
+        # the nearest existing ancestor must be a directory, before any stage runs
+        if not next(p for p in (outdir, *outdir.parents) if p.exists()).is_dir():
+            raise ConfigError(f"output directory {outdir} is, or lies under, a file")
+        files, _ = _RUNNERS[args.task](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except HardyKitError as exc:
         print(f"numeric failure [{args.task}]: {exc}", file=sys.stderr)
         return 3
-    _atomic_write(outdir / "config_used.ini", serialize_config(cfg))
-    for name in sorted(names):
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name in sorted(files):
+            _atomic_write(outdir / name, files[name])
+        _atomic_write(outdir / "config_used.ini", serialize_config(cfg))
+    except OSError as exc:
+        print(f"config error: cannot write to output directory {outdir}: {exc}", file=sys.stderr)
+        return 2
+    for name in sorted(files):
         print(outdir / name)
     return 0
 

@@ -21,6 +21,8 @@ from .weights import Kind, RadialGrid, WeightFamily
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "load_config", "apply_overrides"]
 
+MAX_NODES = 2**20  # largest grid any ladder rung or the evolution may build
+
 
 def _check(section: str, rules) -> None:
     """Raise a ConfigError for the first (ok, message) rule that fails."""
@@ -174,7 +176,8 @@ class EvolutionConfig:
             (0.0 < self.cap_dt_safety < 1.0,
              f"cap_dt_safety = {self.cap_dt_safety} must lie in (0, 1)"),
             (self.records >= 8, f"records = {self.records} must be >= 8"),
-            (self.n_points >= 16, f"n_points = {self.n_points} must be >= 16"),
+            (16 <= self.n_points <= MAX_NODES,
+             f"n_points = {self.n_points} must lie in [16, {MAX_NODES}]"),
             (0.0 < self.r_min < self.r_max < math.inf,
              f"r_min = {self.r_min}, r_max = {self.r_max} need 0 < r_min < r_max < inf"),
             (0.0 < self.t_star_frac <= 1.0 and round(self.t_star_frac * self.records) >= 1,
@@ -197,6 +200,17 @@ class RunConfig:
     spectral: SpectralConfig = field(default_factory=SpectralConfig)
     sharpness: SharpnessConfig = field(default_factory=SharpnessConfig)
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
+
+    def __post_init__(self):
+        # on the run, not in SpectralConfig: the cap reads [grid] as well.
+        # In logs, because n_grow ** (rungs - 1) overflows a float long before the cap
+        g, s = self.grid, self.spectral
+        _check("spectral", (
+            (s.rungs >= 1, f"rungs = {s.rungs} must be >= 1"),
+            (math.log2(g.n_points) + (s.rungs - 1) * math.log2(s.n_grow) <= math.log2(MAX_NODES),
+             f"the deepest rung has grid.n_points * n_grow^(rungs - 1) = "
+             f"{g.n_points} * {s.n_grow:g}^{s.rungs - 1} nodes, above the cap of {MAX_NODES}"),
+        ))
 
 
 _SECTIONS = {

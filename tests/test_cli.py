@@ -1,7 +1,10 @@
+import filecmp
 import json
 import math
 import os
 import re
+import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +19,7 @@ from hardykit.config import (
     parse_config,
     serialize_config,
 )
-from hardykit.errors import ConfigError
+from hardykit.errors import ConfigError, NoConvergence
 from hardykit import schemas
 
 
@@ -130,6 +133,10 @@ sweep_tol = 0.01
     def test_hardy_ranges_rejected(self, assignment, message):
         with pytest.raises(ConfigError, match=re.escape(f"[hardy] {message}")):
             parse_config(f"[hardy]\n{assignment}\n")
+
+    def test_deepest_rung_at_the_cap_accepted(self):
+        # 256 * 2^12 = 2^20 nodes exactly
+        assert parse_config("[spectral]\nrungs = 13\n").spectral.rungs == 13
 
     def test_readme_config_block_loads_as_defaults(self):
         # the block carries inline ; comments after values and section headers
@@ -424,6 +431,90 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith("config error: [spectral] rungs = 2")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("override,message", [
+        ("spectral.rungs=0", "[spectral] rungs = 0 must be >= 1"),
+        ("spectral.rungs=-1", "[spectral] rungs = -1 must be >= 1"),
+        ("spectral.n_grow=1e6", "[spectral] the deepest rung has grid.n_points * "
+                                "n_grow^(rungs - 1) = 256 * 1e+06^3 nodes, above the cap of 1048576"),
+        ("spectral.rungs=14", "= 256 * 2^13 nodes, above the cap of 1048576"),
+        ("spectral.rungs=40", "= 256 * 2^39 nodes, above the cap"),
+        ("spectral.rungs=100000", "= 256 * 2^99999 nodes, above the cap"),
+        ("grid.n_points=2000000", "= 2000000 * 2^3 nodes, above the cap"),
+        ("evolution.n_points=2000000", "[evolution] n_points = 2000000 must lie in [16, 1048576]"),
+    ])
+    def test_oversized_grid_exit_2(self, tmp_path, capsys, override, message):
+        # config errors, raised before any allocation (n_grow=1e6 would ask for 22.9 GiB)
+        rc = main(["spectrum", "--out", str(tmp_path / "o"), "--override", override])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [") and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_report_all_leaves_no_outdir(self, tmp_path):
+        # lebesgue N=4: c0_mu = 1 lies above sweep_c_hi, so the sweep stage fails
+        rc = main(["report-all", "--out", str(tmp_path / "o"),
+                   "--override", "family.kind=lebesgue", "--override", "family.dimension=4"])
+        assert rc == 3
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_report_all_leaves_earlier_report_unchanged(self, tmp_path):
+        out, before = tmp_path / "o", tmp_path / "before"
+        rc = main(["report-all", "--out", str(out),
+                   "--override", "evolution.caps=10,100,1000", "--override", "evolution.T=1"])
+        assert rc == 0
+        shutil.copytree(out, before)
+        rc = main(["report-all", "--out", str(out),
+                   "--override", "family.kind=lebesgue", "--override", "family.dimension=4"])
+        assert rc == 3
+        names = sorted(os.listdir(before))
+        assert sorted(os.listdir(out)) == names
+        match, mismatch, errors = filecmp.cmpfiles(before, out, names, shallow=False)
+        assert (match, mismatch, errors) == (names, [], [])
+
+    def test_sweep_failing_after_the_bisection_writes_nothing(self, tmp_path, monkeypatch):
+        # cli.lambda1 is only the C_mu_operational solve; the bisection has its own binding
+        def no_convergence(*args, **kwargs):
+            raise NoConvergence("stalled")
+
+        monkeypatch.setattr(cli, "lambda1", no_convergence)
+        rc = main(["sweep", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert not (tmp_path / "o" / "sweep_trace.csv").exists()
+        assert not (tmp_path / "o").exists()
+
+    def test_outputs_respect_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            assert main(["analyze", "--out", str(tmp_path / "o")]) == 0
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "o").iterdir()}
+        assert sorted(modes) == ["config_used.ini", "hypotheses.json", "hypotheses.txt"]
+        assert set(modes.values()) == {0o666 & ~0o027}
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_outdir_under_a_file_exit_2_before_any_stage(self, tmp_path, capsys, monkeypatch,
+                                                         sub):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran before the outdir was rejected")
+
+        monkeypatch.setattr(cli, "check_hypotheses", no_stage)
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        out = blocker / sub
+        assert main(["analyze", "--out", str(out)]) == 2
+        assert f"output directory {out} is, or lies under, a file" in capsys.readouterr().err
+        assert blocker.read_text() == "x"
+
+    def test_write_failure_exit_2_names_the_path(self, tmp_path, capsys):
+        # a directory where a report file goes: os.replace cannot put the file there
+        (tmp_path / "o" / "hypotheses.txt").mkdir(parents=True)
+        assert main(["analyze", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write to output directory {tmp_path / 'o'}")
+        assert "hypotheses.txt" in err
+        assert not [p for p in (tmp_path / "o").iterdir() if p.name.endswith(".tmp")]
 
     def test_analyze_deterministic(self, tmp_path):
         for d in ("a", "b"):
