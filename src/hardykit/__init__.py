@@ -27,7 +27,6 @@ from .spectral import (  # noqa: F401
     RayleighResult,
     SpectralProblem,
     SweepResult,
-    TestFunctionFamily,
     assemble,
     critical_sweep,
     improved_hardy_slack,

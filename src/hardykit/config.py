@@ -251,7 +251,7 @@ def _merge(cfg: RunConfig, raw: dict) -> RunConfig:
     """`cfg` with `raw` (section -> key -> text) applied.  Each section is
     rebuilt once, so a check on two keys (sweep_c_lo < sweep_c_hi) sees
     both new values."""
-    changes = {}
+    changes, parsed = {}, []
     for key, text in raw.get("run", {}).items():
         if key != "outdir":
             raise ConfigError(f"unknown key [run] {key}")
@@ -264,11 +264,18 @@ def _merge(cfg: RunConfig, raw: dict) -> RunConfig:
             resolved[key] = _coerce(text, getattr(cls, key), f"[{section}] {key}")
         if resolved:
             changes[section] = replace(getattr(cfg, section), **resolved)
+            parsed += [(section, key, value) for key, value in resolved.items()]
     extra = set(raw) - set(_SECTIONS) - {"run"}
     if extra:
         raise ConfigError(f"unknown section(s): {sorted(extra)}")
     cfg = replace(cfg, **changes)
     cfg.family.build()  # validate family parameters eagerly
+    # after every range rule, so their messages come first: a nan or inf in
+    # a key with no range rule would otherwise flip a verdict downstream
+    for section, key, value in parsed:
+        values = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+            raise ConfigError(f"[{section}] {key} = {_serialize_value(value)} must be finite")
     return cfg
 
 

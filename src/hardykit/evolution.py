@@ -129,7 +129,7 @@ def _implicit_euler(family: WeightFamily, grid: RadialGrid, c: float,
     lumped cell weights W, and the main and off-diagonal of the symmetric
     S = W^{1/2} (I - dt (A + V_cap)) W^{-1/2} = I + dt W^{-1/2} K W^{-1/2} - dt V_cap,
     with A = -W^{-1} K built from the spectral module's grid parts."""
-    nodes, _, K, _, W = grid_parts(family, grid.r_min, grid.r_max, grid.n_points)
+    nodes, K, _, W = grid_parts(family, grid.r_min, grid.r_max, grid.n_points)
     r = nodes[1:-1]
     V = np.minimum(c / r**2, cap)
     sqrt_w = np.sqrt(W)

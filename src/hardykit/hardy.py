@@ -26,7 +26,6 @@ so everything parallelizes freely across families and mesh points.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -64,6 +63,8 @@ _H1_KNOWN = {
 
 # two N0 estimates closer than this count as agreeing
 _N0_AGREE_TOL = 0.05
+# width at which the N0 bisection on the integrability flag stops
+_N0_BISECT_TOL = 0.02
 
 
 def c0(dimension: float) -> float:
@@ -152,16 +153,17 @@ def _integral_diverges(family: WeightFamily, delta: float) -> bool:
         return True
 
 
-def estimate_N0(family: WeightFamily, knobs: HardyConfig = HardyConfig(), *,
-                tol: float = 0.02, agree_tol: float = _N0_AGREE_TOL) -> N0Estimate:
-    """Estimate N_0 twice: log-log slope of mu on r = 2^{-k}, k = k_min..k_max,
-    and bisection on the integrability flag of r^{-delta} against dmu."""
+def estimate_N0(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -> N0Estimate:
+    """Estimate N_0 twice: log-log slope of mu on r = 2^{-k}, k = k_min..k_max
+    (the only knobs read), and bisection on the integrability flag of
+    r^{-delta} against dmu to a width of _N0_BISECT_TOL.  The two agree when
+    they lie within _N0_AGREE_TOL of each other."""
     N = family.dimension
     slope_n0 = N + _dyadic_slope_intercept(family, knobs.k_min, knobs.k_max)
     lo, hi = 0.0, N + 1.5   # delta = 0 is mu(B_1), finite for any admissible mu
     if _integral_diverges(family, lo) or not _integral_diverges(family, hi):
         raise ProfileUndefined("effective-dimension bisection bracket failed")
-    while hi - lo > tol:
+    while hi - lo > _N0_BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if _integral_diverges(family, mid):
             hi = mid
@@ -171,11 +173,10 @@ def estimate_N0(family: WeightFamily, knobs: HardyConfig = HardyConfig(), *,
     return N0Estimate(
         slope=slope_n0,
         quadrature=quad_n0,
-        agrees=abs(slope_n0 - quad_n0) <= agree_tol,
+        agrees=abs(slope_n0 - quad_n0) <= _N0_AGREE_TOL,
     )
 
 
-@lru_cache(maxsize=64)
 def compute_profile(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -> HardyProfile:
     """Estimate L = limsup r^2 U_mu, c_{0,mu} and N_0 for a family.
 
@@ -187,7 +188,16 @@ def compute_profile(family: WeightFamily, knobs: HardyConfig = HardyConfig()) ->
     N_0 uses the closed form N - power_order for the built-in kinds (the
     H3' integrand is exponentially sensitive to N_0 errors); the two data
     -driven estimators are still computed and cross-checked against it.
+
+    Profiles are cached on (family, k_min, k_max, tail_window), the only
+    knobs read: configs that differ in audit knobs share one entry.
     """
+    return _profile(family, HardyConfig(k_min=knobs.k_min, k_max=knobs.k_max,
+                                        tail_window=knobs.tail_window))
+
+
+@lru_cache(maxsize=64)
+def _profile(family: WeightFamily, knobs: HardyConfig) -> HardyProfile:
     ks = np.arange(knobs.k_min, knobs.k_max + 1)
     rs = 2.0 ** (-ks.astype(float))
     try:
@@ -227,6 +237,11 @@ def compute_profile(family: WeightFamily, knobs: HardyConfig = HardyConfig()) ->
         n0_quadrature=n0_est.quadrature,
         n0_agrees=n0_est.agrees and (analytic is None or abs(n0_est.value - N0) <= _N0_AGREE_TOL),
     )
+
+
+# the one cache's statistics and reset, under the public name
+compute_profile.cache_info = _profile.cache_info
+compute_profile.cache_clear = _profile.cache_clear
 
 
 def compute_U(family: WeightFamily, r, profile: Optional[HardyProfile] = None):
@@ -283,9 +298,6 @@ class HypothesisReport:
             "classification": self.classification,
             "oscillatory_limit": self.oscillatory,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_table(self) -> str:
         rows = [

@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import GridConfig, SharpnessConfig, SpectralConfig
+from .config import SharpnessConfig, SpectralConfig
 from .errors import (
     BadBracket,
     DivergentIntegral,
@@ -70,7 +70,6 @@ __all__ = [
     "lambda1",
     "SweepResult",
     "critical_sweep",
-    "TestFunctionFamily",
     "phi_n_gamma_bounds",
     "require_phi_n_quotient",
     "quotient_phi_n",
@@ -126,9 +125,9 @@ class SpectralProblem:
 
 @lru_cache(maxsize=256)
 def grid_parts(family: WeightFamily, r_min: float, r_max: float, n_points: int):
-    """(nodes, e, K, H, M) for one grid: element integrals, Laplacian
-    stiffness from the conductances mass/h^2, Hardy block, lumped mass;
-    interior nodes only (Dirichlet).  The time stepper assembles its
+    """(nodes, K, H, M) for one grid: the Laplacian stiffness from the
+    element conductances mass/h^2, the Hardy block and the lumped mass, on
+    the interior nodes only (Dirichlet).  The time stepper assembles its
     operator from the same parts."""
     grid = RadialGrid(r_min, r_max, n_points)
     e = hat_element_integrals(family, grid.nodes)
@@ -141,13 +140,13 @@ def grid_parts(family: WeightFamily, r_min: float, r_max: float, n_points: int):
             "lumped mass vanished on the grid; the weight underflows before "
             "r_max -- shrink the domain"
         )
-    return grid.nodes, e, Tridiagonal(g[:-1] + g[1:], -g[1:-1]), Tridiagonal(hd, ho), md
+    return grid.nodes, Tridiagonal(g[:-1] + g[1:], -g[1:-1]), Tridiagonal(hd, ho), md
 
 
 def assemble(problem: SpectralProblem) -> Tuple[Tridiagonal, np.ndarray]:
     """(stiffness, mass) on the interior nodes of the problem grid."""
     g = problem.grid
-    _, _, K, H, M = grid_parts(problem.family, g.r_min, g.r_max, g.n_points)
+    _, K, H, M = grid_parts(problem.family, g.r_min, g.r_max, g.n_points)
     return Tridiagonal(K.diag - problem.c * H.diag, K.off - problem.c * H.off), M
 
 
@@ -287,11 +286,11 @@ def critical_sweep(
     c_hi: float,
     tol: float,
     *,
-    grid: Optional[RadialGrid] = None,
+    grid: RadialGrid,
     ladder: SpectralConfig = SpectralConfig(),
 ) -> SweepResult:
     """Bisect the Bounded/Diverging verdict in c, each probe a `lambda1`
-    ladder on `grid` (the [grid] default when None).
+    ladder on `grid`.
 
     Returns the midpoint of the final bracket; |c_hat - critical constant|
     is informally tol plus the ladder's detection bias (calibrated against
@@ -304,7 +303,6 @@ def critical_sweep(
         raise InvalidParams(f"a sweep needs ladders of >= {MIN_RUNGS} rungs, got {ladder.rungs}")
     if not tol > 0.0:
         raise InvalidParams(f"a sweep needs tol > 0, got {tol:g}")
-    grid = grid or GridConfig().build()
     trace: List[dict] = []
 
     def probe(c: float) -> str:
@@ -346,37 +344,6 @@ def _theta_deriv(r):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class TestFunctionFamily:
-    """The two nonexistence constructions.
-
-    phi_n    : min(r^gamma theta, n^{-gamma}) -- capped power, capped at
-               radius 1/n, cut off smoothly between |x| = 1 and 2.
-    phi_gamma: r^gamma theta.
-    """
-
-    __test__ = False  # not a pytest class, despite the name
-
-    kind: str           # "phi_n" | "phi_gamma"
-    gamma: float
-    n: int = 0
-
-    def value(self, r):
-        r = np.asarray(r, dtype=float)
-        out = r**self.gamma * _theta(r)
-        if self.kind == "phi_n":
-            out = np.minimum(out, float(self.n) ** (-self.gamma))
-        return out if out.ndim else float(out)
-
-    def deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        g = self.gamma
-        out = g * r ** (g - 1.0) * _theta(r) + r**g * _theta_deriv(r)
-        if self.kind == "phi_n":
-            out = np.where(r < 1.0 / self.n, 0.0, out)
-        return out if out.ndim else float(out)
-
-
 def phi_n_gamma_bounds(c: float, N0: float) -> Tuple[float, float]:
     """Admissible exponent interval max(-sqrt c, -N0/2) < g < min((2-N0)/2, 0)."""
     return max(-math.sqrt(c), -N0 / 2.0), min((2.0 - N0) / 2.0, 0.0)
@@ -402,7 +369,7 @@ class PhiNQuotient:
 
 
 @lru_cache(maxsize=256)
-def _annulus(family: WeightFamily, c: float, g: float, rtol: float):
+def _annulus(family: WeightFamily, c: float, g: float):
     """Numerator and denominator of r^g theta on the cutoff annulus [1, 2], which no cap reaches."""
 
     def f_num(r):
@@ -411,24 +378,24 @@ def _annulus(family: WeightFamily, c: float, g: float, rtol: float):
         grad = g * r ** (g - 1.0) * th + r**g * dth
         return grad * grad - c * r ** (2 * g - 2.0) * th * th
 
-    return (weighted_integral(family, f_num, 1.0, 2.0, rtol=rtol),
-            weighted_integral(family, lambda r: r ** (2 * g) * _theta(r) ** 2, 1.0, 2.0, rtol=rtol))
+    return (weighted_integral(family, f_num, 1.0, 2.0),
+            weighted_integral(family, lambda r: r ** (2 * g) * _theta(r) ** 2, 1.0, 2.0))
 
 
 @lru_cache(maxsize=256)
-def _phi_n_bound_constants(family: WeightFamily, c: float, g: float, rtol: float):
+def _phi_n_bound_constants(family: WeightFamily, c: float, g: float):
     """C1, C2 of the phi_n upper bound (see PhiNQuotient)."""
-    C1 = 2.0 * weighted_integral(family, lambda r: r ** (2 * g) * _theta_deriv(r) ** 2, 1.0, 2.0, rtol=rtol) \
-        + 2.0 * g * g * weighted_integral(family, lambda r: r ** (2 * g - 2.0) * _theta(r) ** 2, 1.0, 2.0, rtol=rtol)
-    C2 = _annulus(family, c, g, rtol)[1]
+    C1 = 2.0 * weighted_integral(family, lambda r: r ** (2 * g) * _theta_deriv(r) ** 2, 1.0, 2.0) \
+        + 2.0 * g * g * weighted_integral(family, lambda r: r ** (2 * g - 2.0) * _theta(r) ** 2, 1.0, 2.0)
+    C2 = _annulus(family, c, g)[1]
     if C2 <= 0.0:
         # compactly supported weight (dead annulus): bound the denominator
         # by the mass between 1/2 and 1 instead, where phi_n^2 >= 1
-        C2 = weighted_integral(family, None, 0.5, 1.0, rtol=rtol)
+        C2 = weighted_integral(family, None, 0.5, 1.0)
     return C1, C2
 
 
-def _capped_quotient(family: WeightFamily, c: float, g: float, n: int, rtol: float):
+def _capped_quotient(family: WeightFamily, c: float, g: float, n: int):
     """(numerator, denominator, int_{1/n}^1 r^{2g-2} dmu) of the Hardy quotient
     of min(r^g theta, n^-g): the cap on (0, 1/n), the power on (1/n, 1), the
     annulus.  n = 0 removes the cap, which leaves phi_gamma = r^g theta."""
@@ -437,15 +404,15 @@ def _capped_quotient(family: WeightFamily, c: float, g: float, n: int, rtol: flo
     try:
         if n:
             cap_sq = float(n) ** (-2.0 * g)
-            cap_num = -c * cap_sq * weighted_integral(family, None, 0.0, r_cap, power=-2.0, rtol=rtol)
-            cap_den = cap_sq * weighted_integral(family, None, 0.0, r_cap, rtol=rtol)
-        mid_I = weighted_integral(family, None, r_cap, 1.0, power=2.0 * g - 2.0, rtol=rtol)
-        mid_den = weighted_integral(family, None, r_cap, 1.0, power=2.0 * g, rtol=rtol)
+            cap_num = -c * cap_sq * weighted_integral(family, None, 0.0, r_cap, power=-2.0)
+            cap_den = cap_sq * weighted_integral(family, None, 0.0, r_cap)
+        mid_I = weighted_integral(family, None, r_cap, 1.0, power=2.0 * g - 2.0)
+        mid_den = weighted_integral(family, None, r_cap, 1.0, power=2.0 * g)
     except DivergentIntegral as exc:
         raise NonIntegrableTestFunction(
             str(exc) if n else f"r^{2 * g:g} or r^{2 * g - 2:g} not integrable against dmu"
         ) from exc
-    out_num, out_den = _annulus(family, c, g, rtol)
+    out_num, out_den = _annulus(family, c, g)
     return cap_num + (g * g - c) * mid_I + out_num, cap_den + mid_den + out_den, mid_I
 
 
@@ -467,7 +434,6 @@ def quotient_phi_n(
     n: int,
     *,
     profile: Optional[HardyProfile] = None,
-    rtol: float = 1e-10,
 ) -> PhiNQuotient:
     """Exact Rayleigh quotient of phi_n (not the paper-style upper bound;
     that bound is emitted alongside as a diagnostic)."""
@@ -481,8 +447,8 @@ def quotient_phi_n(
             f"gamma={gamma:g} outside [{lo:g}, {hi:g}] for c={c:g}, N0={profile.N0:g}"
         )
     g = gamma
-    num, den, mid_I = _capped_quotient(family, c, g, n, rtol)
-    C1, C2 = _phi_n_bound_constants(family, c, g, rtol)
+    num, den, mid_I = _capped_quotient(family, c, g, n)
+    C1, C2 = _phi_n_bound_constants(family, c, g)
     return PhiNQuotient(value=num / den, upper_bound=((g * g - c) * mid_I + C1) / C2,
                         numerator=num, denominator=den, C1=C1, C2=C2)
 
@@ -493,7 +459,6 @@ def quotient_phi_gamma(
     gamma: float,
     *,
     profile: Optional[HardyProfile] = None,
-    rtol: float = 1e-10,
 ) -> float:
     """Exact Rayleigh quotient of phi_gamma = r^gamma theta, the uncapped phi_n."""
     profile = profile or compute_profile(family)
@@ -502,7 +467,7 @@ def quotient_phi_gamma(
         raise InadmissibleGamma(
             f"gamma={gamma:g} outside [{lo:g}, 0) for N0={profile.N0:g}"
         )
-    num, den, _ = _capped_quotient(family, c, gamma, 0, rtol)
+    num, den, _ = _capped_quotient(family, c, gamma, 0)
     return num / den
 
 
@@ -574,8 +539,6 @@ class CrosscheckResult:
 def weighted_vs_flat_crosscheck(
     family: WeightFamily,
     phi: RadialBump,
-    *,
-    profile: Optional[HardyProfile] = None,
 ) -> CrosscheckResult:
     """Check c_{0,mu} int phi^2/r^2 dmu <= int |grad phi|^2 dmu + int U phi^2 dmu
     and the ground-state-substitution identity
@@ -586,7 +549,7 @@ def weighted_vs_flat_crosscheck(
     """
     if phi.lo <= 0.0:
         raise UnsupportedFunction("phi must be supported away from the origin")
-    profile = profile or compute_profile(family)
+    profile = compute_profile(family)
     lo, hi = phi.lo, phi.hi
     grad2 = weighted_integral(family, lambda r: phi.deriv(r) ** 2, lo, hi)
     hardy = weighted_integral(family, lambda r: phi(r) ** 2, lo, hi, power=-2.0)

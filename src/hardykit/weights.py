@@ -167,9 +167,9 @@ class WeightFamily:
     """Parametric radial density with analytic log-derivatives.
 
     Parameters are interpreted per `kind`; irrelevant ones are ignored.
-    `custom_profile` is a triple (mu, mu'/mu, mu''/mu) of radial callables;
-    the third entry may be None, in which case a five-point finite
-    difference of log mu is used (documented accuracy loss ~1e-6).
+    `custom_profile` is a pair (mu, mu'/mu) of radial callables; mu''/mu
+    comes from a five-point finite difference of log mu (documented
+    accuracy loss ~1e-6).
     """
 
     kind: Kind
@@ -178,7 +178,7 @@ class WeightFamily:
     m: float = 1.0
     beta: float = 0.0
     alpha: float = 0.0
-    custom_profile: Optional[Tuple[Callable, Callable, Optional[Callable]]] = None
+    custom_profile: Optional[Tuple[Callable, Callable]] = None
 
     def __post_init__(self):
         if not isinstance(self.kind, Kind):
@@ -195,8 +195,8 @@ class WeightFamily:
                 raise InvalidParams(f"beta must be < dimension for mu to be locally "
                                     f"integrable, got beta={self.beta:g}")
         if self.kind is Kind.CUSTOM:
-            if self.custom_profile is None or len(self.custom_profile) != 3:
-                raise InvalidParams("custom kind requires a (mu, mu'/mu, mu''/mu) triple")
+            if self.custom_profile is None or len(self.custom_profile) != 2:
+                raise InvalidParams("custom kind requires a (mu, mu'/mu) pair")
         elif self.custom_profile is not None:
             raise InvalidParams("custom_profile is only valid with kind=custom")
 
@@ -333,18 +333,14 @@ def log_derivatives(family: WeightFamily, r):
     arr = np.atleast_1d(arr)
     N = family.dimension
     if family.kind is Kind.CUSTOM:
-        mu_fn, d1_fn, lap2_fn = family.custom_profile
+        mu_fn, d1_fn = family.custom_profile
         d1 = np.atleast_1d(np.asarray(d1_fn(arr), dtype=float))
-        if lap2_fn is not None:
-            mu2 = np.atleast_1d(np.asarray(lap2_fn(arr), dtype=float))
-        else:
-            # five-point finite difference of g = log mu; mu''/mu = g'' + g'^2
-            h = 1e-3 * arr
-            g = lambda x: np.log(np.asarray(mu_fn(x), dtype=float))
-            g2 = (-g(arr + 2 * h) + 16 * g(arr + h) - 30 * g(arr)
-                  + 16 * g(arr - h) - g(arr - 2 * h)) / (12 * h * h)
-            mu2 = g2 + d1 * d1
-        lap = mu2 + (N - 1.0) / arr * d1
+        # five-point finite difference of g = log mu; mu''/mu = g'' + g'^2
+        h = 1e-3 * arr
+        g = lambda x: np.log(np.asarray(mu_fn(x), dtype=float))
+        g2 = (-g(arr + 2 * h) + 16 * g(arr + h) - 30 * g(arr)
+              + 16 * g(arr - h) - g(arr - 2 * h)) / (12 * h * h)
+        lap = g2 + d1 * d1 + (N - 1.0) / arr * d1
     else:
         _, g1, g2 = _log_mu_jet(family, np.log(arr), True)
         d1 = g1 / arr

@@ -293,6 +293,29 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: [evolution]")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("task, overrides", [
+        ("spectrum", ["spectral.c=0.5", "spectral.lambda_floor=nan"]),
+        ("spectrum", ["spectral.c=nan"]),
+        ("evolve", ["evolution.c=0.5", "evolution.blowup_ratio=nan"]),
+        ("evolve", ["evolution.omega_rtol=nan"]),
+        ("evolve", ["evolution.c=inf"]),
+        ("evolve", ["evolution.caps=100,nan,10000"]),
+        ("evolve", ["evolution.dt=inf"]),
+        ("analyze", ["family.b=nan"]),
+        ("analyze", ["family.kind=log_weight", "family.alpha=1", "grid.r_max=0.95",
+                     "evolution.r_max=0.95", "hardy.h3p_threshold=nan"]),
+    ], ids=lambda v: v[-1] if isinstance(v, list) else v)
+    def test_non_finite_values_exit_2(self, tmp_path, capsys, task, overrides):
+        # a nan passes every comparison-free rule and would flip a verdict
+        rc = main([task, "--out", str(tmp_path / "o"),
+                   *(arg for o in overrides for arg in ("--override", o))])
+        assert rc == 2
+        section, key_value = overrides[-1].split(".", 1)
+        key, value = key_value.split("=")
+        assert capsys.readouterr().err == (
+            f"config error: [{section}] {key} = {value} must be finite\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("override", ["r_min=0", "r_max=1e-6", "n_points=8", "r_max=inf"])
     def test_bad_grid_values_exit_2(self, tmp_path, capsys, override):
         rc = main(["sweep", "--out", str(tmp_path / "o"), "--override", f"grid.{override}"])

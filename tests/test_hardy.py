@@ -14,6 +14,7 @@ from hardykit import (
     compute_Umu,
     estimate_N0,
 )
+from hardykit.config import HardyConfig
 from hardykit.errors import ProfileUndefined
 
 from conftest import fd_log_derivatives
@@ -79,6 +80,16 @@ class TestUmu:
 
 
 class TestProfile:
+    def test_cache_keys_on_the_knobs_it_reads(self):
+        # the profile reads k_min, k_max and tail_window only, so the call
+        # forms and configs that differ in audit knobs share one entry
+        fam = WeightFamily(Kind.EXP_POWER, 5, b=0.5, m=1.5)
+        before = compute_profile.cache_info().misses
+        p = compute_profile(fam)
+        assert compute_profile(fam, HardyConfig()) is p
+        assert compute_profile(fam, HardyConfig(h3p_j_max=5)) is p
+        assert compute_profile.cache_info().misses - before == 1
+
     def test_exp_power(self, exppow3):
         p = compute_profile(exppow3)
         assert abs(p.L) < 1e-10
@@ -115,7 +126,7 @@ class TestProfile:
 
     def test_custom_undefined_near_zero(self):
         mu = lambda r: np.where(np.asarray(r) < 0.01, np.nan, 1.0)
-        fam = WeightFamily(Kind.CUSTOM, 3, custom_profile=(mu, lambda r: 0.0 * np.asarray(r), None))
+        fam = WeightFamily(Kind.CUSTOM, 3, custom_profile=(mu, lambda r: 0.0 * np.asarray(r)))
         with pytest.raises(ProfileUndefined):
             compute_profile(fam)
 
@@ -241,7 +252,7 @@ class TestHypotheses:
 
     def test_report_serialization(self, exppow3):
         rep = check_hypotheses(exppow3)
-        payload = json.loads(rep.to_json())
+        payload = json.loads(json.dumps(rep.to_json_dict()))
         for key in ("h2_ii", "h2_iii", "h2_iv", "h3_N0", "h3p_iii", "cond1"):
             assert key in payload
         assert payload["h2_ii"]["c0_mu"] == pytest.approx(0.25, abs=1e-6)

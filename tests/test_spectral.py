@@ -34,7 +34,7 @@ from hardykit.errors import (
 from hardykit import evolution, spectral
 from hardykit.config import SpectralConfig
 from hardykit import lapack as hk_lapack
-from hardykit.spectral import TestFunctionFamily, phi_n_gamma_bounds, _theta, _theta_deriv
+from hardykit.spectral import phi_n_gamma_bounds, _theta, _theta_deriv
 from hardykit.weights import RadialBump, surface_measure
 
 GRID = RadialGrid(1e-5, 20.0, 256)
@@ -364,8 +364,8 @@ class TestPhiN:
         prob = SpectralProblem(exppow3, c, grid)
         A, M = assemble(prob)
         res = lambda1(prob, SpectralConfig(rungs=1))
-        phi = TestFunctionFamily("phi_n", -0.6, 16)
-        v = phi.value(grid.nodes[1:-1])
+        r = grid.nodes[1:-1]
+        v = np.minimum(r ** -0.6 * _theta(r), 16.0 ** 0.6)   # phi_n, gamma = -0.6, n = 16
         rq_disc = float(v @ A.matvec(v)) / float(v @ (M * v))
         assert res.lambda1 <= rq_disc + 1e-12
         q = quotient_phi_n(exppow3, c, -0.6, 16).value

@@ -148,12 +148,18 @@ class TestLogDerivatives:
     def test_custom_with_fd_fallback(self, exppow3):
         mu = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
         d1 = lambda r: -2.0 * np.asarray(r, dtype=float)
-        fam = WeightFamily(Kind.CUSTOM, 3, custom_profile=(mu, d1, None))
+        fam = WeightFamily(Kind.CUSTOM, 3, custom_profile=(mu, d1))
         for r in (0.05, 0.5, 2.0):
             got = log_derivatives(fam, r)
             want = log_derivatives(exppow3, r)
             assert got[0] == pytest.approx(want[0], rel=1e-12)
             assert abs(got[1] - want[1]) <= 1e-6 * max(1.0, abs(want[1]))
+
+    def test_custom_profile_is_a_pair(self):
+        mu = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
+        d1 = lambda r: -2.0 * np.asarray(r, dtype=float)
+        with pytest.raises(InvalidParams, match="pair"):
+            WeightFamily(Kind.CUSTOM, 3, custom_profile=(mu, d1, None))
 
 
 class TestWeightedIntegral:
