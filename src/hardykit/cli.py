@@ -99,7 +99,7 @@ def run_analyze(cfg: RunConfig):
 
 def run_spectrum(cfg: RunConfig):
     family = cfg.family.build()
-    res = lambda1(SpectralProblem(family, cfg.spectral.c, cfg.grid.build()), cfg.spectral)
+    res = lambda1(SpectralProblem(family, cfg.spectral.c, cfg.grid), cfg.spectral)
     payload = {
         "family": family.label(),
         "c": cfg.spectral.c,
@@ -123,7 +123,7 @@ def run_sweep(cfg: RunConfig):
     profile = compute_profile(family, cfg.hardy)
     try:
         res = critical_sweep(family, s.sweep_c_lo, s.sweep_c_hi, s.sweep_tol,
-                             grid=cfg.grid.build(), ladder=s)
+                             grid=cfg.grid, ladder=s)
     except BadBracket as exc:
         if exc.verdicts == ("Bounded", "Bounded") and s.sweep_c_hi <= profile.c0_mu:
             raise BadBracket(
@@ -137,7 +137,7 @@ def run_sweep(cfg: RunConfig):
     # operational additive constant: -lambda1 at the weighted Hardy coupling
     # (couplings <= 0 are trivially valid and need no constant)
     if profile.c0_mu > 0.0:
-        lam_at_c0mu = lambda1(SpectralProblem(family, profile.c0_mu, cfg.grid.build()),
+        lam_at_c0mu = lambda1(SpectralProblem(family, profile.c0_mu, cfg.grid),
                               replace(s, rungs=1)).lambda1
         c_mu_op = max(0.0, -lam_at_c0mu)
     else:
@@ -188,7 +188,7 @@ def run_sharpness(cfg: RunConfig):
 def run_evolve(cfg: RunConfig):
     family = cfg.family.build()
     run = dichotomy_verdict(family, cfg.evolution.c, cfg.evolution, ladder=cfg.spectral,
-                            spectral_grid=cfg.grid.build())
+                            spectral_grid=cfg.grid)
     rows = [(t, s.cap, nn) for s in run.series for t, nn in zip(s.times, s.norms)]
     payload = run.to_json_dict()
     return {"evolution.csv": _csv(EVOLUTION, rows), "evolution.json": _json(payload)}, payload

@@ -3,9 +3,12 @@
 Each section class is the one definition of its knobs' defaults and
 ranges: the numeric layers take the section object itself (HardyConfig for
 the profile and the audit, SpectralConfig for the refinement ladder,
-EvolutionConfig for the cap ladder), so a config file pins a run
-completely (there is no randomness anywhere in the toolkit).  Configs
-round-trip: parse -> serialize -> parse is the identity.
+EvolutionConfig for the cap ladder), and the [grid] section is the
+library's RadialGrid, so a config file pins a run completely (there is no
+randomness anywhere in the toolkit).  Where a library type checks its own
+values (RadialGrid, and WeightFamily behind [family]), its InvalidParams is
+reported as a config error of its section.  Configs round-trip: parse ->
+serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -45,27 +48,7 @@ class FamilyConfig:
             kind = Kind(self.kind.lower())
         except ValueError as exc:
             raise ConfigError(f"[family] unknown or missing weight kind: {self.kind!r}") from exc
-        try:
-            return WeightFamily(kind, self.dimension, self.b, self.m, self.beta, self.alpha)
-        except InvalidParams as exc:
-            raise ConfigError(f"[family] {exc}") from exc
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    r_min: float = 1e-5
-    r_max: float = 20.0
-    n_points: int = 256
-
-    def __post_init__(self):
-        _check("grid", (
-            (0.0 < self.r_min < self.r_max < math.inf,
-             f"r_min = {self.r_min}, r_max = {self.r_max} need 0 < r_min < r_max < inf"),
-            (self.n_points >= 16, f"n_points = {self.n_points} must be >= 16"),
-        ))
-
-    def build(self) -> RadialGrid:
-        return RadialGrid(self.r_min, self.r_max, self.n_points)
+        return WeightFamily(kind, self.dimension, self.b, self.m, self.beta, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -122,6 +105,11 @@ class SpectralConfig:
             (self.n_grow >= 1.0, f"n_grow = {self.n_grow} must be >= 1 (no rung coarsens)"),
             (self.diverge_factor >= 2.0,
              f"diverge_factor = {self.diverge_factor} must be >= 2 (the earlier ratio must exceed factor/2 >= 1)"),
+            # `not x < bound` lets a nan through to the finiteness check of
+            # _merge, which names it as such
+            (not self.lambda_floor < 0.0,
+             f"lambda_floor = {self.lambda_floor} must be >= 0 (a negative floor reads a "
+             f"positive, growing ladder as a cascade)"),
             (self.residual_tol > 0.0, f"residual_tol = {self.residual_tol} must be > 0"),
             (self.sweep_c_lo < self.sweep_c_hi,
              f"sweep_c_lo = {self.sweep_c_lo}, sweep_c_hi = {self.sweep_c_hi} "
@@ -188,6 +176,9 @@ class EvolutionConfig:
             (self.u0_lo < self.r_max and self.u0_hi > self.r_min,
              f"u0 support ({self.u0_lo}, {self.u0_hi}) misses the grid "
              f"({self.r_min}, {self.r_max})"),
+            (not self.blowup_ratio <= 1.0,  # a nan goes on to the finiteness check
+             f"blowup_ratio = {self.blowup_ratio} must be > 1 (capped solutions grow with "
+             f"the cap, so every cap ratio is >= 1)"),
         ))
 
 
@@ -195,7 +186,7 @@ class EvolutionConfig:
 class RunConfig:
     outdir: str = "out"
     family: FamilyConfig = field(default_factory=FamilyConfig)
-    grid: GridConfig = field(default_factory=GridConfig)
+    grid: RadialGrid = field(default_factory=RadialGrid)
     hardy: HardyConfig = field(default_factory=HardyConfig)
     spectral: SpectralConfig = field(default_factory=SpectralConfig)
     sharpness: SharpnessConfig = field(default_factory=SharpnessConfig)
@@ -213,28 +204,21 @@ class RunConfig:
         ))
 
 
-_SECTIONS = {
-    "family": FamilyConfig,
-    "grid": GridConfig,
-    "hardy": HardyConfig,
-    "spectral": SpectralConfig,
-    "sharpness": SharpnessConfig,
-    "evolution": EvolutionConfig,
-}
+_SECTIONS = ("family", "grid", "hardy", "spectral", "sharpness", "evolution")
 
 
-def _coerce(raw: str, default, key: str):
-    """Parse `raw` as the type of the field's default value.
+def _coerce(raw: str, current, key: str):
+    """Parse `raw` as the type of the key's current value.
 
     Dataclass field types are strings under future annotations, so the
-    default value carries the type; tuples are comma-separated scalars.
+    value carries the type; tuples are comma-separated scalars.
     """
     raw = raw.strip()
     try:
-        if isinstance(default, tuple):
-            inner = int if (default and isinstance(default[0], int)) else float
+        if isinstance(current, tuple):
+            inner = int if (current and isinstance(current[0], int)) else float
             return tuple(inner(x) for x in raw.split(",")) if raw else ()
-        return type(default)(raw)
+        return type(current)(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key} = {raw!r}: {exc}") from exc
 
@@ -247,6 +231,15 @@ def _serialize_value(v) -> str:
     return str(v)
 
 
+def _in_section(section: str, build, /, *args, **kwargs):
+    """build(*args, **kwargs), with an InvalidParams reported as a config
+    error of `section`."""
+    try:
+        return build(*args, **kwargs)
+    except InvalidParams as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def _merge(cfg: RunConfig, raw: dict) -> RunConfig:
     """`cfg` with `raw` (section -> key -> text) applied.  Each section is
     rebuilt once, so a check on two keys (sweep_c_lo < sweep_c_hi) sees
@@ -256,20 +249,20 @@ def _merge(cfg: RunConfig, raw: dict) -> RunConfig:
         if key != "outdir":
             raise ConfigError(f"unknown key [run] {key}")
         changes["outdir"] = text.strip()
-    for section, cls in _SECTIONS.items():
-        resolved = {}
+    for section in _SECTIONS:
+        block, resolved = getattr(cfg, section), {}
         for key, text in raw.get(section, {}).items():
-            if key not in {f.name for f in fields(cls)}:
+            if key not in {f.name for f in fields(block)}:
                 raise ConfigError(f"unknown key [{section}] {key}")
-            resolved[key] = _coerce(text, getattr(cls, key), f"[{section}] {key}")
+            resolved[key] = _coerce(text, getattr(block, key), f"[{section}] {key}")
         if resolved:
-            changes[section] = replace(getattr(cfg, section), **resolved)
+            changes[section] = _in_section(section, replace, block, **resolved)
             parsed += [(section, key, value) for key, value in resolved.items()]
     extra = set(raw) - set(_SECTIONS) - {"run"}
     if extra:
         raise ConfigError(f"unknown section(s): {sorted(extra)}")
     cfg = replace(cfg, **changes)
-    cfg.family.build()  # validate family parameters eagerly
+    _in_section("family", cfg.family.build)  # validate family parameters eagerly
     # after every range rule, so their messages come first: a nan or inf in
     # a key with no range rule would otherwise flip a verdict downstream
     for section, key, value in parsed:
@@ -329,15 +322,10 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
     not depend on their order (a later override of the same key wins)."""
     raw = {}
     for item in overrides:
-        if "=" not in item:
+        lhs, _, value = item.partition("=")
+        if "=" not in item or "." not in lhs:
             raise ConfigError(f"override must be section.key=value, got {item!r}")
-        lhs, value = item.split("=", 1)
-        if "." in lhs:
-            section, key = lhs.split(".", 1)
-        elif lhs.strip() == "outdir":
-            section, key = "run", lhs
-        else:
-            raise ConfigError(f"override must be section.key=value, got {item!r}")
+        section, key = lhs.split(".", 1)
         section, key = section.strip(), key.strip()
         if section != "run" and section not in _SECTIONS:
             raise ConfigError(f"unknown section in override: {section!r}")

@@ -49,11 +49,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .config import EvolutionConfig, GridConfig, SpectralConfig
+from .config import EvolutionConfig, SpectralConfig
 from .errors import DegenerateSeries, NegativeDatum, SchemeDivergence
 from .spectral import SpectralProblem, grid_parts, lambda1
 from .spectral import solve_banded  # noqa: F401  (bench/tracer.py hooks this name)
@@ -129,7 +129,7 @@ def _implicit_euler(family: WeightFamily, grid: RadialGrid, c: float,
     lumped cell weights W, and the main and off-diagonal of the symmetric
     S = W^{1/2} (I - dt (A + V_cap)) W^{-1/2} = I + dt W^{-1/2} K W^{-1/2} - dt V_cap,
     with A = -W^{-1} K built from the spectral module's grid parts."""
-    nodes, K, _, W = grid_parts(family, grid.r_min, grid.r_max, grid.n_points)
+    nodes, K, _, W = grid_parts(family, grid)
     r = nodes[1:-1]
     V = np.minimum(c / r**2, cap)
     sqrt_w = np.sqrt(W)
@@ -260,7 +260,7 @@ def dichotomy_verdict(
     knobs: EvolutionConfig = EvolutionConfig(),
     *,
     ladder: SpectralConfig = SpectralConfig(),
-    spectral_grid: Optional[RadialGrid] = None,
+    spectral_grid: RadialGrid = RadialGrid(),
 ) -> EvolutionRun:
     """Run the cap ladder of the knobs, from the bump on (u0_lo, u0_hi),
     and classify the outcome.
@@ -299,8 +299,7 @@ def dichotomy_verdict(
     else:
         verdict = "Inconclusive"
 
-    sgrid = spectral_grid or GridConfig().build()
-    spectral = lambda1(SpectralProblem(family, c, sgrid), ladder).verdict
+    spectral = lambda1(SpectralProblem(family, c, spectral_grid), ladder).verdict
     agrees = verdict == "Inconclusive" or (
         spectral != "Unresolved"
         and (verdict == "BlowupSignature") == (spectral == "Diverging")

@@ -275,12 +275,18 @@ class HypothesisReport:
     h3p_iii_diverges: bool
     h3p_values: list             # lambda ladder of lambda * int_B1 r^{lambda - N0} dmu
     cond1: dict                  # p -> {"holds": bool, "exponent": float}
-    classification: str          # "H2" | "H2_prime_only" | "neither"
     oscillatory: bool = False
 
     @property
     def h2_prime(self) -> bool:
         return self.h2_i and self.h2_ii_finite and self.h2_iii_bounded
+
+    @property
+    def classification(self) -> str:
+        """"H2" (H2' and H2 iv), "H2_prime_only" or "neither"."""
+        if not self.h2_prime:
+            return "neither"
+        return "H2" if self.h2_iv_holds else "H2_prime_only"
 
     def to_json_dict(self) -> dict:
         return {
@@ -402,7 +408,6 @@ def check_hypotheses(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -
 
     # H3' iii: lambda ladder of lambda * int_B1 r^{lambda - N0} dmu.
     h3p_values = []
-    diverged_hard = False
     for j in range(1, knobs.h3p_j_max + 1):
         lam = 2.0 ** (-j)
         try:
@@ -410,16 +415,12 @@ def check_hypotheses(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -
         except DivergentIntegral:
             # N0 is the integrability edge; an outright divergent member of
             # the ladder counts as the limsup being +oo
-            diverged_hard = True
+            h3p_diverges = True
             break
         h3p_values.append(v)
-    if diverged_hard:
-        h3p_diverges = True
-    elif len(h3p_values) >= 3:
+    else:  # all h3p_j_max >= 3 values are in
         tail_inc = h3p_values[-1] > h3p_values[-2] > h3p_values[-3]
         h3p_diverges = tail_inc and h3p_values[-1] > knobs.h3p_threshold
-    else:
-        h3p_diverges = False
 
     # Appendix small-ball condition: decay exponent of delta^{-p} mu(B_delta).
     cond1 = {}
@@ -432,10 +433,6 @@ def check_hypotheses(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -
         q = np.log(ball) - p * logd
         slope = float(np.polyfit(logd, q, 1)[0])
         cond1[f"{p:g}"] = {"holds": slope > knobs.cond1_tol, "exponent": slope}
-
-    h2_full = h2_i and h2_ii_finite and h2_iii_ok and h2_iv_holds
-    h2_prime = h2_i and h2_ii_finite and h2_iii_ok
-    classification = "H2" if h2_full else ("H2_prime_only" if h2_prime else "neither")
 
     return HypothesisReport(
         family=family,
@@ -452,6 +449,5 @@ def check_hypotheses(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -
         h3p_iii_diverges=h3p_diverges,
         h3p_values=h3p_values,
         cond1=cond1,
-        classification=classification,
         oscillatory=profile.oscillatory,
     )

@@ -56,7 +56,8 @@ def _check_info(routine: str, info: int) -> None:
 def eigh_tridiagonal(d, e):
     """(w, v): the smallest eigenpair of the symmetric tridiagonal (d, e),
     as scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
-    computes it: stebz bisection in block order, stein, then the sort."""
+    computes it: stebz bisection in block order, then stein.  scipy sorts the
+    m selected eigenvalues afterwards; index range 1..1 gives m == 1."""
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise NoConvergence("LAPACK dstebz input has non-finite entries")
     m, w, iblock, isplit, info = flapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
@@ -64,8 +65,7 @@ def eigh_tridiagonal(d, e):
     w = w[:m]
     v, info = flapack.dstein(d, e, w, iblock, isplit)
     _check_info("dstein", info)
-    order = np.argsort(w)
-    return w[order], v[:, order]
+    return w, v
 
 
 def solve_banded(l_and_u, ab, b):

@@ -124,12 +124,11 @@ class SpectralProblem:
 
 
 @lru_cache(maxsize=256)
-def grid_parts(family: WeightFamily, r_min: float, r_max: float, n_points: int):
+def grid_parts(family: WeightFamily, grid: RadialGrid):
     """(nodes, K, H, M) for one grid: the Laplacian stiffness from the
     element conductances mass/h^2, the Hardy block and the lumped mass, on
     the interior nodes only (Dirichlet).  The time stepper assembles its
     operator from the same parts."""
-    grid = RadialGrid(r_min, r_max, n_points)
     e = hat_element_integrals(family, grid.nodes)
     g = e.mass / e.h**2
     hd = e.hardy_rr[:-1] + e.hardy_ll[1:]
@@ -145,8 +144,7 @@ def grid_parts(family: WeightFamily, r_min: float, r_max: float, n_points: int):
 
 def assemble(problem: SpectralProblem) -> Tuple[Tridiagonal, np.ndarray]:
     """(stiffness, mass) on the interior nodes of the problem grid."""
-    g = problem.grid
-    _, K, H, M = grid_parts(problem.family, g.r_min, g.r_max, g.n_points)
+    _, K, H, M = grid_parts(problem.family, problem.grid)
     return Tridiagonal(K.diag - problem.c * H.diag, K.off - problem.c * H.off), M
 
 
@@ -264,7 +262,7 @@ def lambda1(problem: SpectralProblem, ladder: SpectralConfig = SpectralConfig())
     for k in range(1, ladder.rungs):
         rm = g.r_min / ladder.rmin_shrink**k
         n = int(round(g.n_points * ladder.n_grow**k))
-        rung = replace(problem, grid=RadialGrid(rm, g.r_max, n))
+        rung = replace(problem, grid=replace(g, r_min=rm, n_points=n))
         lam, _, _ = _solve_smallest(*assemble(rung), ladder.residual_tol, enforce=False)
         rows.append((n, rm, lam))
     verdict = _ladder_verdict([row[2] for row in rows], ladder.diverge_factor, ladder.lambda_floor)

@@ -535,20 +535,20 @@ class RadialGrid:
     """Geometric grid r_i = r_min * rho^i on [r_min, r_max].
 
     The origin is excluded by construction; the singularity is never
-    evaluated.
+    evaluated.  The config's [grid] section is this class, defaults and
+    rule included.
     """
 
-    r_min: float
-    r_max: float
-    n_points: int
+    r_min: float = 1e-5
+    r_max: float = 20.0
+    n_points: int = 256
 
     def __post_init__(self):
-        if self.r_min <= 0.0:
-            raise InvalidParams("r_min must be positive (the origin is excluded)")
-        if self.r_max <= self.r_min:
-            raise InvalidParams("r_max must exceed r_min")
+        if not 0.0 < self.r_min < self.r_max < math.inf:
+            raise InvalidParams(
+                f"r_min = {self.r_min}, r_max = {self.r_max} need 0 < r_min < r_max < inf")
         if self.n_points < 16:
-            raise InvalidParams("need at least 16 grid points")
+            raise InvalidParams(f"n_points = {self.n_points} must be >= 16")
 
     @cached_property
     def nodes(self) -> np.ndarray:

@@ -94,6 +94,7 @@ sweep_tol = 0.01
         ("diverge_factor = 1.0001", "diverge_factor = 1.0001 must be >= 2"),
         ("diverge_factor = 1.5", "diverge_factor = 1.5 must be >= 2"),
         ("residual_tol = 0", "residual_tol = 0.0 must be > 0"),
+        ("lambda_floor = -1e5", "lambda_floor = -100000.0 must be >= 0"),
     ])
     def test_spectral_ranges_rejected(self, assignment, message):
         with pytest.raises(ConfigError, match=re.escape(f"[spectral] {message}")):
@@ -274,6 +275,18 @@ class TestCli:
         empty.write_text("[family]\n\n[spectral]\nc = 0.2\n")
         assert main(["analyze", "--config", str(empty), "--out", str(tmp_path)]) == 2
 
+    def test_run_outdir_override_names_the_outdir(self, tmp_path):
+        rc = main(["analyze", "--override", f"run.outdir={tmp_path / 'o'}"])
+        assert rc == 0
+        assert (tmp_path / "o" / "hypotheses.json").exists()
+
+    def test_bare_outdir_override_exit_2(self, tmp_path, capsys):
+        override = f"outdir={tmp_path / 'o'}"
+        assert main(["analyze", "--override", override]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: override must be section.key=value, got {override!r}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_config_file_roundtrips_through_cli(self, tmp_path):
         cfg_file = tmp_path / "cfg.ini"
         from hardykit.config import RunConfig, serialize_config
@@ -284,7 +297,7 @@ class TestCli:
     @pytest.mark.parametrize("override", [
         "caps=100,1000", "caps=-10,100,1000", "cap_dt_safety=0", "dt=0", "T=0",
         "records=4", "n_points=8", "u0_lo=-1", "r_min=0", "r_min=10", "t_star_frac=2",
-        "r_max=0.2", "t_star_frac=0.005", "r_max=inf",
+        "r_max=0.2", "t_star_frac=0.005", "r_max=inf", "blowup_ratio=1",
     ])
     def test_bad_evolution_values_exit_2(self, tmp_path, capsys, override):
         rc = main(["evolve", "--out", str(tmp_path / "o"),

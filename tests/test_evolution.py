@@ -27,7 +27,7 @@ def _unscaled(family, grid, c, cap, dt):
     """(r, W, (dl, d, du)): the non-symmetric implicit-Euler matrix
     I - dt (A + V_cap), A = -W^{-1} K, that the stepper once factored with
     pivoting, built directly from the spectral grid parts."""
-    nodes, K, _, W = grid_parts(family, grid.r_min, grid.r_max, grid.n_points)
+    nodes, K, _, W = grid_parts(family, grid)
     r = nodes[1:-1]
     V = np.minimum(c / r**2, cap)
     return r, W, (dt * K.off / W[1:], 1.0 + dt * K.diag / W - dt * V, dt * K.off / W[:-1])
@@ -72,7 +72,7 @@ class TestRunCapped:
     def test_flux_form_conserves_on_interior_rows(self, exppow3):
         # c = 0: every flux leaving a cell enters its neighbour, so the
         # stiffness rows away from the Dirichlet ends sum to zero
-        _, K, _, _ = grid_parts(exppow3, 1e-8, 8.0, 512)
+        _, K, _, _ = grid_parts(exppow3, RadialGrid(1e-8, 8.0, 512))
         row_sums = K.matvec(np.ones(K.n))
         assert np.all(np.abs(row_sums[1:-1]) <= 1e-12 * K.diag[1:-1])
 

@@ -295,6 +295,12 @@ class TestRadialGrid:
         with pytest.raises(InvalidParams):
             RadialGrid(0.1, 1.0, 8)
 
+    @pytest.mark.parametrize("r_max", [math.inf, math.nan])
+    def test_non_finite_r_max_rejected(self, r_max):
+        # an infinite r_max would fill the nodes with inf and nan
+        with pytest.raises(InvalidParams, match=f"r_max = {r_max} need 0 < r_min < r_max < inf"):
+            RadialGrid(1e-5, r_max, 256)
+
 
 class TestBumpsAndCutoffs:
     def test_transition_endpoints(self):
