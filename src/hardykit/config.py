@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Tuple
 
@@ -193,32 +194,39 @@ class RunConfig:
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
 
     def __post_init__(self):
-        # on the run, not in SpectralConfig: the cap reads [grid] as well.
-        # In logs, because n_grow ** (rungs - 1) overflows a float long before the cap
+        # on the run, not in SpectralConfig: the deepest rung reads [grid] as
+        # well.  In logs, because n_grow ** (rungs - 1) overflows a float long
+        # before the cap, and rmin_shrink ** (rungs - 1) may overflow too
         g, s = self.grid, self.spectral
+        log_r_min = math.log10(g.r_min) - (s.rungs - 1) * math.log10(s.rmin_shrink)
         _check("spectral", (
             (s.rungs >= 1, f"rungs = {s.rungs} must be >= 1"),
             (math.log2(g.n_points) + (s.rungs - 1) * math.log2(s.n_grow) <= math.log2(MAX_NODES),
              f"the deepest rung has grid.n_points * n_grow^(rungs - 1) = "
              f"{g.n_points} * {s.n_grow:g}^{s.rungs - 1} nodes, above the cap of {MAX_NODES}"),
+            (not log_r_min < math.log10(sys.float_info.min),  # a nan goes on to the finiteness check
+             f"the deepest rung has r_min = grid.r_min / rmin_shrink^(rungs - 1) = "
+             f"{g.r_min:g} / {s.rmin_shrink:g}^{s.rungs - 1} = 10^{log_r_min:.1f}, below the "
+             f"smallest normal double {sys.float_info.min:.3g}"),
         ))
 
 
 _SECTIONS = ("family", "grid", "hardy", "spectral", "sharpness", "evolution")
 
 
-def _coerce(raw: str, current, key: str):
-    """Parse `raw` as the type of the key's current value.
+def _coerce(raw: str, default, key: str):
+    """Parse `raw` as the type of the key's default in its section class.
 
     Dataclass field types are strings under future annotations, so the
-    value carries the type; tuples are comma-separated scalars.
+    default carries the type: a value set in code (RadialGrid(r_max=20))
+    does not change it.  Tuples are comma-separated scalars.
     """
     raw = raw.strip()
     try:
-        if isinstance(current, tuple):
-            inner = int if (current and isinstance(current[0], int)) else float
+        if isinstance(default, tuple):
+            inner = int if (default and isinstance(default[0], int)) else float
             return tuple(inner(x) for x in raw.split(",")) if raw else ()
-        return type(current)(raw)
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key} = {raw!r}: {exc}") from exc
 
@@ -251,10 +259,11 @@ def _merge(cfg: RunConfig, raw: dict) -> RunConfig:
         changes["outdir"] = text.strip()
     for section in _SECTIONS:
         block, resolved = getattr(cfg, section), {}
+        defaults = {f.name: f.default for f in fields(block)}
         for key, text in raw.get(section, {}).items():
-            if key not in {f.name for f in fields(block)}:
+            if key not in defaults:
                 raise ConfigError(f"unknown key [{section}] {key}")
-            resolved[key] = _coerce(text, getattr(block, key), f"[{section}] {key}")
+            resolved[key] = _coerce(text, defaults[key], f"[{section}] {key}")
         if resolved:
             changes[section] = _in_section(section, replace, block, **resolved)
             parsed += [(section, key, value) for key, value in resolved.items()]

@@ -130,15 +130,14 @@ def grid_parts(family: WeightFamily, grid: RadialGrid):
     the interior nodes only (Dirichlet).  The time stepper assembles its
     operator from the same parts."""
     e = hat_element_integrals(family, grid.nodes)
+    md = e.mass_r[:-1] + e.mass_l[1:]
+    if np.any(md <= 0.0):  # before h**2, which underflows with it at r_min
+        where = (f"the measure underflows at r_min = {grid.r_min:g} -- raise r_min"
+                 if md[0] <= 0.0 else "the weight underflows before r_max -- shrink the domain")
+        raise InvalidParams(f"lumped mass vanished on the grid; {where}")
     g = e.mass / e.h**2
     hd = e.hardy_rr[:-1] + e.hardy_ll[1:]
-    ho = e.hardy_lr[1:-1]
-    md = e.mass_r[:-1] + e.mass_l[1:]
-    if np.any(md <= 0.0):
-        raise InvalidParams(
-            "lumped mass vanished on the grid; the weight underflows before "
-            "r_max -- shrink the domain"
-        )
+    ho = e.hardy_lr[1:-1].copy()  # a view would keep all seven rows of e cached
     return grid.nodes, Tridiagonal(g[:-1] + g[1:], -g[1:-1]), Tridiagonal(hd, ho), md
 
 

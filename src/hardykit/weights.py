@@ -556,6 +556,8 @@ class RadialGrid:
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+_GL_X1, _GL_W2 = _GL_X + 1.0, _GL_W / 2.0
+_ELEMENT_BLOCK = 256  # elements per block: each 12-point temporary is 24 KiB
 
 
 @dataclass(frozen=True)
@@ -578,33 +580,44 @@ class ElementIntegrals:
     hardy_rr: np.ndarray
 
 
+@_quiet_overflow
 def hat_element_integrals(family: WeightFamily, nodes: np.ndarray) -> ElementIntegrals:
     """Fixed-order Gauss-Legendre element integrals (12 points/element).
 
     Elements of a geometric grid are narrow relative to their distance from
     the origin, so degree-12 quadrature of hat products against the smooth
     weight is exact to well below 1e-12 relative.
+
+    The elements are walked in blocks of _ELEMENT_BLOCK, and each block's
+    seven rows are written into one preallocated (7, n - 1) array, whose
+    rows are the returned fields.  A block's 12-point temporaries stay in
+    cache, and peak memory is the output plus one block, where evaluating
+    all elements at once held about 91 doubles per node (730 MiB at 2^20
+    nodes).  Every element keeps the one-shot arithmetic, 12-term row sums
+    included, so the integrals do not depend on the block size to the bit.
     """
-    rl, rr = nodes[:-1], nodes[1:]
-    h = rr - rl
-    x = rl[:, None] + h[:, None] * (_GL_X[None, :] + 1.0) / 2.0
-    w = h[:, None] * (_GL_W[None, :] / 2.0)
-    base = eval_mu(family, x.ravel()).reshape(x.shape) * x ** (family.dimension - 1) * w
-    base *= surface_measure(family.dimension)
-    if not np.all(np.isfinite(base)):
-        raise QuadratureFailure("weight not finite on the grid")
-    psl = (rr[:, None] - x) / h[:, None]
-    psr = (x - rl[:, None]) / h[:, None]
-    inv_r2 = 1.0 / (x * x)
-    return ElementIntegrals(
-        h=h,
-        mass=base.sum(axis=1),
-        mass_l=(base * psl).sum(axis=1),
-        mass_r=(base * psr).sum(axis=1),
-        hardy_ll=(base * psl * psl * inv_r2).sum(axis=1),
-        hardy_lr=(base * psl * psr * inv_r2).sum(axis=1),
-        hardy_rr=(base * psr * psr * inv_r2).sum(axis=1),
-    )
+    dim = family.dimension
+    omega = surface_measure(dim)
+    m = len(nodes) - 1
+    out = np.empty((7, m))
+    np.subtract(nodes[1:], nodes[:-1], out=out[0])
+    for a in range(0, m, _ELEMENT_BLOCK):
+        b = min(a + _ELEMENT_BLOCK, m)
+        h = out[0, a:b, None]
+        rl, rr = nodes[a:b, None], nodes[a + 1:b + 1, None]
+        x = rl + h * _GL_X1 / 2.0
+        base = eval_mu(family, x.ravel()).reshape(x.shape) * x ** (dim - 1) * (h * _GL_W2)
+        base *= omega
+        if not np.all(np.isfinite(base)):
+            raise QuadratureFailure("weight not finite on the grid")
+        psl = (rr - x) / h
+        psr = (x - rl) / h
+        inv_r2 = 1.0 / (x * x)
+        bl, br = base * psl, base * psr
+        for row, terms in enumerate((base, bl, br, bl * psl * inv_r2,
+                                     bl * psr * inv_r2, br * psr * inv_r2), 1):
+            terms.sum(axis=1, out=out[row, a:b])
+    return ElementIntegrals(*out)
 
 
 # ----------------------------------------------------------------------

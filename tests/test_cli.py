@@ -21,6 +21,7 @@ from hardykit.config import (
 )
 from hardykit.errors import ConfigError, NoConvergence
 from hardykit import schemas
+from hardykit.weights import RadialGrid
 
 
 def _ini_keys(text):
@@ -165,6 +166,17 @@ sweep_tol = 0.01
         # sweep_c_lo = 0.7 alone breaks sweep_c_lo < sweep_c_hi against the default 0.6
         cfg = apply_overrides(RunConfig(), overrides)
         assert (cfg.spectral.sweep_c_lo, cfg.spectral.sweep_c_hi) == (0.7, 1.5)
+
+    def test_override_parses_by_the_declared_type(self):
+        # r_max = 20 set in code is an int, but [grid] r_max is a float key
+        cfg = apply_overrides(RunConfig(grid=RadialGrid(1e-5, 20, 256)), ["grid.r_max=30.5"])
+        assert cfg.grid.r_max == 30.5
+
+    def test_deepest_rung_r_min_at_the_smallest_normal_accepted(self):
+        r_min = sys.float_info.min * 4.0**3
+        assert apply_overrides(RunConfig(), [f"grid.r_min={r_min!r}"]).grid.r_min == r_min
+        with pytest.raises(ConfigError, match=re.escape("[spectral] the deepest rung has r_min")):
+            apply_overrides(RunConfig(), [f"grid.r_min={r_min / 2!r}"])
 
     def test_float_17_digits_roundtrip(self):
         cfg = apply_overrides(RunConfig(), ["spectral.c=0.1234567890123456789"])
@@ -336,6 +348,12 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: [grid]")
         assert not (tmp_path / "o").exists()
 
+    def test_fractional_node_count_exit_2(self, tmp_path, capsys):
+        rc = main(["sweep", "--out", str(tmp_path / "o"), "--override", "grid.n_points=2.5"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: cannot parse [grid] n_points")
+        assert not (tmp_path / "o").exists()
+
     def test_report_all_runs_each_stage_once(self, tmp_path, monkeypatch):
         calls = []
         original = cli.check_hypotheses
@@ -478,6 +496,9 @@ class TestCli:
         ("spectral.rungs=100000", "= 256 * 2^99999 nodes, above the cap"),
         ("grid.n_points=2000000", "= 2000000 * 2^3 nodes, above the cap"),
         ("evolution.n_points=2000000", "[evolution] n_points = 2000000 must lie in [16, 1048576]"),
+        ("spectral.rmin_shrink=1e200", "[spectral] the deepest rung has r_min = grid.r_min / "
+                                       "rmin_shrink^(rungs - 1) = 1e-05 / 1e+200^3 = 10^-605.0, "
+                                       "below the smallest normal double 2.23e-308"),
     ])
     def test_oversized_grid_exit_2(self, tmp_path, capsys, override, message):
         # config errors, raised before any allocation (n_grow=1e6 would ask for 22.9 GiB)

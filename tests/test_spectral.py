@@ -77,6 +77,15 @@ class TestAssemble:
         assert len(A.off) == A.n - 1
         assert len(M) == A.n
 
+    @pytest.mark.parametrize("grid, message", [
+        (RadialGrid(1e-120, 8.0, 256), "the measure underflows at r_min = 1e-120 -- raise r_min"),
+        (RadialGrid(1e-5, 40.0, 256), "the weight underflows before r_max -- shrink the domain"),
+    ])
+    def test_vanished_mass_names_its_end(self, exppow3, grid, message):
+        # r^2 dr underflows at 1e-120; exp(-r^2) at 40
+        with pytest.raises(InvalidParams, match=f"lumped mass vanished on the grid; {message}"):
+            spectral.grid_parts(exppow3, grid)
+
 
 class TestLambda1:
     def test_lebesgue_c0_nonnegative_bounded(self, leb3):

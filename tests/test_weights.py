@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hardykit import Kind, RadialGrid, WeightFamily, eval_mu, log_derivatives, w
 from hardykit.errors import DivergentIntegral, InvalidParams, NonPositiveRadius, QuadratureFailure
 from hardykit.hardy import _integral_diverges
 from hardykit.spectral import _theta, _theta_deriv
+from hardykit import weights
 from hardykit.weights import (
     RadialBump,
+    hat_element_integrals,
     log_mu,
     smooth_transition,
     surface_measure,
@@ -300,6 +303,68 @@ class TestRadialGrid:
         # an infinite r_max would fill the nodes with inf and nan
         with pytest.raises(InvalidParams, match=f"r_max = {r_max} need 0 < r_min < r_max < inf"):
             RadialGrid(1e-5, r_max, 256)
+
+
+def _one_shot_element_integrals(family, nodes):
+    """Every element's 12-point sums in one pass over all elements: the
+    arithmetic the blocked kernel must reproduce to the bit."""
+    rl, rr = nodes[:-1], nodes[1:]
+    h = rr - rl
+    x = rl[:, None] + h[:, None] * (weights._GL_X[None, :] + 1.0) / 2.0
+    w = h[:, None] * (weights._GL_W[None, :] / 2.0)
+    base = eval_mu(family, x.ravel()).reshape(x.shape) * x ** (family.dimension - 1) * w
+    base *= surface_measure(family.dimension)
+    psl = (rr[:, None] - x) / h[:, None]
+    psr = (x - rl[:, None]) / h[:, None]
+    inv_r2 = 1.0 / (x * x)
+    return {
+        "h": h,
+        "mass": base.sum(axis=1),
+        "mass_l": (base * psl).sum(axis=1),
+        "mass_r": (base * psr).sum(axis=1),
+        "hardy_ll": (base * psl * psl * inv_r2).sum(axis=1),
+        "hardy_lr": (base * psl * psr * inv_r2).sum(axis=1),
+        "hardy_rr": (base * psr * psr * inv_r2).sum(axis=1),
+    }
+
+
+_B = weights._ELEMENT_BLOCK
+
+
+class TestHatElementIntegrals:
+    # node counts around one and three block boundaries (n - 1 elements)
+    @pytest.mark.parametrize("n", [2, _B - 1, _B, _B + 1, _B + 2, 3 * _B + 5])
+    def test_bitwise_equal_to_one_shot(self, n, leb4, exppow3, pexp4, logw_pos, oscillating):
+        for family, r_max in ((leb4, 20.0), (exppow3, 20.0), (pexp4, 20.0),
+                              (logw_pos, 0.95), (oscillating, 20.0)):
+            nodes = np.geomspace(1e-5, r_max, n)
+            got = hat_element_integrals(family, nodes)
+            for name, want in _one_shot_element_integrals(family, nodes).items():
+                assert np.array_equal(getattr(got, name), want), (family.label(), name)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_weight_in_last_block_raises(self, bad):
+        nodes = np.geomspace(1e-5, 20.0, 3 * _B + 5)
+
+        def family(edge):
+            mu = lambda r: np.where(r > edge, bad, 1.0)
+            return WeightFamily(Kind.CUSTOM, 3, custom_profile=(mu, np.zeros_like))
+
+        hat_element_integrals(family(nodes[-1]), nodes)  # finite up to r_max
+        with pytest.raises(QuadratureFailure, match="weight not finite on the grid"):
+            hat_element_integrals(family(nodes[-2]), nodes)  # only the last element
+
+    def test_peak_memory_is_a_few_doubles_per_node(self, exppow3):
+        # the output's seven rows plus one block; all elements at once held 91
+        n = 2**16
+        nodes = np.geomspace(1e-5, 20.0, n)
+        tracemalloc.start()
+        try:
+            hat_element_integrals(exppow3, nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * n
 
 
 class TestBumpsAndCutoffs:
