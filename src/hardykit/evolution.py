@@ -21,16 +21,47 @@ whenever dt * cap < 1 (the documented safety factor keeps it below) S is a
 positive definite Stieltjes matrix, so it is inverse-positive and implicit
 Euler preserves positivity.
 
-Time stepping: the state stepped is y = W^{1/2} u, whose Euclidean norm is
-the weighted L^2 norm of u.  S is constant for a cap, so each cap factors
-it once (LAPACK pttrf, LDL^T without pivoting).  A record interval of
-per_rec steps is then, whichever a measured cost model finds cheaper
-(_use_propagator), either per_rec pttrs solves -- the norms are those of a
-plain solveh_banded loop on S to the last bit, and within 7e-11 relative
-(n = 8190) of a plain solve_banded loop on the unscaled I - dt (A + V_cap)
--- or one product with the dense propagator P = R^per_rec, R = S^{-1}.  R is
-entrywise nonnegative, so the products involve no cancellation: norms
-agree with stepping to about 1e-12 relative, and positivity is kept.
+Time stepping: the state is y = W^{1/2} u, whose Euclidean norm is the
+weighted L^2 norm of u, and record k is y_k = S^{-k per_rec} y_0.  S is
+constant for a cap, so each cap factors it once (LAPACK pttrf, LDL^T without
+pivoting); a failed factorization is a SchemeDivergence.  The records then
+come from one of two paths, whichever a measured cost model finds cheaper
+(_use_krylov):
+
+- steps: records * per_rec pttrs solves.  The norms are those of a plain
+  solveh_banded loop on S to the last bit, and within 7e-11 relative
+  (n = 8190) of a plain solve_banded loop on the unscaled I - dt (A + V_cap).
+  Short runs take it, and it is the reference the other path is tested on.
+- krylov: shift-invert Lanczos (van den Eshof and Hochbruck, SIAM J. Sci.
+  Comput. 27, 2006).  With A = W^{-1/2} K W^{-1/2} - V_cap, it factors
+  M = I + gamma A once, gamma the record spacing T / records (halved until
+  pttrf(M) succeeds, as gamma * omega < 1 is needed where the run grows at
+  rate omega), and builds an orthonormal basis of the Krylov space of M^{-1}
+  from y_0 with full reorthogonalization.  The small tridiagonal T_m =
+  U diag(z) U^T gives every record at once: z approximates 1/(1 + gamma lam)
+  for the eigenvalues lam of A, and 1 + dt lam = 1 + (dt/gamma)(1/z - 1), so
+  ||y_k|| = ||y_0|| ||U[0] o exp(-k log1p((dt/gamma)(1/z - 1)))||.  log1p
+  matters: 1 + x rounds by up to eps, and the power k = 160000 scales that
+  to 1.8e-11 relative.  The basis grows until two successive bases agree to
+  1e-13 relative on every record: 7-24 vectors on the built-in families at
+  n = 512 and 8192.  A basis that reaches _KRYLOV_BASIS vectors first is
+  dropped and the run is stepped.  A record that overflows is a
+  SchemeDivergence, as on the steps path.  The Ritz values lie inside the
+  spectrum, so an early basis underestimates the growth; on the runs
+  measured it read the overflow at stepping's record or up to 0.75 later
+  in time.  Norms agree with stepping to 2.4e-12 relative on the
+  default evolve, 4e-11 at c = 0.5 and cap 1e4 (n = 510) and 1e-9 at
+  n = 8190.
+
+Positivity: the off-diagonal of S is nonpositive, so once pttrf(S) succeeds
+S is a Stieltjes matrix, S^{-1} is entrywise nonnegative, and every exact
+iterate of a nonnegative datum is nonnegative.  On the steps path
+min_value is the most negative grid value seen over the datum and every
+record, an observed witness of that.  The krylov path forms no grid values
+(a state y / sqrt(W) reconstructed from the basis is no witness: its
+rounding is divided by sqrt(W), about 1e-12 near r_max, and it reads down
+to -2e-4 where stepping reads 0), so there min_value is the datum's minimum
+and positivity rests on the certificate.
 
 Verdict rules (documented tunables): the run is a blowup signature when
 the norm ratio between successive caps at t* = T/2 exceeds the threshold
@@ -40,9 +71,8 @@ stopped growing.  Each verdict is cross-checked against the spectral
 Bounded/Diverging verdict for the same (family, c); an Unresolved spectral
 ladder (fewer than 3 rungs) agrees only with an Inconclusive run.
 
-Cap runs are independent of each other (parallelizable); within a run the
-records are sequential, each one either per_rec sequential steps or one
-propagator product.
+Cap runs are independent of each other (parallelizable); on the steps path
+the records are sequential, on the krylov path they come from one basis.
 """
 
 from __future__ import annotations
@@ -77,39 +107,73 @@ def dpttrf(d, e):
     return flapack.dpttrf(d, e)
 
 
-# Path cost model, from timings of the raw LAPACK/BLAS calls at n = 126..8190
-# on a 2-vCPU x86-64 host (OpenBLAS 0.3.31, 2 threads).  A pttrs step is a
-# dependent recurrence without pivoting: 1.1 us + 8.8 ns * n per call (5.8 us
-# at n = 510, 72 us at n = 8190), and an n-column pttrs costs the per-row part
-# n times (2.4 ms at n = 510).  An n x n matmul takes about 34 ps * n^3
-# (3.7-4.9 ms at n = 510, 1.7-3.8 ms at n = 382).  A power bit of P is one
-# squaring and at most one n-column pttrs: about 1200 steps at n = 510, 710
-# at n = 382.  The sides the tests pin hold by 1.6x at (n, per_rec, records)
-# = (510, 250, 64), 2.6x at (382, 313, 8), 3.8x at (510, 25, 64) and more
-# than 4x elsewhere.
-def _use_propagator(n: int, per_rec: int, records: int) -> bool:
-    """True when building R^per_rec (per_rec.bit_length() power bits) is
-    cheaper than records * per_rec pttrs steps on n unknowns."""
+# Path cost model, from timings on a 2-vCPU x86-64 host (OpenBLAS 0.3.31, 2
+# threads) at n = 128..16384.  A pttrs step is a dependent recurrence without
+# pivoting: 1.1 us + 8.8 ns * n (5.6 us at n = 510, 73 us at n = 8190).  One
+# Krylov vector -- a pttrs solve, two reorthogonalization passes against the
+# basis and the records read from the small tridiagonal -- costs about
+# 90 us + 33 ns * n.  Bases settled in 7-24 vectors on every evolve measured,
+# but the model charges the full _KRYLOV_BASIS, so a run takes the Krylov path
+# only when it wins even there; runs of a few ms stay on stepping.  The sides
+# the tests pin hold by 1.3x at (n, per_rec, records) = (510, 25, 64), 1.5x at
+# (382, 125, 8) and (382, 63, 16), 1.7x at (382, 313, 8), 2.6x at
+# (8190, 13, 64) and more elsewhere.
+_KRYLOV_BASIS = 64
+_KRYLOV_RTOL = 1e-13
+
+
+def _use_krylov(n: int, per_rec: int, records: int) -> bool:
+    """True when a full Krylov basis on n unknowns is cheaper than
+    records * per_rec pttrs steps."""
     step_s = 1.1e-6 + 8.8e-9 * n
-    bit_s = 3.4e-11 * n**3 + 8.8e-9 * n * n
-    return per_rec.bit_length() * bit_s < records * per_rec * step_s
+    return _KRYLOV_BASIS * (9.0e-5 + 3.3e-8 * n) < records * per_rec * step_s
 
 
-def _propagator(factors: tuple, n: int, power: int) -> np.ndarray:
-    """R^power, R the inverse of the pttrf-factored matrix, by left-to-right
-    binary powering.  R is one n-column pttrs on the identity; a squaring
-    is one matmul into the spare buffer; a multiply by R is an in-place
-    n-column pttrs (powers of R commute).  At most two n x n arrays live."""
+def _krylov_records(family: WeightFamily, grid: RadialGrid, c: float, cap: float,
+                    y0: np.ndarray, dt: float, per_rec: int, records: int):
+    """The norms ||S^{-k per_rec} y0||, k = 1..records, from one Lanczos basis
+    of M^{-1}, M = I + gamma A, or None when the basis reaches _KRYLOV_BASIS
+    vectors before two successive bases agree on every record."""
     from .lapack import flapack
     dpttrs = flapack.dpttrs
-    P, _ = dpttrs(*factors, np.eye(n, order="F"), overwrite_b=1)
-    spare = np.empty_like(P)
-    for bit in bin(power)[3:]:
-        np.matmul(P, P, out=spare)
-        P, spare = spare, P
-        if bit == "1":
-            P, _ = dpttrs(*factors, P, overwrite_b=1)
-    return P
+    gamma = per_rec * dt  # the record spacing; halved until M is positive definite
+    while True:
+        *factors, info = dpttrf(*_implicit_euler(family, grid, c, cap, gamma)[2])
+        if info == 0:
+            break
+        gamma /= 2.0
+    beta0 = math.sqrt(float(y0 @ y0))
+    if beta0 == 0.0:
+        return np.zeros(records)
+    V = np.empty((_KRYLOV_BASIS, len(y0)))
+    V[0] = y0 / beta0
+    alpha, beta = np.empty(_KRYLOV_BASIS), np.zeros(_KRYLOV_BASIS)
+    powers = per_rec * np.arange(1.0, records + 1.0)[:, None]
+    last = None
+    for j in range(_KRYLOV_BASIS):
+        w, _ = dpttrs(*factors, V[j])
+        basis = V[:j + 1]
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w  # full reorthogonalization, twice
+        w -= h2 @ basis
+        alpha[j] = h[j] + h2[j]
+        z, U, info = flapack.dstev(alpha[:j + 1], beta[:max(j, 1)])
+        if info != 0:
+            return None
+        # the Ritz values z of the positive definite M^{-1} are positive, up
+        # to rounding; where 1/z overflows, the component decays to 0
+        with np.errstate(over="ignore", divide="ignore"):
+            rate = np.log1p((dt / gamma) * (1.0 / np.maximum(z, np.finfo(float).tiny) - 1.0))
+            norms = beta0 * np.sqrt(np.square(U[0] * np.exp(-powers * rate)).sum(axis=1))
+        beta[j] = math.sqrt(float(w @ w))
+        if (not np.all(np.isfinite(norms)) or beta[j] == 0.0
+                or last is not None and np.all(np.abs(norms - last) <= _KRYLOV_RTOL * norms)):
+            return norms
+        last = norms
+        if j + 1 < _KRYLOV_BASIS:
+            V[j + 1] = w / beta[j]
+    return None
 
 
 @dataclass(frozen=True)
@@ -120,7 +184,8 @@ class EvolutionSeries:
     times: np.ndarray
     norms: np.ndarray
     dt: float
-    min_value: float    # most negative grid value seen (positivity witness)
+    min_value: float    # steps: most negative grid value seen; krylov: the datum's minimum
+    path: str           # "steps" or "krylov" (see the module docstring)
 
 
 def _implicit_euler(family: WeightFamily, grid: RadialGrid, c: float,
@@ -154,11 +219,10 @@ def run_capped(
     dt is an accuracy knob only (the scheme is unconditionally stable); it
     is additionally clamped to cap_dt_safety/cap so the implicit matrix
     stays inverse-positive, and snapped to divide the record interval.
-    The state stepped is y = W^{1/2} u, whose Euclidean norm is the weighted
-    norm of u; its constant symmetric matrix is factored once (pttrf, LDL^T).
-    Each record interval is then either per_rec pttrs solves or, when
-    _use_propagator finds it cheaper, one product with the propagator
-    P = S^{-per_rec}, S the scaled matrix, built once per cap.
+    The state is y = W^{1/2} u, whose Euclidean norm is the weighted norm
+    of u; its constant symmetric matrix S is factored once (pttrf, LDL^T).
+    The records are then per_rec pttrs solves each or, when _use_krylov
+    finds it cheaper, read from one shift-invert Krylov basis.
     """
     dt_eff = min(dt, cap_dt_safety / max(cap, 1.0))
     per_rec = max(1, int(math.ceil(T / records / dt_eff)))
@@ -173,30 +237,33 @@ def run_capped(
     if info != 0:
         raise SchemeDivergence(
             f"singular or indefinite implicit-Euler matrix at cap {cap:g} (pttrf info={info})")
-    P = (_propagator((d, e), len(u), per_rec)
-         if _use_propagator(len(u), per_rec, records) else None)
     y = sqrt_w * u  # a new array: stepped in place
-    norm = lambda y: math.sqrt(float(y @ y))
-    times = [0.0]
-    norms = [norm(y)]
+    times = np.asarray([rec * T / records for rec in range(records + 1)])
+    norms = np.full(records + 1, math.nan)  # records after an overflow stay nan
+    norms[0] = math.sqrt(float(y @ y))
+    krylov = (_krylov_records(family, grid, c, cap, y, dt_eff, per_rec, records)
+              if _use_krylov(len(u), per_rec, records) else None)
     min_value = float(u.min())
-    for rec in range(1, records + 1):
-        if P is not None:
-            y = P @ y
-        else:
+    if krylov is not None:
+        norms[1:] = krylov
+    else:
+        for rec in range(1, records + 1):
             for _ in range(per_rec):
                 y, _ = dpttrs(d, e, y, overwrite_b=1)
-        if not np.all(np.isfinite(y)):
-            raise SchemeDivergence(f"non-finite state at t={rec * T / records:g}")
-        min_value = min(min_value, float((y / sqrt_w).min()))
-        times.append(rec * T / records)
-        norms.append(norm(y))
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms[rec] = math.sqrt(float(y @ y))
+            if not math.isfinite(norms[rec]):
+                break
+            min_value = min(min_value, float((y / sqrt_w).min()))
+    if not np.all(np.isfinite(norms)):
+        raise SchemeDivergence(f"non-finite norm at t={times[np.argmin(np.isfinite(norms))]:g}")
     return EvolutionSeries(
         cap=cap,
-        times=np.asarray(times),
-        norms=np.asarray(norms),
+        times=times,
+        norms=norms,
         dt=dt_eff,
         min_value=min_value,
+        path="steps" if krylov is None else "krylov",
     )
 
 

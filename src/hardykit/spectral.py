@@ -131,9 +131,13 @@ def grid_parts(family: WeightFamily, grid: RadialGrid):
     operator from the same parts."""
     e = hat_element_integrals(family, grid.nodes)
     md = e.mass_r[:-1] + e.mass_l[1:]
-    if np.any(md <= 0.0):  # before h**2, which underflows with it at r_min
+    # a subnormal mass has lost its relative precision, and K.diag / md
+    # overflows the pencil's scale: it counts as vanished.  Checked before
+    # h**2, which underflows with it at r_min.
+    tiny = np.finfo(float).tiny
+    if np.any(md < tiny):
         where = (f"the measure underflows at r_min = {grid.r_min:g} -- raise r_min"
-                 if md[0] <= 0.0 else "the weight underflows before r_max -- shrink the domain")
+                 if md[0] < tiny else "the weight underflows before r_max -- shrink the domain")
         raise InvalidParams(f"lumped mass vanished on the grid; {where}")
     g = e.mass / e.h**2
     hd = e.hardy_rr[:-1] + e.hardy_ll[1:]

@@ -406,6 +406,18 @@ class TestCli:
                    "--override", "spectral.sweep_c_hi=0.1"])
         assert rc == 3
 
+    @pytest.mark.parametrize("task, override", [
+        ("spectrum", "grid.r_min=1e-107"),
+        ("evolve", "evolution.r_min=1e-107"),
+    ])
+    def test_subnormal_mass_exit_3(self, tmp_path, capsys, task, override):
+        # the first lumped masses are subnormal: spectrum used to fail in
+        # LAPACK with no cause named, and evolve ran on them and exited 0
+        rc = main([task, "--out", str(tmp_path / "o"), "--override", override])
+        assert rc == 3
+        assert "the measure underflows at r_min = 1e-107 -- raise r_min" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bracket_below_c0_mu_names_sweep_c_hi(self, tmp_path, capsys):
         # lebesgue N=5: c0_mu = 9/4 lies above the default sweep_c_hi = 0.6
         rc = main(["sweep", "--out", str(tmp_path / "o"),

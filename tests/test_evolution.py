@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded, solveh_banded
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from hardykit import RadialGrid, dichotomy_verdict, evolution, fit_envelope, run_capped
 from hardykit.config import EvolutionConfig, SpectralConfig
@@ -156,43 +157,102 @@ class TestRunCapped:
 
 
 class TestPropagatorPath:
+    """The Krylov path: every record S^{-k} y0 read from one Lanczos basis."""
+
     @pytest.mark.parametrize("cap", [1e3, 1e4])
-    def test_propagator_matches_stepping(self, exppow3, cap, monkeypatch):
+    def test_propagator_matches_stepping(self, exppow3, cap):
         # default evolve grid, coupling and times: these caps take the
-        # propagator; the oracle is the plain loop of pivoted gttrs steps on
+        # Krylov path; the oracle is the plain loop of pivoted gttrs steps on
         # the unscaled matrix
         grid = RadialGrid(1e-4, 8.0, 512)
         T, dt, records = 8.0, 0.01, 64
-        built = []
-        real = evolution._propagator
-        monkeypatch.setattr(evolution, "_propagator",
-                            lambda *a: built.append(a[1:]) or real(*a))
         s = run_capped(exppow3, 0.2, cap, BUMP, T=T, dt=dt, grid=grid, records=records)
         dt_eff, per_rec = _dt_eff(T, dt, records, cap)
         r, W, diagonals = _unscaled(exppow3, grid, 0.2, cap, dt_eff)
         dl, d, du, du2, ipiv, _ = dgttrf(*diagonals)
         step = lambda u: dgttrs(dl, d, du, du2, ipiv, u)[0]
         norms = _weighted_norms(BUMP(r), step, W, records, per_rec)
-        assert built == [(510, per_rec)]
+        assert s.path == "krylov"
         assert np.max(np.abs(s.norms / norms - 1.0)) <= 1e-11
         assert s.dt == dt_eff
         assert s.min_value >= 0.0
 
-    @pytest.mark.parametrize("n,per_rec,records,propagate", [
-        (8190, 13, 64, False),   # refine workload: n = 8190 evolve, caps 10, 100, 1000
-        (8190, 25, 64, False),
-        (8190, 250, 64, False),
-        (510, 25, 64, False),    # default evolve, cap 1e2
+    @pytest.mark.parametrize("c", [0.2, 0.5])
+    def test_refine_evolve_matches_stepping(self, exppow3, c):
+        # the bench's n = 8192 evolve (8190 unknowns), existence and blowup
+        # couplings, against the plain pttrs loop on the same scaled matrix
+        grid = RadialGrid(1e-4, 8.0, 8192)
+        T, dt, records = 8.0, 0.01, 64
+        for cap in (10.0, 100.0, 1000.0):
+            s = run_capped(exppow3, c, cap, BUMP, T=T, dt=dt, grid=grid, records=records)
+            dt_eff, per_rec = _dt_eff(T, dt, records, cap)
+            r, sqrt_w, diagonals = _implicit_euler(exppow3, grid, c, cap, dt_eff)
+            d, e, _ = dpttrf(*diagonals)
+            step = lambda u: dpttrs(d, e, u)[0]
+            norms = _weighted_norms(sqrt_w * BUMP(r), step, np.ones_like(r), records, per_rec)
+            assert s.path == "krylov"
+            assert np.max(np.abs(s.norms / norms - 1.0)) <= 1e-8
+            assert s.min_value == 0.0
+
+    def test_shift_halved_until_positive_definite(self, exppow3, monkeypatch):
+        # c = 0.5, cap 1e4 grows at omega ~ 8: M = I + gamma A with the record
+        # spacing gamma = 0.25 is indefinite, gamma / 2 is not
+        kwargs = dict(T=2.0, dt=0.01, grid=GRID, records=8)
+        infos = []
+        real = evolution.dpttrf
+        monkeypatch.setattr(evolution, "dpttrf",
+                            lambda d, e: infos.append(real(d, e)) or infos[-1])
+        s = run_capped(exppow3, 0.5, 1e4, BUMP, **kwargs)
+        assert [info == 0 for *_, info in infos] == [True, False, True]
+        monkeypatch.setattr(evolution, "_use_krylov", lambda *a: False)
+        stepped = run_capped(exppow3, 0.5, 1e4, BUMP, **kwargs)
+        assert (s.path, stepped.path) == ("krylov", "steps")
+        assert np.max(np.abs(s.norms / stepped.norms - 1.0)) <= 1e-10
+
+    def test_basis_cap_falls_back_to_stepping_bitwise(self, exppow3, monkeypatch):
+        kwargs = dict(T=8.0, dt=0.01, grid=RadialGrid(1e-4, 8.0, 512), records=64)
+        monkeypatch.setattr(evolution, "_use_krylov", lambda *a: False)
+        stepped = run_capped(exppow3, 0.2, 1e3, BUMP, **kwargs)
+        monkeypatch.undo()
+        monkeypatch.setattr(evolution, "_KRYLOV_BASIS", 4)
+        s = run_capped(exppow3, 0.2, 1e3, BUMP, **kwargs)
+        assert (stepped.path, s.path) == ("steps", "steps")
+        assert np.array_equal(s.norms, stepped.norms)
+        assert s.min_value == stepped.min_value
+
+    def test_overflowing_norms_are_scheme_divergence(self, exppow3, monkeypatch):
+        # c = 50 grows like e^{hundreds * t}: the norms leave the double
+        # range before T = 8 on both paths
+        kwargs = dict(T=8.0, dt=0.01, grid=GRID, records=8)
+        with pytest.raises(SchemeDivergence, match="non-finite"):
+            run_capped(exppow3, 50.0, 1e3, BUMP, **kwargs)
+        monkeypatch.setattr(evolution, "_use_krylov", lambda *a: False)
+        with pytest.raises(SchemeDivergence, match="non-finite"):
+            run_capped(exppow3, 50.0, 1e3, BUMP, **kwargs)
+
+    def test_path_is_reported_but_not_written(self, exppow3):
+        # caps 10 and 100 on 382 unknowns are a few ms of steps; cap 1000
+        # takes the Krylov path, where min_value is the datum's minimum
+        run = dichotomy_verdict(exppow3, 0.2, _knobs())
+        assert [s.path for s in run.series] == ["steps", "steps", "krylov"]
+        assert run.series[2].min_value == float(BUMP(GRID.nodes[1:-1]).min())
+        assert "path" not in json.dumps(run.to_json_dict())
+
+    @pytest.mark.parametrize("n,per_rec,records,krylov", [
+        (8190, 13, 64, True),    # refine workload: n = 8190 evolve, caps 10, 100, 1000
+        (8190, 25, 64, True),
+        (8190, 250, 64, True),
+        (510, 25, 64, True),     # default evolve, cap 1e2
         (510, 250, 64, True),    # default evolve, cap 1e3
         (510, 2500, 64, True),   # default evolve, cap 1e4
         (382, 7, 8, False),      # test_factored_steps_match_banded_solve_bitwise
         (382, 125, 8, False),
-        (382, 313, 8, False),    # test_cap_monotonicity_matched_dt, both caps
+        (382, 313, 8, True),     # test_cap_monotonicity_matched_dt, both caps
         (382, 7, 16, False),     # test_positivity_preserved
         (382, 63, 16, False),
     ])
-    def test_cost_model_side(self, n, per_rec, records, propagate):
-        assert evolution._use_propagator(n, per_rec, records) is propagate
+    def test_cost_model_side(self, n, per_rec, records, krylov):
+        assert evolution._use_krylov(n, per_rec, records) is krylov
 
 
 class TestFitEnvelope:

@@ -80,11 +80,24 @@ class TestAssemble:
     @pytest.mark.parametrize("grid, message", [
         (RadialGrid(1e-120, 8.0, 256), "the measure underflows at r_min = 1e-120 -- raise r_min"),
         (RadialGrid(1e-5, 40.0, 256), "the weight underflows before r_max -- shrink the domain"),
+        (RadialGrid(1e-107, 8.0, 512), "the measure underflows at r_min = 1e-107 -- raise r_min"),
     ])
     def test_vanished_mass_names_its_end(self, exppow3, grid, message):
-        # r^2 dr underflows at 1e-120; exp(-r^2) at 40
+        # r^2 dr underflows at 1e-120; exp(-r^2) at 40; at 1e-107 the first
+        # masses are subnormal (about 3e-320)
         with pytest.raises(InvalidParams, match=f"lumped mass vanished on the grid; {message}"):
             spectral.grid_parts(exppow3, grid)
+
+    @pytest.mark.parametrize("r_min, ok", [(1e-103, True), (1e-104, False)])
+    def test_smallest_normal_mass_is_the_boundary(self, exppow3, r_min, ok):
+        # at n = 512 the first lumped mass is 2.97e-308 at r_min = 1e-103 and
+        # 3.05e-311 at 1e-104, either side of the smallest normal 2.23e-308
+        grid = RadialGrid(r_min, 8.0, 512)
+        if ok:
+            assert spectral.grid_parts(exppow3, grid)[3][0] >= np.finfo(float).tiny
+        else:
+            with pytest.raises(InvalidParams, match="raise r_min"):
+                spectral.grid_parts(exppow3, grid)
 
 
 class TestLambda1:
