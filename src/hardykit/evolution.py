@@ -24,14 +24,10 @@ Euler preserves positivity.
 Time stepping: the state is y = W^{1/2} u, whose Euclidean norm is the
 weighted L^2 norm of u, and record k is y_k = S^{-k per_rec} y_0.  S is
 constant for a cap, so each cap factors it once (LAPACK pttrf, LDL^T without
-pivoting); a failed factorization is a SchemeDivergence.  The records then
-come from one of two paths, whichever a measured cost model finds cheaper
-(_use_krylov):
+pivoting); a failed factorization is a SchemeDivergence.  The records come
+from a shift-invert Krylov basis, and only where that basis does not settle
+are they stepped:
 
-- steps: records * per_rec pttrs solves.  The norms are those of a plain
-  solveh_banded loop on S to the last bit, and within 7e-11 relative
-  (n = 8190) of a plain solve_banded loop on the unscaled I - dt (A + V_cap).
-  Short runs take it, and it is the reference the other path is tested on.
 - krylov: shift-invert Lanczos (van den Eshof and Hochbruck, SIAM J. Sci.
   Comput. 27, 2006).  With A = W^{-1/2} K W^{-1/2} - V_cap, it factors
   M = I + gamma A once, gamma the record spacing T / records (halved until
@@ -44,14 +40,22 @@ come from one of two paths, whichever a measured cost model finds cheaper
   matters: 1 + x rounds by up to eps, and the power k = 160000 scales that
   to 1.8e-11 relative.  The basis grows until two successive bases agree to
   1e-13 relative on every record: 7-24 vectors on the built-in families at
-  n = 512 and 8192.  A basis that reaches _KRYLOV_BASIS vectors first is
-  dropped and the run is stepped.  A record that overflows is a
-  SchemeDivergence, as on the steps path.  The Ritz values lie inside the
-  spectrum, so an early basis underestimates the growth; on the runs
-  measured it read the overflow at stepping's record or up to 0.75 later
-  in time.  Norms agree with stepping to 2.4e-12 relative on the
-  default evolve, 4e-11 at c = 0.5 and cap 1e4 (n = 510) and 1e-9 at
-  n = 8190.
+  n = 512 and 8192.  A record that overflows is a SchemeDivergence, as on
+  the steps path.  The Ritz values lie inside the spectrum, so an early
+  basis underestimates the growth.  Over a survey of 6400 caps (five
+  families, n_points 16-512, c 0-1.2, caps 1-1e4, T 0.05-8) against forced
+  stepping, every outcome and verdict is the same, the norms agree to
+  3.8e-10 relative, and an overflow is read at stepping's record or up to
+  6.75 later in time (T = 8).  On the n = 8190 evolve they agree to 1e-9.
+- steps, the fallback: records * per_rec pttrs solves, taken when the basis
+  spans the whole space or reaches _KRYLOV_BASIS vectors before it settles,
+  or when dstev fails.  In that survey 78 caps fell back, all at cap 1e4,
+  c >= 0.8 and T <= 0.5; some (oscillating, c = 2, cap 1e4, T = 0.05 on 382
+  unknowns) do not settle even at 160 vectors, and there the first record
+  never settles, so no restart from a settled record would save the basis.
+  The norms are those of a plain solveh_banded loop on S to the last bit,
+  and within 7e-11 relative (n = 8190) of a plain solve_banded loop on the
+  unscaled I - dt (A + V_cap).
 
 Positivity: the off-diagonal of S is nonpositive, so once pttrf(S) succeeds
 S is a Stieltjes matrix, S^{-1} is entrywise nonnegative, and every exact
@@ -107,33 +111,16 @@ def dpttrf(d, e):
     return flapack.dpttrf(d, e)
 
 
-# Path cost model, from timings on a 2-vCPU x86-64 host (OpenBLAS 0.3.31, 2
-# threads) at n = 128..16384.  A pttrs step is a dependent recurrence without
-# pivoting: 1.1 us + 8.8 ns * n (5.6 us at n = 510, 73 us at n = 8190).  One
-# Krylov vector -- a pttrs solve, two reorthogonalization passes against the
-# basis and the records read from the small tridiagonal -- costs about
-# 90 us + 33 ns * n.  Bases settled in 7-24 vectors on every evolve measured,
-# but the model charges the full _KRYLOV_BASIS, so a run takes the Krylov path
-# only when it wins even there; runs of a few ms stay on stepping.  The sides
-# the tests pin hold by 1.3x at (n, per_rec, records) = (510, 25, 64), 1.5x at
-# (382, 125, 8) and (382, 63, 16), 1.7x at (382, 313, 8), 2.6x at
-# (8190, 13, 64) and more elsewhere.
 _KRYLOV_BASIS = 64
 _KRYLOV_RTOL = 1e-13
-
-
-def _use_krylov(n: int, per_rec: int, records: int) -> bool:
-    """True when a full Krylov basis on n unknowns is cheaper than
-    records * per_rec pttrs steps."""
-    step_s = 1.1e-6 + 8.8e-9 * n
-    return _KRYLOV_BASIS * (9.0e-5 + 3.3e-8 * n) < records * per_rec * step_s
 
 
 def _krylov_records(family: WeightFamily, grid: RadialGrid, c: float, cap: float,
                     y0: np.ndarray, dt: float, per_rec: int, records: int):
     """The norms ||S^{-k per_rec} y0||, k = 1..records, from one Lanczos basis
     of M^{-1}, M = I + gamma A, or None when the basis reaches _KRYLOV_BASIS
-    vectors before two successive bases agree on every record."""
+    vectors, or spans the whole space, before two successive bases agree on
+    every record, or when dstev fails."""
     from .lapack import flapack
     dpttrs = flapack.dpttrs
     gamma = per_rec * dt  # the record spacing; halved until M is positive definite
@@ -145,12 +132,13 @@ def _krylov_records(family: WeightFamily, grid: RadialGrid, c: float, cap: float
     beta0 = math.sqrt(float(y0 @ y0))
     if beta0 == 0.0:
         return np.zeros(records)
-    V = np.empty((_KRYLOV_BASIS, len(y0)))
+    size = min(_KRYLOV_BASIS, len(y0))  # past n vectors a basis is rounding noise
+    V = np.empty((size, len(y0)))
     V[0] = y0 / beta0
-    alpha, beta = np.empty(_KRYLOV_BASIS), np.zeros(_KRYLOV_BASIS)
+    alpha, beta = np.empty(size), np.zeros(size)
     powers = per_rec * np.arange(1.0, records + 1.0)[:, None]
     last = None
-    for j in range(_KRYLOV_BASIS):
+    for j in range(size):
         w, _ = dpttrs(*factors, V[j])
         basis = V[:j + 1]
         h = basis @ w
@@ -171,7 +159,7 @@ def _krylov_records(family: WeightFamily, grid: RadialGrid, c: float, cap: float
                 or last is not None and np.all(np.abs(norms - last) <= _KRYLOV_RTOL * norms)):
             return norms
         last = norms
-        if j + 1 < _KRYLOV_BASIS:
+        if j + 1 < size:
             V[j + 1] = w / beta[j]
     return None
 
@@ -221,8 +209,9 @@ def run_capped(
     stays inverse-positive, and snapped to divide the record interval.
     The state is y = W^{1/2} u, whose Euclidean norm is the weighted norm
     of u; its constant symmetric matrix S is factored once (pttrf, LDL^T).
-    The records are then per_rec pttrs solves each or, when _use_krylov
-    finds it cheaper, read from one shift-invert Krylov basis.
+    The records are read from one shift-invert Krylov basis; only where that
+    basis does not settle (see _krylov_records) are they stepped instead,
+    per_rec pttrs solves each.
     """
     dt_eff = min(dt, cap_dt_safety / max(cap, 1.0))
     per_rec = max(1, int(math.ceil(T / records / dt_eff)))
@@ -241,8 +230,7 @@ def run_capped(
     times = np.asarray([rec * T / records for rec in range(records + 1)])
     norms = np.full(records + 1, math.nan)  # records after an overflow stay nan
     norms[0] = math.sqrt(float(y @ y))
-    krylov = (_krylov_records(family, grid, c, cap, y, dt_eff, per_rec, records)
-              if _use_krylov(len(u), per_rec, records) else None)
+    krylov = _krylov_records(family, grid, c, cap, y, dt_eff, per_rec, records)
     min_value = float(u.min())
     if krylov is not None:
         norms[1:] = krylov

@@ -1,8 +1,8 @@
 """The LAPACK routines hardykit calls, from scipy's compiled extension.
 
-hardykit needs five: stebz and stein for the smallest eigenpair and gtsv for
+hardykit needs six: stebz and stein for the smallest eigenpair and gtsv for
 inverse iteration (spectral), pttrf and pttrs for the implicit-Euler steps
-(evolution).  `import scipy.linalg` costs about 0.15 s and 26 MB (2-vCPU
+and stev for the Krylov records' small tridiagonal projections (evolution).  `import scipy.linalg` costs about 0.15 s and 26 MB (2-vCPU
 Xeon, scipy 1.17.1), two thirds of it scipy's array-API layer loading
 numpy.f2py, numpy.testing, numpy.random and numpy.ma, none of which hardykit
 uses; the compiled extension alone loads in about 3 ms and 2.6 MB.

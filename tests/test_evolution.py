@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import solve_banded, solveh_banded
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
-from hardykit import RadialGrid, dichotomy_verdict, evolution, fit_envelope, run_capped
+from hardykit import RadialGrid, dichotomy_verdict, evolution, fit_envelope, lapack, run_capped
 from hardykit.config import EvolutionConfig, SpectralConfig
 from hardykit.errors import DegenerateSeries, HardyKitError, NegativeDatum, SchemeDivergence
 from hardykit.evolution import _implicit_euler
@@ -45,15 +45,38 @@ def _weighted_norms(u, step, W, records, per_rec):
     return np.asarray(norms)
 
 
+def _stepped(family, grid, c, cap, T, dt, records):
+    """(norms, min_value, dt_eff) of the plain loop, one solveh_banded per
+    step on the scaled symmetric matrix S, stepping y = sqrt(W) u from BUMP."""
+    dt_eff, per_rec = _dt_eff(T, dt, records, cap)
+    r, sqrt_w, (d, e) = _implicit_euler(family, grid, c, cap, dt_eff)
+    ab = np.zeros((2, len(d)))
+    ab[0, 1:], ab[1] = e, d
+    norm = lambda y: math.sqrt(float(y @ y))
+    u = BUMP(r)
+    y = sqrt_w * u
+    norms, min_value = [norm(y)], float(u.min())
+    for _ in range(records):
+        for _ in range(per_rec):
+            y = solveh_banded(ab, y, check_finite=False)
+        min_value = min(min_value, float((y / sqrt_w).min()))
+        norms.append(norm(y))
+    return np.asarray(norms), min_value, dt_eff
+
+
 class TestRunCapped:
     def test_no_potential_is_dissipative(self, exppow3, leb3):
         for fam in (exppow3, leb3):
             s = run_capped(fam, 0.0, 1.0, BUMP, T=1.0, dt=1e-2, grid=GRID, records=16)
             assert (np.diff(s.norms) <= 1e-12 * s.norms[0]).all()
 
-    def test_positivity_preserved(self, exppow3):
+    def test_positivity_preserved(self, exppow3, monkeypatch):
+        # stepped, as only stepping observes grid values (a one-vector basis
+        # never settles)
+        monkeypatch.setattr(evolution, "_KRYLOV_BASIS", 1)
         for cap in (1e2, 1e3):
             s = run_capped(exppow3, 0.3, cap, BUMP, T=0.5, dt=1e-2, grid=GRID, records=16)
+            assert s.path == "steps"
             assert s.min_value >= -1e-12
             assert (s.norms > 0).all()
 
@@ -78,25 +101,15 @@ class TestRunCapped:
         assert np.all(np.abs(row_sums[1:-1]) <= 1e-12 * K.diag[1:-1])
 
     @pytest.mark.parametrize("cap", [1e2, 1e4])
-    def test_factored_steps_match_banded_solve_bitwise(self, exppow3, cap):
-        # oracle: the plain loop, one solveh_banded per step on the same
-        # scaled symmetric matrix, stepping y = sqrt(W) u
+    def test_factored_steps_match_banded_solve_bitwise(self, exppow3, cap, monkeypatch):
+        # a one-vector basis never settles (two successive bases must agree),
+        # so the run is stepped; oracle: the plain solveh_banded loop on S
+        monkeypatch.setattr(evolution, "_KRYLOV_BASIS", 1)
         T, dt, records = 0.05, 1e-3, 8
         s = run_capped(exppow3, 0.3, cap, BUMP, T=T, dt=dt, grid=GRID, records=records)
-        dt_eff, per_rec = _dt_eff(T, dt, records, cap)
-        r, sqrt_w, (d, e) = _implicit_euler(exppow3, GRID, 0.3, cap, dt_eff)
-        ab = np.zeros((2, len(d)))
-        ab[0, 1:], ab[1] = e, d
-        norm = lambda y: math.sqrt(float(y @ y))
-        u = BUMP(r)
-        y = sqrt_w * u
-        norms, min_value = [norm(y)], float(u.min())
-        for _ in range(records):
-            for _ in range(per_rec):
-                y = solveh_banded(ab, y, check_finite=False)
-            min_value = min(min_value, float((y / sqrt_w).min()))
-            norms.append(norm(y))
-        assert np.array_equal(s.norms, np.asarray(norms))
+        norms, min_value, dt_eff = _stepped(exppow3, GRID, 0.3, cap, T, dt, records)
+        assert s.path == "steps"
+        assert np.array_equal(s.norms, norms)
         assert s.dt == dt_eff
         assert s.min_value == min_value
 
@@ -135,10 +148,12 @@ class TestRunCapped:
             return factors
 
         monkeypatch.setattr(evolution, "dpttrf", factor)
+        monkeypatch.setattr(evolution, "_KRYLOV_BASIS", 1)  # stepped, so min_value is observed
         s = run_capped(exppow3, 0.3, 1e4, BUMP, T=0.05, dt=1.0, grid=GRID, records=8,
                        cap_dt_safety=0.99)
-        assert infos == [0]
+        assert infos[0] == 0  # S; the later calls factor the Krylov shift M
         assert 0.97 < s.dt * 1e4 <= 0.99
+        assert s.path == "steps"
         assert s.min_value >= 0.0
 
     def test_dt_clamped_by_cap(self, exppow3):
@@ -159,16 +174,26 @@ class TestRunCapped:
 class TestPropagatorPath:
     """The Krylov path: every record S^{-k} y0 read from one Lanczos basis."""
 
-    @pytest.mark.parametrize("cap", [1e3, 1e4])
-    def test_propagator_matches_stepping(self, exppow3, cap):
-        # default evolve grid, coupling and times: these caps take the
-        # Krylov path; the oracle is the plain loop of pivoted gttrs steps on
-        # the unscaled matrix
-        grid = RadialGrid(1e-4, 8.0, 512)
-        T, dt, records = 8.0, 0.01, 64
-        s = run_capped(exppow3, 0.2, cap, BUMP, T=T, dt=dt, grid=grid, records=records)
+    @pytest.mark.parametrize("family,grid,c,T,dt,records,cap", [
+        # the default evolve grid, coupling and times
+        pytest.param("exppow3", RadialGrid(1e-4, 8.0, 512), 0.2, 8.0, 0.01, 64, 1e3, id="1000.0"),
+        pytest.param("exppow3", RadialGrid(1e-4, 8.0, 512), 0.2, 8.0, 0.01, 64, 1e4,
+                     id="10000.0"),
+        # the short runs test_factored_steps_match_banded_solve_bitwise steps
+        pytest.param("exppow3", GRID, 0.3, 0.05, 1e-3, 8, 1e2, id="short-100.0"),
+        pytest.param("exppow3", GRID, 0.3, 0.05, 1e-3, 8, 1e4, id="short-10000.0"),
+        # one cap for each other built-in family; theta closes log_weight at r = 1
+        *(pytest.param(family, RadialGrid(1e-4, r_max, 128), 0.4, 2.0, 0.01, 16, 1e3, id=family)
+          for family, r_max in [("pexp4", 8.0), ("leb3", 8.0), ("logw_pos", 0.9),
+                                ("oscillating", 8.0)]),
+    ])
+    def test_propagator_matches_stepping(self, request, family, grid, c, T, dt, records, cap):
+        # the oracle is the plain loop of pivoted gttrs steps on the
+        # unscaled matrix
+        fam = request.getfixturevalue(family)
+        s = run_capped(fam, c, cap, BUMP, T=T, dt=dt, grid=grid, records=records)
         dt_eff, per_rec = _dt_eff(T, dt, records, cap)
-        r, W, diagonals = _unscaled(exppow3, grid, 0.2, cap, dt_eff)
+        r, W, diagonals = _unscaled(fam, grid, c, cap, dt_eff)
         dl, d, du, du2, ipiv, _ = dgttrf(*diagonals)
         step = lambda u: dgttrs(dl, d, du, du2, ipiv, u)[0]
         norms = _weighted_norms(BUMP(r), step, W, records, per_rec)
@@ -204,21 +229,51 @@ class TestPropagatorPath:
                             lambda d, e: infos.append(real(d, e)) or infos[-1])
         s = run_capped(exppow3, 0.5, 1e4, BUMP, **kwargs)
         assert [info == 0 for *_, info in infos] == [True, False, True]
-        monkeypatch.setattr(evolution, "_use_krylov", lambda *a: False)
+        monkeypatch.setattr(evolution, "_KRYLOV_BASIS", 1)
         stepped = run_capped(exppow3, 0.5, 1e4, BUMP, **kwargs)
         assert (s.path, stepped.path) == ("krylov", "steps")
         assert np.max(np.abs(s.norms / stepped.norms - 1.0)) <= 1e-10
 
     def test_basis_cap_falls_back_to_stepping_bitwise(self, exppow3, monkeypatch):
-        kwargs = dict(T=8.0, dt=0.01, grid=RadialGrid(1e-4, 8.0, 512), records=64)
-        monkeypatch.setattr(evolution, "_use_krylov", lambda *a: False)
-        stepped = run_capped(exppow3, 0.2, 1e3, BUMP, **kwargs)
-        monkeypatch.undo()
+        grid = RadialGrid(1e-4, 8.0, 512)
         monkeypatch.setattr(evolution, "_KRYLOV_BASIS", 4)
-        s = run_capped(exppow3, 0.2, 1e3, BUMP, **kwargs)
-        assert (stepped.path, s.path) == ("steps", "steps")
-        assert np.array_equal(s.norms, stepped.norms)
-        assert s.min_value == stepped.min_value
+        s = run_capped(exppow3, 0.2, 1e3, BUMP, T=8.0, dt=0.01, grid=grid, records=64)
+        norms, min_value, _ = _stepped(exppow3, grid, 0.2, 1e3, 8.0, 0.01, 64)
+        assert s.path == "steps"
+        assert np.array_equal(s.norms, norms)
+        assert s.min_value == min_value
+
+    @pytest.mark.parametrize("n_points", [384, 2048])
+    def test_unsettled_basis_falls_back_to_stepping_bitwise(self, oscillating, n_points):
+        # a real input whose basis does not settle within _KRYLOV_BASIS
+        # vectors: its first record never agrees between successive bases
+        grid = RadialGrid(1e-4, 8.0, n_points)
+        s = run_capped(oscillating, 2.0, 1e4, BUMP, T=0.05, dt=0.01, grid=grid, records=8)
+        norms, min_value, dt_eff = _stepped(oscillating, grid, 2.0, 1e4, 0.05, 0.01, 8)
+        assert s.path == "steps"
+        assert np.array_equal(s.norms, norms)
+        assert (s.min_value, s.dt) == (min_value, dt_eff)
+
+    @pytest.mark.parametrize("n_points,c,T,records,path", [
+        (16, 0.2, 1.0, 16, "krylov"),  # settles inside the space
+        (16, 0.5, 1.0, 16, "steps"),   # grows to the whole space without settling
+        (17, 1.2, 0.05, 8, "steps"),
+    ])
+    def test_basis_never_outgrows_the_space(self, oscillating, monkeypatch,
+                                            n_points, c, T, records, path):
+        sizes = []
+        real = lapack.flapack.dstev
+
+        def dstev(d, e):
+            sizes.append(len(d))
+            return real(d, e)
+
+        monkeypatch.setattr(lapack.flapack, "dstev", dstev)
+        grid = RadialGrid(1e-4, 8.0, n_points)
+        s = run_capped(oscillating, c, 1e4, BUMP, T=T, dt=0.01, grid=grid, records=records)
+        assert s.path == path
+        assert max(sizes) <= n_points - 2
+        assert (max(sizes) == n_points - 2) is (path == "steps")
 
     def test_overflowing_norms_are_scheme_divergence(self, exppow3, monkeypatch):
         # c = 50 grows like e^{hundreds * t}: the norms leave the double
@@ -226,33 +281,17 @@ class TestPropagatorPath:
         kwargs = dict(T=8.0, dt=0.01, grid=GRID, records=8)
         with pytest.raises(SchemeDivergence, match="non-finite"):
             run_capped(exppow3, 50.0, 1e3, BUMP, **kwargs)
-        monkeypatch.setattr(evolution, "_use_krylov", lambda *a: False)
+        monkeypatch.setattr(evolution, "_KRYLOV_BASIS", 1)
         with pytest.raises(SchemeDivergence, match="non-finite"):
             run_capped(exppow3, 50.0, 1e3, BUMP, **kwargs)
 
     def test_path_is_reported_but_not_written(self, exppow3):
-        # caps 10 and 100 on 382 unknowns are a few ms of steps; cap 1000
-        # takes the Krylov path, where min_value is the datum's minimum
+        # every cap's basis settles, and on the Krylov path min_value is the
+        # datum's minimum
         run = dichotomy_verdict(exppow3, 0.2, _knobs())
-        assert [s.path for s in run.series] == ["steps", "steps", "krylov"]
-        assert run.series[2].min_value == float(BUMP(GRID.nodes[1:-1]).min())
+        assert [s.path for s in run.series] == ["krylov", "krylov", "krylov"]
+        assert all(s.min_value == float(BUMP(GRID.nodes[1:-1]).min()) for s in run.series)
         assert "path" not in json.dumps(run.to_json_dict())
-
-    @pytest.mark.parametrize("n,per_rec,records,krylov", [
-        (8190, 13, 64, True),    # refine workload: n = 8190 evolve, caps 10, 100, 1000
-        (8190, 25, 64, True),
-        (8190, 250, 64, True),
-        (510, 25, 64, True),     # default evolve, cap 1e2
-        (510, 250, 64, True),    # default evolve, cap 1e3
-        (510, 2500, 64, True),   # default evolve, cap 1e4
-        (382, 7, 8, False),      # test_factored_steps_match_banded_solve_bitwise
-        (382, 125, 8, False),
-        (382, 313, 8, True),     # test_cap_monotonicity_matched_dt, both caps
-        (382, 7, 16, False),     # test_positivity_preserved
-        (382, 63, 16, False),
-    ])
-    def test_cost_model_side(self, n, per_rec, records, krylov):
-        assert evolution._use_krylov(n, per_rec, records) is krylov
 
 
 class TestFitEnvelope:
