@@ -169,7 +169,7 @@ def run_sharpness(cfg: RunConfig):
     rows_g = []
     gamma_diverges = None
     if c_g > 0:
-        ladder = phi_gamma_ladder(family, c_g, j_max=sh.gamma_j_max, profile=profile)
+        ladder = phi_gamma_ladder(family, c_g, profile=profile)
         rows_g = [(c_g, g, q) for g, q in ladder]
         qs = [q for _, q in ladder]
         gamma_diverges = qs[-1] < -1e2 and qs[-1] < qs[0]

@@ -2,13 +2,13 @@
 
 Each section class is the one definition of its knobs' defaults and
 ranges: the numeric layers take the section object itself (HardyConfig for
-the profile and the audit, SpectralConfig for the refinement ladder,
-EvolutionConfig for the cap ladder), and the [grid] section is the
-library's RadialGrid, so a config file pins a run completely (there is no
-randomness anywhere in the toolkit).  Where a library type checks its own
-values (RadialGrid, and WeightFamily behind [family]), its InvalidParams is
-reported as a config error of its section.  Configs round-trip: parse ->
-serialize -> parse is the identity.
+the profile, SpectralConfig for the refinement ladder, EvolutionConfig for
+the cap ladder), and the [grid] section is the library's RadialGrid, so a
+config file pins a run completely (there is no randomness anywhere in the
+toolkit).  Where a library type checks its own values (RadialGrid, and
+WeightFamily behind [family]), its InvalidParams is reported as a config
+error of its section.  Configs round-trip: parse -> serialize -> parse is
+the identity.
 """
 
 from __future__ import annotations
@@ -57,32 +57,14 @@ class HardyConfig:
     k_min: int = 10
     k_max: int = 40
     tail_window: int = 10
-    h2iv_k_max: int = 40
-    h2iii_radii: Tuple[float, ...] = (0.1, 1.0, 10.0)
-    h2iii_r_hi: float = 1e3
-    h2iii_per_decade: int = 40
-    h3p_j_max: int = 20
-    h3p_threshold: float = 1e3
-    cond1_p: Tuple[float, ...] = (1.0, 2.0, 3.0)
-    cond1_k_min: int = 2
-    cond1_k_max: int = 12
-    cond1_tol: float = 0.02
 
     def __post_init__(self):
         _check("hardy", (
+            (self.k_min >= 1,
+             f"k_min = {self.k_min} must be >= 1 (every ladder radius 2^-k must be <= 1/2)"),
             (3 <= self.tail_window <= self.k_max - self.k_min + 1,
              f"tail_window = {self.tail_window}, k_min = {self.k_min}, k_max = {self.k_max} "
              f"need 3 <= tail_window <= k_max - k_min + 1 (the tail fit needs three rungs)"),
-            (self.h2iv_k_max >= 1, f"h2iv_k_max = {self.h2iv_k_max} must be >= 1"),
-            (len(self.h2iii_radii) > 0, "h2iii_radii must name at least one radius"),
-            (all(0.0 < R < self.h2iii_r_hi for R in self.h2iii_radii),
-             f"h2iii_radii = {self.h2iii_radii} must lie in (0, h2iii_r_hi = {self.h2iii_r_hi:g})"),
-            (self.h3p_j_max >= 3,
-             f"h3p_j_max = {self.h3p_j_max} must be >= 3 (the divergence test reads the last three)"),
-            (len(self.cond1_p) > 0, "cond1_p must name at least one exponent"),
-            (self.cond1_k_min < self.cond1_k_max,
-             f"cond1_k_min = {self.cond1_k_min}, cond1_k_max = {self.cond1_k_max} "
-             f"need cond1_k_min < cond1_k_max (the slope needs two balls)"),
         ))
 
 
@@ -94,7 +76,6 @@ class SpectralConfig:
     n_grow: float = 2.0
     diverge_factor: float = 4.0
     lambda_floor: float = 1e-6
-    residual_tol: float = 1e-8
     sweep_c_lo: float = 0.05
     sweep_c_hi: float = 0.6
     sweep_tol: float = 0.02
@@ -111,7 +92,6 @@ class SpectralConfig:
             (not self.lambda_floor < 0.0,
              f"lambda_floor = {self.lambda_floor} must be >= 0 (a negative floor reads a "
              f"positive, growing ladder as a cascade)"),
-            (self.residual_tol > 0.0, f"residual_tol = {self.residual_tol} must be > 0"),
             (self.sweep_c_lo < self.sweep_c_hi,
              f"sweep_c_lo = {self.sweep_c_lo}, sweep_c_hi = {self.sweep_c_hi} "
              f"need sweep_c_lo < sweep_c_hi"),
@@ -125,7 +105,6 @@ class SharpnessConfig:
     c_offset: float = 0.25   # phi_n runs at c = c0(N0) + c_offset
     gamma: float = 0.0       # 0 (never admissible) means: choose automatically
     n_ladder: Tuple[int, ...] = (4, 16, 64, 256)
-    gamma_j_max: int = 12
 
     def __post_init__(self):
         n = self.n_ladder
@@ -133,8 +112,6 @@ class SharpnessConfig:
             (0.0 < self.c_offset < math.inf, f"c_offset = {self.c_offset} must be finite and > 0"),
             (len(n) >= 2 and n[0] >= 2 and all(a < b for a, b in zip(n, n[1:])),
              f"n_ladder = {n} needs >= 2 entries, each >= 2, strictly increasing"),
-            (self.gamma_j_max >= 2, f"gamma_j_max = {self.gamma_j_max} must be >= 2 "
-             f"(the divergence test compares the last quotient with the first)"),
         ))
 
 
@@ -150,9 +127,6 @@ class EvolutionConfig:
     n_points: int = 512
     u0_lo: float = 0.25
     u0_hi: float = 1.0
-    t_star_frac: float = 0.5
-    blowup_ratio: float = 2.0
-    omega_rtol: float = 0.1
     cap_dt_safety: float = 0.5  # dt * cap < 1 keeps the step SPD and inverse-positive
 
     def __post_init__(self):
@@ -169,17 +143,11 @@ class EvolutionConfig:
              f"n_points = {self.n_points} must lie in [16, {MAX_NODES}]"),
             (0.0 < self.r_min < self.r_max < math.inf,
              f"r_min = {self.r_min}, r_max = {self.r_max} need 0 < r_min < r_max < inf"),
-            (0.0 < self.t_star_frac <= 1.0 and round(self.t_star_frac * self.records) >= 1,
-             f"t_star_frac = {self.t_star_frac} must lie in (0, 1] with "
-             f"round(t_star_frac * records) >= 1 (the cap ratios are read after t = 0)"),
             (0.0 <= self.u0_lo < self.u0_hi,
              f"u0_lo = {self.u0_lo}, u0_hi = {self.u0_hi} need 0 <= u0_lo < u0_hi"),
             (self.u0_lo < self.r_max and self.u0_hi > self.r_min,
              f"u0 support ({self.u0_lo}, {self.u0_hi}) misses the grid "
              f"({self.r_min}, {self.r_max})"),
-            (not self.blowup_ratio <= 1.0,  # a nan goes on to the finiteness check
-             f"blowup_ratio = {self.blowup_ratio} must be > 1 (capped solutions grow with "
-             f"the cap, so every cap ratio is >= 1)"),
         ))
 
 

@@ -67,13 +67,14 @@ rounding is divided by sqrt(W), about 1e-12 near r_max, and it reads down
 to -2e-4 where stepping reads 0), so there min_value is the datum's minimum
 and positivity rests on the certificate.
 
-Verdict rules (documented tunables): the run is a blowup signature when
-the norm ratio between successive caps at t* = T/2 exceeds the threshold
-(default 2) and the ratios increase with the cap; an existence signature
-when the fitted envelope rates are Cauchy in the cap and the ratios have
-stopped growing.  Each verdict is cross-checked against the spectral
-Bounded/Diverging verdict for the same (family, c); an Unresolved spectral
-ladder (fewer than 3 rungs) agrees only with an Inconclusive run.
+Verdict rules (the _T_STAR_FRAC, _BLOWUP_RATIO and _OMEGA_RTOL constants):
+the run is a blowup signature when the norm ratio between successive caps
+at t* = T/2 exceeds 2 and the ratios increase with the cap; an existence
+signature when the fitted envelope rates of the last two caps agree to 10%
+relative (or 0.02) and the last ratio is at most 2.  Each verdict is
+cross-checked against the spectral Bounded/Diverging verdict for the same
+(family, c); an Unresolved spectral ladder (fewer than 3 rungs) agrees only
+with an Inconclusive run.
 
 Cap runs are independent of each other (parallelizable); on the steps path
 the records are sequential, on the krylov path they come from one basis.
@@ -113,6 +114,11 @@ def dpttrf(d, e):
 
 _KRYLOV_BASIS = 64
 _KRYLOV_RTOL = 1e-13
+
+# the verdict rules (see the module docstring)
+_T_STAR_FRAC = 0.5     # t* = T * _T_STAR_FRAC, the record the cap ratios read
+_BLOWUP_RATIO = 2.0    # > 1: the solutions grow with the cap, so every ratio is >= 1
+_OMEGA_RTOL = 0.1
 
 
 def _krylov_records(family: WeightFamily, grid: RadialGrid, c: float, cap: float,
@@ -320,14 +326,14 @@ def dichotomy_verdict(
     """Run the cap ladder of the knobs, from the bump on (u0_lo, u0_hi),
     and classify the outcome.
 
-    BlowupSignature: the norm at t* = T * t_star_frac grows superlinearly in
-    the cap (last ratio above blowup_ratio and ratios nondecreasing).
+    BlowupSignature: the norm at t* = T * _T_STAR_FRAC grows superlinearly in
+    the cap (last ratio above _BLOWUP_RATIO and ratios nondecreasing).
     ExistenceSignature: envelope rates Cauchy in the cap and the ratio has
     settled.  Anything else is Inconclusive.  The verdict is cross-checked
     against `lambda1` with `ladder` on `spectral_grid` (default: [grid]) for
     the same (family, c); an Unresolved ladder agrees only with Inconclusive.
     """
-    i_star = int(round(knobs.t_star_frac * knobs.records))
+    i_star = int(round(_T_STAR_FRAC * knobs.records))
     caps = sorted(float(k) for k in knobs.caps)
     grid = RadialGrid(knobs.r_min, knobs.r_max, knobs.n_points)
     u0 = RadialBump(knobs.u0_lo, knobs.u0_hi)
@@ -342,10 +348,10 @@ def dichotomy_verdict(
     ratios = [float(b / a) for a, b in zip(at_star[:-1], at_star[1:])]
 
     nondecreasing = all(r2 >= r1 * 0.999 for r1, r2 in zip(ratios[:-1], ratios[1:]))
-    blowup = ratios[-1] > knobs.blowup_ratio and nondecreasing
+    blowup = ratios[-1] > _BLOWUP_RATIO and nondecreasing
     om_last, om_prev = envelopes[-1].omega, envelopes[-2].omega
-    omega_cauchy = abs(om_last - om_prev) <= max(knobs.omega_rtol * abs(om_last), 0.02)
-    existence = omega_cauchy and ratios[-1] <= knobs.blowup_ratio
+    omega_cauchy = abs(om_last - om_prev) <= max(_OMEGA_RTOL * abs(om_last), 0.02)
+    existence = omega_cauchy and ratios[-1] <= _BLOWUP_RATIO
 
     if blowup:
         verdict = "BlowupSignature"

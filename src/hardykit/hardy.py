@@ -20,6 +20,15 @@ a + b/k least-squares fit; profiles whose tail refuses to fit (the
 oscillating example has genuinely distinct liminf and limsup) are flagged
 and reported by their tail extremes instead.
 
+The audit samples the hypotheses, which are universal statements, on
+fixed meshes with fixed thresholds (the _H2III_*, _H2IV_*, _H3P_* and
+_COND1_* constants): H2 iii takes sup U on [R, 1e3] for R = 0.1, 1, 10 at
+40 points a decade; H2 iv reads r = 2^{-k}, k = 1..40; H3' iii reads the
+lambda ladder 2^{-j}, j = 1..20, which diverges when its last three values
+increase past 1e3; the small-ball condition fits the decay exponent of
+delta^{-p} mu(B_delta) on delta = 2^{-k}, k = 2..12, for p = 1, 2, 3, and
+holds when it exceeds 0.02.
+
 Pure functions over immutable inputs; profiles and reports are value types,
 so everything parallelizes freely across families and mesh points.
 """
@@ -65,6 +74,18 @@ _H1_KNOWN = {
 _N0_AGREE_TOL = 0.05
 # width at which the N0 bisection on the integrability flag stops
 _N0_BISECT_TOL = 0.02
+
+# the audit meshes and thresholds (see the module docstring)
+_H2III_RADII = (0.1, 1.0, 10.0)
+_H2III_R_HI = 1e3
+_H2III_PER_DECADE = 40
+_H2IV_K_MAX = 40
+_H3P_J_MAX = 20  # >= 3: the divergence test reads the last three values
+_H3P_THRESHOLD = 1e3
+_COND1_P = (1.0, 2.0, 3.0)
+_COND1_K_MIN = 2
+_COND1_K_MAX = 12
+_COND1_TOL = 0.02
 
 
 def c0(dimension: float) -> float:
@@ -188,12 +209,8 @@ def compute_profile(family: WeightFamily, knobs: HardyConfig = HardyConfig()) ->
     N_0 uses the closed form N - power_order for the built-in kinds (the
     H3' integrand is exponentially sensitive to N_0 errors); the two data
     -driven estimators are still computed and cross-checked against it.
-
-    Profiles are cached on (family, k_min, k_max, tail_window), the only
-    knobs read: configs that differ in audit knobs share one entry.
     """
-    return _profile(family, HardyConfig(k_min=knobs.k_min, k_max=knobs.k_max,
-                                        tail_window=knobs.tail_window))
+    return _profile(family, knobs)
 
 
 @lru_cache(maxsize=64)
@@ -351,8 +368,8 @@ def _h2_i_check(family: WeightFamily) -> bool:
 
 
 def check_hypotheses(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -> HypothesisReport:
-    """Audit every hypothesis on the meshes the knobs (the [hardy] section)
-    set; failures are findings, not errors."""
+    """Audit every hypothesis on the module's fixed meshes, from the profile
+    the knobs (the [hardy] section) set; failures are findings, not errors."""
     profile = compute_profile(family, knobs)
 
     h2_i = _h2_i_check(family)
@@ -362,9 +379,9 @@ def check_hypotheses(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -
     # vanishes (compact support) carry no measure and are skipped.
     h2_iii_bounds = {}
     h2_iii_ok = True
-    for R in knobs.h2iii_radii:
-        n = max(16, int(knobs.h2iii_per_decade * math.log10(knobs.h2iii_r_hi / R)))
-        mesh = np.geomspace(R, knobs.h2iii_r_hi, n)
+    for R in _H2III_RADII:
+        n = max(16, int(_H2III_PER_DECADE * math.log10(_H2III_R_HI / R)))
+        mesh = np.geomspace(R, _H2III_R_HI, n)
         alive = eval_mu(family, mesh) > 0.0
         if not alive.any():
             h2_iii_bounds[f"{R:g}"] = None
@@ -377,7 +394,7 @@ def check_hypotheses(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -
         else:
             # growth screen: increasing upper envelope on the last decade
             # at a large level is treated as unbounded above
-            last = mesh[alive] >= knobs.h2iii_r_hi / 10.0
+            last = mesh[alive] >= _H2III_R_HI / 10.0
             if last.sum() >= 4:
                 tail_u = u[last]
                 if sup > 1e6 and tail_u[-1] >= 0.99 * sup and tail_u[-1] > 2.0 * tail_u[0]:
@@ -385,7 +402,7 @@ def check_hypotheses(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -
 
     # H2 iv on the dyadic mesh: R0 = largest 2^{-k} below which
     # r^2 U <= 1/4 |log r|^{-2} holds at every finer mesh point.
-    ks = np.arange(1, knobs.h2iv_k_max + 1)
+    ks = np.arange(1, _H2IV_K_MAX + 1)
     rs = 2.0 ** (-ks.astype(float))
     r2U = rs**2 * compute_U(family, rs, profile)
     bound = 0.25 / np.log(rs) ** 2
@@ -408,7 +425,7 @@ def check_hypotheses(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -
 
     # H3' iii: lambda ladder of lambda * int_B1 r^{lambda - N0} dmu.
     h3p_values = []
-    for j in range(1, knobs.h3p_j_max + 1):
+    for j in range(1, _H3P_J_MAX + 1):
         lam = 2.0 ** (-j)
         try:
             v = lam * weighted_integral(family, None, 0.0, 1.0, power=lam - N0)
@@ -418,21 +435,21 @@ def check_hypotheses(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -
             h3p_diverges = True
             break
         h3p_values.append(v)
-    else:  # all h3p_j_max >= 3 values are in
+    else:  # all _H3P_J_MAX >= 3 values are in
         tail_inc = h3p_values[-1] > h3p_values[-2] > h3p_values[-3]
-        h3p_diverges = tail_inc and h3p_values[-1] > knobs.h3p_threshold
+        h3p_diverges = tail_inc and h3p_values[-1] > _H3P_THRESHOLD
 
     # Appendix small-ball condition: decay exponent of delta^{-p} mu(B_delta).
     cond1 = {}
-    ks_c = np.arange(knobs.cond1_k_min, knobs.cond1_k_max + 1)
+    ks_c = np.arange(_COND1_K_MIN, _COND1_K_MAX + 1)
     ball = np.array([
         weighted_integral(family, None, 0.0, 2.0 ** (-float(k))) for k in ks_c
     ])
     logd = -ks_c * math.log(2.0)
-    for p in knobs.cond1_p:
+    for p in _COND1_P:
         q = np.log(ball) - p * logd
         slope = float(np.polyfit(logd, q, 1)[0])
-        cond1[f"{p:g}"] = {"holds": slope > knobs.cond1_tol, "exponent": slope}
+        cond1[f"{p:g}"] = {"holds": slope > _COND1_TOL, "exponent": slope}
 
     return HypothesisReport(
         family=family,

@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import SharpnessConfig, SpectralConfig
+from .config import SpectralConfig
 from .errors import (
     BadBracket,
     DivergentIntegral,
@@ -151,8 +151,10 @@ def assemble(problem: SpectralProblem) -> Tuple[Tridiagonal, np.ndarray]:
     return Tridiagonal(K.diag - problem.c * H.diag, K.off - problem.c * H.off), M
 
 
-def _solve_smallest(A: Tridiagonal, M: np.ndarray, residual_tol: float,
-                    enforce: bool = True):
+_RESIDUAL_TOL = 1e-8  # largest eigenpair residual the problem grid accepts
+
+
+def _solve_smallest(A: Tridiagonal, M: np.ndarray, enforce: bool = True):
     """Smallest generalized eigenpair of (A, diag(M)).
 
     Transform to B^{-1/2} A B^{-1/2}, bisect with Sturm counts, inverse
@@ -173,12 +175,12 @@ def _solve_smallest(A: Tridiagonal, M: np.ndarray, residual_tol: float,
     vg = v[:, 0] / sq
     lam, res = _rayleigh_residual(A, M, vg)
     for _ in range(3):
-        if res <= residual_tol:
+        if res <= _RESIDUAL_TOL:
             break
         vg = _inverse_iterate(A, M, vg, lam)
         lam, res = _rayleigh_residual(A, M, vg)
-    if enforce and res > residual_tol:
-        raise NoConvergence(f"eigenpair residual {res:.3e} > {residual_tol:g}")
+    if enforce and res > _RESIDUAL_TOL:
+        raise NoConvergence(f"eigenpair residual {res:.3e} > {_RESIDUAL_TOL:g}")
     # deterministic sign: largest-|entry| component positive
     i = int(np.argmax(np.abs(vg)))
     if vg[i] < 0:
@@ -260,13 +262,13 @@ def lambda1(problem: SpectralProblem, ladder: SpectralConfig = SpectralConfig())
     rungs, each (r_min / rmin_shrink, n x n_grow) from the one before;
     rungs=1 is the single solve on the problem grid (verdict Unresolved)."""
     g = problem.grid
-    lam0, vec, res = _solve_smallest(*assemble(problem), ladder.residual_tol)
+    lam0, vec, res = _solve_smallest(*assemble(problem))
     rows = [(g.n_points, g.r_min, lam0)]
     for k in range(1, ladder.rungs):
         rm = g.r_min / ladder.rmin_shrink**k
         n = int(round(g.n_points * ladder.n_grow**k))
         rung = replace(problem, grid=replace(g, r_min=rm, n_points=n))
-        lam, _, _ = _solve_smallest(*assemble(rung), ladder.residual_tol, enforce=False)
+        lam, _, _ = _solve_smallest(*assemble(rung), enforce=False)
         rows.append((n, rm, lam))
     verdict = _ladder_verdict([row[2] for row in rows], ladder.diverge_factor, ladder.lambda_floor)
     return RayleighResult(lambda1=lam0, eigvec=vec, nodes=g.nodes[1:-1], residual=res,
@@ -476,7 +478,7 @@ def phi_gamma_ladder(
     family: WeightFamily,
     c: float,
     *,
-    j_max: int = SharpnessConfig.gamma_j_max,
+    j_max: int = 12,
     profile: Optional[HardyProfile] = None,
 ) -> List[Tuple[float, float]]:
     """Sweep gamma -> ((2 - N0)/2)+ and report the quotients.

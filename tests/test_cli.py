@@ -62,9 +62,7 @@ sweep_tol = 0.01
     def test_defaults_cover_all_tunables(self):
         text = serialize_config(RunConfig())
         for key in ("tail_window", "diverge_factor", "lambda_floor", "rmin_shrink",
-                    "n_grow", "blowup_ratio", "h3p_threshold", "cond1_tol",
-                    "t_star_frac", "cap_dt_safety", "c_offset", "n_ladder",
-                    "sweep_tol", "omega_rtol"):
+                    "n_grow", "cap_dt_safety", "c_offset", "n_ladder", "sweep_tol"):
             assert key in text, key
 
     def test_unknown_key_rejected(self):
@@ -94,7 +92,6 @@ sweep_tol = 0.01
         ("diverge_factor = nan", "diverge_factor = nan must be >= 2"),
         ("diverge_factor = 1.0001", "diverge_factor = 1.0001 must be >= 2"),
         ("diverge_factor = 1.5", "diverge_factor = 1.5 must be >= 2"),
-        ("residual_tol = 0", "residual_tol = 0.0 must be > 0"),
         ("lambda_floor = -1e5", "lambda_floor = -100000.0 must be >= 0"),
     ])
     def test_spectral_ranges_rejected(self, assignment, message):
@@ -107,8 +104,6 @@ sweep_tol = 0.01
         ("n_ladder = 1,4", "n_ladder = (1, 4) needs >= 2 entries, each >= 2"),
         ("n_ladder = 16,4", "n_ladder = (16, 4) needs >= 2 entries, each >= 2, strictly increasing"),
         ("n_ladder = 4,4,16", "n_ladder = (4, 4, 16) needs"),
-        ("gamma_j_max = 0", "gamma_j_max = 0 must be >= 2"),
-        ("gamma_j_max = 1", "gamma_j_max = 1 must be >= 2"),
         ("c_offset = 0", "c_offset = 0.0 must be finite and > 0"),
         ("c_offset = -5", "c_offset = -5.0 must be finite and > 0"),
         ("c_offset = inf", "c_offset = inf must be finite and > 0"),
@@ -123,14 +118,9 @@ sweep_tol = 0.01
         ("tail_window = 2", "tail_window = 2, k_min = 10, k_max = 40 need 3 <= tail_window"),
         ("tail_window = 0", "tail_window = 0, k_min = 10, k_max = 40 need 3 <= tail_window"),
         ("tail_window = 32", "tail_window = 32, k_min = 10, k_max = 40 need 3 <= tail_window"),
-        ("h2iv_k_max = 0", "h2iv_k_max = 0 must be >= 1"),
-        ("h2iii_radii =", "h2iii_radii must name at least one radius"),
-        ("h2iii_radii = 0,1", "h2iii_radii = (0.0, 1.0) must lie in (0, h2iii_r_hi = 1000)"),
-        ("h2iii_radii = 0.1,1000", "h2iii_radii = (0.1, 1000.0) must lie in (0, h2iii_r_hi"),
-        ("h3p_j_max = 0", "h3p_j_max = 0 must be >= 3"),
-        ("h3p_j_max = 2", "h3p_j_max = 2 must be >= 3"),
-        ("cond1_p =", "cond1_p must name at least one exponent"),
-        ("cond1_k_min = 12", "cond1_k_min = 12, cond1_k_max = 12 need cond1_k_min < cond1_k_max"),
+        # r = 2^-k <= 1/2 keeps the ladder off the closures of log_weight and oscillating
+        ("k_min = 0", "k_min = 0 must be >= 1"),
+        ("k_min = -3", "k_min = -3 must be >= 1"),
     ])
     def test_hardy_ranges_rejected(self, assignment, message):
         with pytest.raises(ConfigError, match=re.escape(f"[hardy] {message}")):
@@ -308,8 +298,8 @@ class TestCli:
 
     @pytest.mark.parametrize("override", [
         "caps=100,1000", "caps=-10,100,1000", "cap_dt_safety=0", "dt=0", "T=0",
-        "records=4", "n_points=8", "u0_lo=-1", "r_min=0", "r_min=10", "t_star_frac=2",
-        "r_max=0.2", "t_star_frac=0.005", "r_max=inf", "blowup_ratio=1",
+        "records=4", "n_points=8", "u0_lo=-1", "r_min=0", "r_min=10", "r_max=0.2",
+        "r_max=inf",
     ])
     def test_bad_evolution_values_exit_2(self, tmp_path, capsys, override):
         rc = main(["evolve", "--out", str(tmp_path / "o"),
@@ -321,14 +311,12 @@ class TestCli:
     @pytest.mark.parametrize("task, overrides", [
         ("spectrum", ["spectral.c=0.5", "spectral.lambda_floor=nan"]),
         ("spectrum", ["spectral.c=nan"]),
-        ("evolve", ["evolution.c=0.5", "evolution.blowup_ratio=nan"]),
-        ("evolve", ["evolution.omega_rtol=nan"]),
         ("evolve", ["evolution.c=inf"]),
         ("evolve", ["evolution.caps=100,nan,10000"]),
         ("evolve", ["evolution.dt=inf"]),
         ("analyze", ["family.b=nan"]),
         ("analyze", ["family.kind=log_weight", "family.alpha=1", "grid.r_max=0.95",
-                     "evolution.r_max=0.95", "hardy.h3p_threshold=nan"]),
+                     "evolution.r_max=0.95", "family.alpha=nan"]),
     ], ids=lambda v: v[-1] if isinstance(v, list) else v)
     def test_non_finite_values_exit_2(self, tmp_path, capsys, task, overrides):
         # a nan passes every comparison-free rule and would flip a verdict
@@ -339,6 +327,29 @@ class TestCli:
         key, value = key_value.split("=")
         assert capsys.readouterr().err == (
             f"config error: [{section}] {key} = {value} must be finite\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("override", [
+        # the audit meshes and thresholds (constants of hardykit.hardy)
+        "hardy.h2iv_k_max=40", "hardy.h2iii_radii=0.1,1,10", "hardy.h2iii_r_hi=1000.0",
+        "hardy.h2iii_per_decade=40", "hardy.h3p_j_max=20", "hardy.h3p_threshold=1000.0",
+        "hardy.cond1_p=1,2,3", "hardy.cond1_k_min=2", "hardy.cond1_k_max=12",
+        "hardy.cond1_tol=0.02",
+        # the eigenpair residual gate and the phi_gamma ladder length (hardykit.spectral)
+        "spectral.residual_tol=1e-8", "sharpness.gamma_j_max=12",
+        # the verdict rules (constants of hardykit.evolution)
+        "evolution.t_star_frac=0.5", "evolution.blowup_ratio=2.0", "evolution.omega_rtol=0.1",
+    ])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, override):
+        key, value = override.split("=")
+        section, name = key.split(".")
+        message = f"config error: unknown key [{section}] {name}\n"
+        assert main(["analyze", "--out", str(tmp_path / "o"), "--override", override]) == 2
+        assert capsys.readouterr().err == message
+        cfg_file = tmp_path / "cfg.ini"
+        cfg_file.write_text(f"[family]\nkind = exp_power\n\n[{section}]\n{name} = {value}\n")
+        assert main(["analyze", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == message
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("override", ["r_min=0", "r_max=1e-6", "n_points=8", "r_max=inf"])

@@ -8,7 +8,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from hardykit import RadialGrid, dichotomy_verdict, evolution, fit_envelope, lapack, run_capped
 from hardykit.config import EvolutionConfig, SpectralConfig
-from hardykit.errors import DegenerateSeries, HardyKitError, NegativeDatum, SchemeDivergence
+from hardykit.errors import DegenerateSeries, NegativeDatum, SchemeDivergence
 from hardykit.evolution import _implicit_euler
 from hardykit.spectral import grid_parts
 from hardykit.weights import RadialBump
@@ -342,9 +342,3 @@ class TestDichotomyCrossCheck:
         assert run.verdict == "Inconclusive"
         assert run.spectral_verdict == "Unresolved"
         assert run.agrees is True
-
-    @pytest.mark.parametrize("t_star_frac", [0.005, 2.0])
-    def test_t_star_outside_the_records_rejected(self, exppow3, t_star_frac):
-        with pytest.raises(ValueError, match="t_star_frac") as caught:
-            dichotomy_verdict(exppow3, 0.2, _knobs(t_star_frac=t_star_frac))
-        assert isinstance(caught.value, HardyKitError)
