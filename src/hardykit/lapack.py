@@ -12,11 +12,18 @@ first solve, so the audit tasks (analyze, sharpness) never load it.
 
 The two solvers make exactly the LAPACK calls of the scipy.linalg functions
 they are named after, with the same checks, so results are bitwise the same;
-a failed check raises NoConvergence.
+a failed check raises NoConvergence.  stebz and stein go through ctypes, not
+through the extension's f2py wrappers, which hold the interpreter lock for
+the whole call: a ctypes call releases it, so spectral can solve two ladder
+rungs at once on two threads.  They are looked up in the extension's file,
+and the dynamic linker searches the libraries it links, so they are the
+very routines the f2py wrappers call.  gtsv, pttrf, pttrs and stev stay on
+f2py.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
@@ -47,6 +54,39 @@ def load():
 
 flapack = load()
 
+_INT = ctypes.POINTER(ctypes.c_int)
+_DOUBLE = ctypes.POINTER(ctypes.c_double)
+_F64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+_INTS = np.ctypeslib.ndpointer(np.intc, ndim=1, flags="C_CONTIGUOUS")
+_COLUMNS = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
+
+
+def _routine(path: str, name: str, argtypes):
+    """LAPACK routine `name` as the extension at `path` links it: scipy's
+    OpenBLAS prefixes its symbols with scipy_, a plain LAPACK does not.
+    Integers are LP64 (np.intc), as in scipy's _flapack."""
+    lib = ctypes.CDLL(path)
+    for symbol in (f"scipy_{name}_", f"{name}_"):
+        try:
+            fn = getattr(lib, symbol)
+        except AttributeError:
+            continue
+        fn.argtypes, fn.restype = argtypes, None
+        return fn
+    raise ImportError(f"{path} links neither scipy_{name}_ nor {name}_")
+
+
+# the fallback module, scipy.linalg.lapack, wraps the same extension
+_PATH = getattr(flapack, "_flapack", flapack).__file__
+# RANGE ORDER N VL VU IL IU ABSTOL D E M NSPLIT W IBLOCK ISPLIT WORK IWORK INFO,
+# then the hidden lengths of the two CHARACTER arguments
+_dstebz = _routine(_PATH, "dstebz", [ctypes.c_char_p, ctypes.c_char_p, _INT, _DOUBLE, _DOUBLE,
+                                     _INT, _INT, _DOUBLE, _F64, _F64, _INT, _INT, _F64, _INTS,
+                                     _INTS, _F64, _INTS, _INT, ctypes.c_size_t, ctypes.c_size_t])
+# N D E M W IBLOCK ISPLIT Z LDZ WORK IWORK IFAIL INFO
+_dstein = _routine(_PATH, "dstein", [_INT, _F64, _F64, _INT, _F64, _INTS, _INTS, _COLUMNS,
+                                     _INT, _F64, _INTS, _INTS, _INT])
+
 
 def _check_info(routine: str, info: int) -> None:
     if info != 0:
@@ -57,23 +97,43 @@ def eigh_tridiagonal(d, e):
     """(w, v): the smallest eigenpair of the symmetric tridiagonal (d, e),
     as scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
     computes it: stebz bisection in block order, then stein.  scipy sorts the
-    m selected eigenvalues afterwards; index range 1..1 gives m == 1."""
+    m selected eigenvalues afterwards; index range 1..1 gives m == 1.
+
+    Both calls release the interpreter lock.  They share one work buffer of
+    5n doubles, of which stebz uses 4n; neither reads workspace it has not
+    written.  stebz's 3n integers are freed before stein's n."""
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise NoConvergence("LAPACK dstebz input has non-finite entries")
-    m, w, iblock, isplit, info = flapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
-    _check_info("dstebz", info)
-    w = w[:m]
-    v, info = flapack.dstein(d, e, w, iblock, isplit)
-    _check_info("dstein", info)
+    d, e = np.ascontiguousarray(d, np.float64), np.ascontiguousarray(e, np.float64)
+    n = len(d)
+    if e.shape != (n - 1,):
+        raise ValueError(f"e needs n - 1 = {n - 1} entries, got shape {e.shape}")
+    c_int, c_double, ref = ctypes.c_int, ctypes.c_double, ctypes.byref
+    size, one, zero = c_int(n), c_int(1), c_double(0.0)
+    m, nsplit, info = c_int(), c_int(), c_int()
+    w = np.empty(n)
+    iblock, isplit = np.empty(n, np.intc), np.empty(n, np.intc)
+    work, iwork = np.empty(5 * n), np.empty(3 * n, np.intc)
+    _dstebz(b"I", b"B", ref(size), ref(zero), ref(c_double(1.0)), ref(one), ref(one), ref(zero),
+            d, e, ref(m), ref(nsplit), w, iblock, isplit, work, iwork, ref(info), 1, 1)
+    del iwork  # stein needs a third of it, freed before the eigenvector is allocated
+    _check_info("dstebz", info.value)
+    w = w[:m.value]
+    v = np.empty((n, m.value), order="F")
+    _dstein(ref(size), d, e, ref(m), w, iblock, isplit, v, ref(size), work, np.empty(n, np.intc),
+            np.empty(m.value, np.intc), ref(info))
+    _check_info("dstein", info.value)
     return w, v
 
 
-def solve_banded(l_and_u, ab, b):
+def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False):
     """x with T x = b for the tridiagonal T in banded storage ab (rows:
     super-, main and sub-diagonal), as scipy.linalg.solve_banded((1, 1), ab, b)
-    solves it: one gtsv, LU with partial pivoting."""
+    solves it: one gtsv, LU with partial pivoting.  As there, the overwrite
+    flags let gtsv work in ab and b instead of in copies."""
     if tuple(l_and_u) != (1, 1):
         raise ValueError(f"only tridiagonal systems, l_and_u = (1, 1); got {l_and_u}")
-    *_, x, info = flapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    *_, x, info = flapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
+                                overwrite_ab, overwrite_ab, overwrite_ab, overwrite_b)
     _check_info("dgtsv", info)
     return x

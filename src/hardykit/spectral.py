@@ -27,11 +27,25 @@ theta, n^-gamma) without the cap, and the cutoff-annulus integrals, which no
 n reaches, are computed once per (family, c, gamma).
 Assembly and solves are pure per problem instance; ladder rungs and sweep
 points carry no shared mutable state.
+
+A ladder's rungs are solved on two threads.  The rungs are split by node
+count, the largest first to the side with fewer nodes: with n_grow = 2 the
+deepest rung (8/15 of a 4-rung ladder's nodes) runs on a worker thread
+beside the other three, and equal rungs split two and two.  Every pencil is
+assembled on the calling thread, the worker's first and each of the
+caller's just before its solve; the worker runs only _solve_smallest, whose
+LAPACK calls release the interpreter lock (see the lapack module), so the
+caller's assembly and solves overlap them.  The results are bitwise those of
+solving the rungs one after the other.  Each rung records its outcome, and
+lambda1 raises the exception of the shallowest failing rung, whether it
+failed in assembly or in the solve: the error a serial ladder would meet
+first.  The worker is always joined before lambda1 returns or raises.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import List, Optional, Tuple
@@ -91,9 +105,9 @@ def eigh_tridiagonal(d, e):
     return lapack.eigh_tridiagonal(d, e)
 
 
-def solve_banded(l_and_u, ab, b):
+def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False):
     from . import lapack
-    return lapack.solve_banded(l_and_u, ab, b)
+    return lapack.solve_banded(l_and_u, ab, b, overwrite_ab, overwrite_b)
 
 
 @dataclass(frozen=True)
@@ -204,7 +218,7 @@ def _inverse_iterate(A: Tridiagonal, M: np.ndarray, v: np.ndarray, lam: float):
     ab[0, 1:] = A.off
     ab[1, :] = A.diag - shift * M
     ab[2, :-1] = A.off
-    w = solve_banded((1, 1), ab, M * v)
+    w = solve_banded((1, 1), ab, M * v, overwrite_ab=True, overwrite_b=True)
     return w / np.linalg.norm(w)
 
 
@@ -257,19 +271,86 @@ def _ladder_verdict(lams: List[float], factor: float, floor: float) -> str:
     return "Bounded"
 
 
+def _split(sizes: List[int]) -> Tuple[List[int], List[int]]:
+    """(worker's, caller's) rung indices, balanced by node count: the largest
+    rung first (the deeper on a tie), each to the side with fewer nodes so
+    far (the worker's on a tie), except that a lone rung is the caller's.
+    Each side is in rung order."""
+    worker: List[int] = []
+    caller: List[int] = []
+    worker_nodes = caller_nodes = 0
+    for k in sorted(range(len(sizes)), key=lambda k: (sizes[k], k), reverse=True):
+        if caller_nodes < worker_nodes:
+            caller.append(k)
+            caller_nodes += sizes[k]
+        else:
+            worker.append(k)
+            worker_nodes += sizes[k]
+    if not caller:  # a lone rung: there is nothing to run beside it
+        return caller, worker
+    return sorted(worker), sorted(caller)
+
+
 def lambda1(problem: SpectralProblem, ladder: SpectralConfig = SpectralConfig()) -> RayleighResult:
     """Smallest Rayleigh quotient, with the verdict of a ladder of `rungs`
     rungs, each (r_min / rmin_shrink, n x n_grow) from the one before;
-    rungs=1 is the single solve on the problem grid (verdict Unresolved)."""
+    rungs=1 is the single solve on the problem grid (verdict Unresolved).
+
+    The rungs are solved on two threads (see the module docstring); the
+    exception raised is that of the shallowest failing rung, as if they had
+    run one after the other."""
     g = problem.grid
-    lam0, vec, res = _solve_smallest(*assemble(problem))
+    rungs = max(ladder.rungs, 1)  # rung 0, the problem grid, is always solved
+    sizes = [int(round(g.n_points * ladder.n_grow**k)) for k in range(rungs)]
+    outcomes: list = [None] * rungs  # rung k's solve, or the exception it raised
+
+    def pencil(k):
+        if k == 0:
+            return assemble(problem)
+        rung = replace(g, r_min=g.r_min / ladder.rmin_shrink**k, n_points=sizes[k])
+        return assemble(replace(problem, grid=rung))
+
+    def solve(k, A, M):
+        lam, vec, res = _solve_smallest(A, M, enforce=k == 0)
+        outcomes[k] = (lam, vec, res) if k == 0 else lam
+
+    def solve_all(pencils):
+        # the worker: an exception it raised is raised by the caller below
+        while pencils:
+            k, (A, M) = pencils.pop(0)
+            try:
+                solve(k, A, M)
+            except BaseException as exc:
+                outcomes[k] = exc
+                return
+
+    theirs, ours = _split(sizes)
+    pencils = []
+    for k in theirs:
+        try:
+            pencils.append((k, pencil(k)))
+        except Exception as exc:
+            outcomes[k] = exc
+            break
+    worker = threading.Thread(target=solve_all, args=(pencils,)) if pencils else None
+    if worker is not None:
+        worker.start()
+    try:
+        for k in ours:
+            try:
+                solve(k, *pencil(k))
+            except Exception as exc:
+                outcomes[k] = exc
+                break
+    finally:
+        if worker is not None:
+            worker.join()
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    lam0, vec, res = outcomes[0]
     rows = [(g.n_points, g.r_min, lam0)]
-    for k in range(1, ladder.rungs):
-        rm = g.r_min / ladder.rmin_shrink**k
-        n = int(round(g.n_points * ladder.n_grow**k))
-        rung = replace(problem, grid=replace(g, r_min=rm, n_points=n))
-        lam, _, _ = _solve_smallest(*assemble(rung), enforce=False)
-        rows.append((n, rm, lam))
+    rows += [(sizes[k], g.r_min / ladder.rmin_shrink**k, outcomes[k]) for k in range(1, rungs)]
     verdict = _ladder_verdict([row[2] for row in rows], ladder.diverge_factor, ladder.lambda_floor)
     return RayleighResult(lambda1=lam0, eigvec=vec, nodes=g.nodes[1:-1], residual=res,
                           ladder=rows, verdict=verdict)

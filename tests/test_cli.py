@@ -429,6 +429,17 @@ class TestCli:
         assert "the measure underflows at r_min = 1e-107 -- raise r_min" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_shallowest_rung_failure_is_reported(self, tmp_path, capsys):
+        # rung 0 fails in dstebz; rungs 2 and 3 (r_min = 6.25e-104) would fail
+        # in assembly, and rung 3 is assembled first, for the worker thread.
+        # The rungs fail in serial order, so the LAPACK failure is reported
+        rc = main(["spectrum", "--out", str(tmp_path / "o"), "--override", "grid.r_min=1e-102"])
+        assert rc == 3
+        assert capsys.readouterr().err.strip() == \
+            "numeric failure [spectrum]: LAPACK dstebz failed (info=4)"
+        assert not (tmp_path / "o").exists()
+
     def test_bracket_below_c0_mu_names_sweep_c_hi(self, tmp_path, capsys):
         # lebesgue N=5: c0_mu = 9/4 lies above the default sweep_c_hi = 0.6
         rc = main(["sweep", "--out", str(tmp_path / "o"),
@@ -630,6 +641,36 @@ def test_import_leaves_unused_scipy_out():
                          text=True, check=True).stdout.splitlines()
     assert out[0].startswith(src)
     assert out[1] == "[]"
+
+
+def _run_with_blas_threads(code, threads):
+    """stdout of `python -c code` on ./src, with OPENBLAS_NUM_THREADS unset
+    (threads None) or set to `threads`."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_import_pins_openblas_to_one_thread(preset, want):
+    # the spectral ladder runs a second thread of its own; a user's setting is kept
+    code = "import os, hardykit; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _run_with_blas_threads(code, preset) == want
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_a_solve_leaves_one_thread():
+    # no OpenBLAS pool thread is started, by numpy or by scipy's LAPACK, and
+    # the ladder's worker thread is joined
+    code = ("import os, hardykit.cli; "
+            "from hardykit import Kind, RadialGrid, SpectralProblem, WeightFamily, lambda1; "
+            "lambda1(SpectralProblem(WeightFamily(Kind.EXP_POWER, 3), 0.3, RadialGrid())); "
+            "print(len(os.listdir('/proc/self/task')))")
+    assert _run_with_blas_threads(code, None) == "1"
 
 
 def test_audit_tasks_never_load_scipy_linalg(tmp_path):

@@ -1,5 +1,10 @@
+import ctypes
 import importlib.machinery
 import math
+import sys
+import threading
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,6 +178,80 @@ class TestLambda1:
         assert np.array_equal(got.eigvec, want.eigvec)
         assert callable(evolution.solve_banded)
 
+    @pytest.mark.parametrize("n_grow", [1.0, 2.0])
+    @pytest.mark.parametrize("rungs", [0, 1, 2, 3, 4])
+    def test_ladder_matches_serial_solves_bitwise(self, exppow3, rungs, n_grow):
+        # the rungs run on two threads; each must read exactly what a plain
+        # loop over the rungs reads.  rungs = 0 solves the problem grid alone
+        ladder = SpectralConfig(rungs=rungs, n_grow=n_grow)
+        prob = SpectralProblem(exppow3, 0.3, GRID)
+        got = lambda1(prob, ladder)
+        rows = []
+        for k in range(max(rungs, 1)):
+            r_min = GRID.r_min / ladder.rmin_shrink**k
+            n = int(round(GRID.n_points * n_grow**k))
+            rung = replace(prob, grid=replace(GRID, r_min=r_min, n_points=n))
+            lam, vec, res = spectral._solve_smallest(*assemble(rung), enforce=k == 0)
+            rows.append((n, r_min, lam))
+            if k == 0:
+                assert (got.lambda1, got.residual) == (lam, res)
+                assert np.array_equal(got.eigvec, vec)
+        assert got.ladder == rows
+
+    @pytest.mark.parametrize("sizes, worker, caller", [
+        ([256], [], [0]),
+        ([256, 512], [1], [0]),
+        ([256, 512, 1024, 2048], [3], [0, 1, 2]),
+        ([256] * 4, [1, 3], [0, 2]),
+        ([256] * 3, [0, 2], [1]),
+    ])
+    def test_rungs_split_by_node_count(self, sizes, worker, caller):
+        assert spectral._split(sizes) == (worker, caller)
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    @pytest.mark.parametrize("failing, raised", [
+        ({3}, 3), ({1, 3}, 1), ({0, 3}, 0), ({2}, 2), ({0, 1, 2, 3}, 0),
+    ])
+    def test_shallowest_failing_rung_is_raised(self, exppow3, monkeypatch, failing, raised):
+        # rung 3 runs on the worker thread, rungs 0-2 on the caller: whichever
+        # fails, the error is the one a serial ladder meets first
+        real = spectral.eigh_tridiagonal
+        sizes = {GRID.n_points * 2**k - 2: k for k in range(4)}
+
+        def failing_solve(d, e):
+            if sizes[len(d)] in failing:
+                raise NoConvergence(f"rung {sizes[len(d)]}")
+            return real(d, e)
+
+        monkeypatch.setattr(spectral, "eigh_tridiagonal", failing_solve)
+        threads = threading.active_count()
+        with pytest.raises(NoConvergence, match=f"^rung {raised}$"):
+            lambda1(SpectralProblem(exppow3, 0.3, GRID))
+        assert threading.active_count() == threads  # the worker was joined
+
+    def test_concurrent_ladders_match_serial(self, exppow3):
+        # lambda1 shares no state between calls: six ladders on six threads,
+        # with a short switch interval, read what they read one at a time
+        cs = [0.1 * j for j in range(6)]
+        want = [lambda1(SpectralProblem(exppow3, c, GRID)).ladder for c in cs]
+        got = [None] * len(cs)
+
+        def run(j):
+            got[j] = lambda1(SpectralProblem(exppow3, cs[j], GRID)).ladder
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(j,)) for j in range(len(cs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
+
     @pytest.mark.parametrize("family_name,c0n0", [
         ("exppow3", 0.25), ("pexp4", 0.25), ("leb4", 1.0),
     ])
@@ -253,6 +332,82 @@ class TestLapackLoader:
         assert np.array_equal(hk_lapack.flapack.dpttrs(*factors[:2], b)[0],
                               scipy_lapack.dpttrs(*factors[:2], b)[0])
 
+    def test_banded_solve_in_place_is_bitwise_equal(self, leb4):
+        # inverse iteration lets gtsv work in its own ab and b, as
+        # scipy.linalg.solve_banded does with the overwrite flags
+        A, M = assemble(SpectralProblem(leb4, 0.5, RadialGrid(1e-5, 20.0, 4096)))
+        ab = np.zeros((3, A.n))
+        ab[0, 1:], ab[1], ab[2, :-1] = A.off, A.diag - 1e-3 * M, A.off
+        b = M * np.linspace(1.0, 2.0, A.n)
+        want = solve_banded((1, 1), ab, b, check_finite=False)
+        ab_mine, b_mine = ab.copy(), b.copy()
+        got = spectral.solve_banded((1, 1), ab_mine, b_mine, overwrite_ab=True, overwrite_b=True)
+        assert np.array_equal(got, want)
+        assert np.shares_memory(got, b_mine)  # no copy was made
+
+    @pytest.mark.parametrize("n", [2, 17, 1000, 16384])
+    def test_eigensolver_matches_scipy_on_graded_matrices(self, n):
+        # entries over 24 decades, as on the deep rungs of a ladder
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            g = np.geomspace(1e-12, 1e12, n) * rng.uniform(0.5, 2.0, n)
+            d = g * rng.uniform(2.0, 2.1, n)
+            e = -np.sqrt(g[:-1] * g[1:]) * rng.uniform(0.8, 1.0, n - 1)
+            w, v = hk_lapack.eigh_tridiagonal(d, e)
+            w_ref, v_ref = eigh_tridiagonal(d, e, select="i", select_range=(0, 0))
+            assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    def test_eigensolver_releases_the_interpreter_lock(self):
+        # this thread keeps running Python while another is in LAPACK: its
+        # longest pause is a small part of one solve (a wrapper that holds
+        # the lock would pause it for all of stebz, most of the solve)
+        d, e = np.full(16384, 2.0), np.full(16383, -1.0)
+        clock = time.perf_counter
+
+        def solo():
+            start = clock()
+            hk_lapack.eigh_tridiagonal(d, e)
+            return clock() - start
+
+        fastest = min(solo() for _ in range(3))
+
+        def overlapped():
+            window, stamps, done = [], [], threading.Event()
+
+            def solve():
+                window.append(clock())
+                hk_lapack.eigh_tridiagonal(d, e)
+                window.append(clock())
+                done.set()
+
+            worker = threading.Thread(target=solve)
+            worker.start()
+            while not done.is_set():
+                stamps.append(clock())
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            t0, t1 = window
+            inside = [t0] + [t for t in stamps if t0 < t < t1] + [t1]
+            return max(np.diff(inside)) < 0.5 * fastest
+
+        assert any(overlapped() for _ in range(3))  # a busy host may pause this thread
+
+    def test_routine_lookup(self):
+        # scipy's OpenBLAS prefixes its LAPACK symbols; a missing routine is
+        # named with the library file and both symbol names
+        fn = hk_lapack._routine(hk_lapack._PATH, "dstebz", None)
+        assert ctypes.cast(fn, ctypes.c_void_p).value == \
+            ctypes.cast(hk_lapack._dstebz, ctypes.c_void_p).value
+        with pytest.raises(ImportError) as err:
+            hk_lapack._routine(hk_lapack._PATH, "nosuchroutine", [])
+        assert str(err.value) == (f"{hk_lapack._PATH} links neither "
+                                  f"scipy_nosuchroutine_ nor nosuchroutine_")
+
+    def test_public_lapack_wraps_the_same_routines(self):
+        # on the fallback path the routines come from the extension that
+        # scipy.linalg.lapack wraps, which is the same file
+        assert getattr(scipy_lapack, "_flapack").__file__ == hk_lapack._PATH
+
     def test_fallback_to_public_lapack_is_bitwise_equal(self, exppow3, monkeypatch):
         # a scipy without linalg/_flapack where hardykit looks: the loader
         # imports scipy.linalg.lapack, and every number stays the same
@@ -276,12 +431,16 @@ class TestLapackLoader:
         assert np.array_equal(fallback.eigvec, direct.eigvec)
         assert np.array_equal(capped_fb.norms, capped.norms)
 
-    def test_non_finite_pencil_is_no_convergence(self, exppow3):
+    def test_non_finite_pencil_is_no_convergence(self, exppow3, monkeypatch):
         A, M = assemble(SpectralProblem(exppow3, 0.2, GRID))
         diag = A.diag.copy()
         diag[A.n // 2] = np.nan
+        def no_call(*args):
+            raise AssertionError("a non-finite pencil reached dstebz")
+
+        monkeypatch.setattr(hk_lapack, "_dstebz", no_call)
         with pytest.raises(NoConvergence, match="dstebz") as err:
-            spectral._solve_smallest(spectral.Tridiagonal(diag, A.off), M, 1e-8)
+            spectral._solve_smallest(spectral.Tridiagonal(diag, A.off), M)
         assert isinstance(err.value, HardyKitError)  # the CLI exits 3
 
     def test_singular_banded_solve_is_no_convergence(self):
