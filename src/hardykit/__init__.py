@@ -1,17 +1,5 @@
 """hardykit: numerics for weighted Hardy inequalities of Kolmogorov-type
-operators with inverse-square potentials.
-
-Importing hardykit sets OPENBLAS_NUM_THREADS to 1 unless it is already set.
-OpenBLAS reads it when its library loads, so the pin holds for numpy's
-OpenBLAS only where hardykit is imported before numpy, and for scipy's
-LAPACK extension, which hardykit loads on its first solve, either way.  The
-spectral ladder runs its own second thread (see hardykit.spectral), and an
-OpenBLAS pool thread spinning beside it would hold the second core.
-"""
-
-import os
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+operators with inverse-square potentials."""
 
 __version__ = "0.1.0"
 

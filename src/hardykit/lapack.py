@@ -19,10 +19,21 @@ rungs at once on two threads.  They are looked up in the extension's file,
 and the dynamic linker searches the libraries it links, so they are the
 very routines the f2py wrappers call.  gtsv, pttrf, pttrs and stev stay on
 f2py.
+
+An OpenBLAS pool thread spins for a while after each threaded call, and
+beside the ladder's second thread it holds the second core.  So, unless
+OPENBLAS_NUM_THREADS is set, importing this module loads scipy's OpenBLAS
+with that variable at 1 for the load only, and then sets numpy's and
+scipy's OpenBLAS to one thread at run time, through the same symbol
+lookup: the pin does not depend on whether numpy was imported first, and
+no child process inherits it.  Where either BLAS may still use more
+threads, or is not an OpenBLAS whose count can be read, blas_threads() says
+so and spectral solves the rungs one after the other.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import importlib.machinery
 import importlib.util
@@ -34,6 +45,22 @@ import numpy as np
 from .errors import NoConvergence
 
 
+@contextlib.contextmanager
+def _one_thread_while_loading():
+    """OpenBLAS reads OPENBLAS_NUM_THREADS once, as its library loads, and
+    a pool thread it starts spins for about 0.1 s of CPU beside the first
+    ladder.  Unless the variable is set, it reads 1 for this load only, so
+    scipy's OpenBLAS starts no pool thread and no child process inherits it."""
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
 def load():
     """scipy's compiled LAPACK extension, scipy/linalg/_flapack.  A scipy
     without that file falls back to the public scipy.linalg.lapack, which
@@ -42,10 +69,12 @@ def load():
     spec = importlib.machinery.PathFinder.find_spec(
         "_flapack", [os.path.join(scipy_dir, "linalg")])
     if spec is None:
-        from scipy.linalg import lapack
+        with _one_thread_while_loading():
+            from scipy.linalg import lapack
         return lapack
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    with _one_thread_while_loading():  # module_from_spec loads the library
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
     # an extension with single-phase init registers itself in sys.modules
     # under its bare name; this copy stays private to hardykit
     sys.modules.pop(spec.name, None)
@@ -88,6 +117,38 @@ _dstein = _routine(_PATH, "dstein", [_INT, _F64, _F64, _INT, _F64, _INTS, _INTS,
                                      _INT, _F64, _INTS, _INTS, _INT])
 
 
+def _thread_count(path: str):
+    """(get, set) of the thread count of the OpenBLAS that the extension at
+    `path` links, or None when it links no OpenBLAS.  numpy's and scipy's
+    wheels prefix these symbols with scipy_, an ILP64 build appends 64_."""
+    lib = ctypes.CDLL(path)
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+_NUMPY_PATH = (sys.modules.get("numpy._core._multiarray_umath")
+               or sys.modules["numpy.core._multiarray_umath"]).__file__
+_OPENBLAS = [_thread_count(_NUMPY_PATH), _thread_count(_PATH)]
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    for _counts in filter(None, _OPENBLAS):
+        _counts[1](1)
+
+
+def blas_threads() -> int:
+    """The most threads numpy's or scipy's OpenBLAS may use now, or 0 when
+    either is not an OpenBLAS whose count can be read."""
+    if None in _OPENBLAS:
+        return 0
+    return max(get() for get, _ in _OPENBLAS)
+
+
 def _check_info(routine: str, info: int) -> None:
     if info != 0:
         raise NoConvergence(f"LAPACK {routine} failed (info={info})")
@@ -126,14 +187,12 @@ def eigh_tridiagonal(d, e):
     return w, v
 
 
-def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False):
+def solve_banded(l_and_u, ab, b):
     """x with T x = b for the tridiagonal T in banded storage ab (rows:
     super-, main and sub-diagonal), as scipy.linalg.solve_banded((1, 1), ab, b)
-    solves it: one gtsv, LU with partial pivoting.  As there, the overwrite
-    flags let gtsv work in ab and b instead of in copies."""
+    solves it: one gtsv, LU with partial pivoting."""
     if tuple(l_and_u) != (1, 1):
         raise ValueError(f"only tridiagonal systems, l_and_u = (1, 1); got {l_and_u}")
-    *_, x, info = flapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b,
-                                overwrite_ab, overwrite_ab, overwrite_ab, overwrite_b)
+    *_, x, info = flapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
     _check_info("dgtsv", info)
     return x

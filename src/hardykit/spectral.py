@@ -28,18 +28,22 @@ n reaches, are computed once per (family, c, gamma).
 Assembly and solves are pure per problem instance; ladder rungs and sweep
 points carry no shared mutable state.
 
-A ladder's rungs are solved on two threads.  The rungs are split by node
-count, the largest first to the side with fewer nodes: with n_grow = 2 the
-deepest rung (8/15 of a 4-rung ladder's nodes) runs on a worker thread
-beside the other three, and equal rungs split two and two.  Every pencil is
-assembled on the calling thread, the worker's first and each of the
-caller's just before its solve; the worker runs only _solve_smallest, whose
-LAPACK calls release the interpreter lock (see the lapack module), so the
-caller's assembly and solves overlap them.  The results are bitwise those of
-solving the rungs one after the other.  Each rung records its outcome, and
-lambda1 raises the exception of the shallowest failing rung, whether it
-failed in assembly or in the solve: the error a serial ladder would meet
-first.  The worker is always joined before lambda1 returns or raises.
+A ladder's rungs are solved on two threads where numpy's and scipy's BLAS
+each run on one (lapack.blas_threads(); importing the lapack module pins
+them unless OPENBLAS_NUM_THREADS is set), and one after the other
+otherwise, since BLAS pool threads would hold the second core.  The rungs
+are split by node count, the largest first to the side with fewer nodes:
+with n_grow = 2 the deepest rung (8/15 of a 4-rung ladder's nodes) runs on
+a worker thread beside the other three, and equal rungs split two and two.
+Every pencil is assembled on the calling thread, the worker's first and
+each of the caller's just before its solve; the worker runs only
+_solve_smallest, whose LAPACK calls release the interpreter lock (see the
+lapack module), so the caller's assembly and solves overlap them.  The
+results are bitwise those of solving the rungs one after the other.  Each
+rung records its outcome, and lambda1 raises the exception of the
+shallowest failing rung, whether it failed in assembly or in the solve:
+the error a serial ladder would meet first.  The worker is always joined
+before lambda1 returns or raises.
 """
 
 from __future__ import annotations
@@ -105,9 +109,9 @@ def eigh_tridiagonal(d, e):
     return lapack.eigh_tridiagonal(d, e)
 
 
-def solve_banded(l_and_u, ab, b, overwrite_ab=False, overwrite_b=False):
+def solve_banded(l_and_u, ab, b):
     from . import lapack
-    return lapack.solve_banded(l_and_u, ab, b, overwrite_ab, overwrite_b)
+    return lapack.solve_banded(l_and_u, ab, b)
 
 
 @dataclass(frozen=True)
@@ -218,7 +222,7 @@ def _inverse_iterate(A: Tridiagonal, M: np.ndarray, v: np.ndarray, lam: float):
     ab[0, 1:] = A.off
     ab[1, :] = A.diag - shift * M
     ab[2, :-1] = A.off
-    w = solve_banded((1, 1), ab, M * v, overwrite_ab=True, overwrite_b=True)
+    w = solve_banded((1, 1), ab, M * v)
     return w / np.linalg.norm(w)
 
 
@@ -296,9 +300,9 @@ def lambda1(problem: SpectralProblem, ladder: SpectralConfig = SpectralConfig())
     rungs, each (r_min / rmin_shrink, n x n_grow) from the one before;
     rungs=1 is the single solve on the problem grid (verdict Unresolved).
 
-    The rungs are solved on two threads (see the module docstring); the
-    exception raised is that of the shallowest failing rung, as if they had
-    run one after the other."""
+    The rungs are solved on two threads where BLAS runs on one (see the
+    module docstring); the exception raised is that of the shallowest
+    failing rung, as if they had run one after the other."""
     g = problem.grid
     rungs = max(ladder.rungs, 1)  # rung 0, the problem grid, is always solved
     sizes = [int(round(g.n_points * ladder.n_grow**k)) for k in range(rungs)]
@@ -324,7 +328,9 @@ def lambda1(problem: SpectralProblem, ladder: SpectralConfig = SpectralConfig())
                 outcomes[k] = exc
                 return
 
-    theirs, ours = _split(sizes)
+    from . import lapack
+    # beside BLAS pool threads a second thread of ours slows the ladder down
+    theirs, ours = _split(sizes) if lapack.blas_threads() == 1 else ([], list(range(rungs)))
     pencils = []
     for k in theirs:
         try:

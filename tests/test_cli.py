@@ -655,22 +655,29 @@ def _run_with_blas_threads(code, threads):
                           text=True, check=True).stdout.strip()
 
 
-@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
-def test_import_pins_openblas_to_one_thread(preset, want):
-    # the spectral ladder runs a second thread of its own; a user's setting is kept
-    code = "import os, hardykit; print(os.environ['OPENBLAS_NUM_THREADS'])"
+@pytest.mark.parametrize("preset, first, want", [
+    (None, "hardykit", "1 False"), (None, "numpy", "1 False"), ("2", "hardykit", "2 True"),
+])
+def test_lapack_pins_openblas_to_one_thread(preset, first, want):
+    # the spectral ladder runs a second thread of its own: once hardykit.lapack
+    # is loaded (on the first solve), numpy's and scipy's OpenBLAS run on one
+    # thread, whichever of numpy and hardykit was imported first, and the
+    # environment a child process would inherit is as it was.  A user's
+    # setting is kept
+    code = (f"import os, {first}; from hardykit import lapack; "
+            "print(lapack.blas_threads(), 'OPENBLAS_NUM_THREADS' in os.environ)")
     assert _run_with_blas_threads(code, preset) == want
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
-def test_a_solve_leaves_one_thread():
-    # no OpenBLAS pool thread is started, by numpy or by scipy's LAPACK, and
-    # the ladder's worker thread is joined
-    code = ("import os, hardykit.cli; "
+def test_a_solve_starts_no_thread():
+    # scipy's OpenBLAS, loaded on the first solve, starts no pool thread, and
+    # the ladder's worker thread is joined: the threads are numpy's
+    code = ("import os, numpy; before = len(os.listdir('/proc/self/task')); "
             "from hardykit import Kind, RadialGrid, SpectralProblem, WeightFamily, lambda1; "
             "lambda1(SpectralProblem(WeightFamily(Kind.EXP_POWER, 3), 0.3, RadialGrid())); "
-            "print(len(os.listdir('/proc/self/task')))")
-    assert _run_with_blas_threads(code, None) == "1"
+            "print(len(os.listdir('/proc/self/task')) - before)")
+    assert _run_with_blas_threads(code, None) == "0"
 
 
 def test_audit_tasks_never_load_scipy_linalg(tmp_path):

@@ -178,14 +178,30 @@ class TestLambda1:
         assert np.array_equal(got.eigvec, want.eigvec)
         assert callable(evolution.solve_banded)
 
+    @pytest.mark.parametrize("blas_threads", [1, 2, 0])
     @pytest.mark.parametrize("n_grow", [1.0, 2.0])
     @pytest.mark.parametrize("rungs", [0, 1, 2, 3, 4])
-    def test_ladder_matches_serial_solves_bitwise(self, exppow3, rungs, n_grow):
-        # the rungs run on two threads; each must read exactly what a plain
-        # loop over the rungs reads.  rungs = 0 solves the problem grid alone
+    def test_ladder_matches_serial_solves_bitwise(self, exppow3, monkeypatch, rungs, n_grow,
+                                                  blas_threads):
+        # the rungs run on two threads beside a one-thread BLAS and on one
+        # otherwise; each must read exactly what a plain loop over the rungs
+        # reads.  rungs = 0 solves the problem grid alone
+        monkeypatch.setattr(hk_lapack, "blas_threads", lambda: blas_threads)
+        solve, solvers = spectral._solve_smallest, set()
+
+        def recorded(A, M, enforce):
+            solvers.add(threading.current_thread())
+            return solve(A, M, enforce=enforce)
+
+        monkeypatch.setattr(spectral, "_solve_smallest", recorded)
         ladder = SpectralConfig(rungs=rungs, n_grow=n_grow)
         prob = SpectralProblem(exppow3, 0.3, GRID)
         got = lambda1(prob, ladder)
+        caller = {threading.current_thread()}
+        if blas_threads == 1 and rungs > 1:
+            assert solvers - caller  # a worker thread solved a rung
+        else:
+            assert solvers == caller
         rows = []
         for k in range(max(rungs, 1)):
             r_min = GRID.r_min / ladder.rmin_shrink**k
@@ -224,6 +240,7 @@ class TestLambda1:
             return real(d, e)
 
         monkeypatch.setattr(spectral, "eigh_tridiagonal", failing_solve)
+        monkeypatch.setattr(hk_lapack, "blas_threads", lambda: 1)
         threads = threading.active_count()
         with pytest.raises(NoConvergence, match=f"^rung {raised}$"):
             lambda1(SpectralProblem(exppow3, 0.3, GRID))
@@ -332,19 +349,6 @@ class TestLapackLoader:
         assert np.array_equal(hk_lapack.flapack.dpttrs(*factors[:2], b)[0],
                               scipy_lapack.dpttrs(*factors[:2], b)[0])
 
-    def test_banded_solve_in_place_is_bitwise_equal(self, leb4):
-        # inverse iteration lets gtsv work in its own ab and b, as
-        # scipy.linalg.solve_banded does with the overwrite flags
-        A, M = assemble(SpectralProblem(leb4, 0.5, RadialGrid(1e-5, 20.0, 4096)))
-        ab = np.zeros((3, A.n))
-        ab[0, 1:], ab[1], ab[2, :-1] = A.off, A.diag - 1e-3 * M, A.off
-        b = M * np.linspace(1.0, 2.0, A.n)
-        want = solve_banded((1, 1), ab, b, check_finite=False)
-        ab_mine, b_mine = ab.copy(), b.copy()
-        got = spectral.solve_banded((1, 1), ab_mine, b_mine, overwrite_ab=True, overwrite_b=True)
-        assert np.array_equal(got, want)
-        assert np.shares_memory(got, b_mine)  # no copy was made
-
     @pytest.mark.parametrize("n", [2, 17, 1000, 16384])
     def test_eigensolver_matches_scipy_on_graded_matrices(self, n):
         # entries over 24 decades, as on the deep rungs of a ladder
@@ -402,6 +406,14 @@ class TestLapackLoader:
             hk_lapack._routine(hk_lapack._PATH, "nosuchroutine", [])
         assert str(err.value) == (f"{hk_lapack._PATH} links neither "
                                   f"scipy_nosuchroutine_ nor nosuchroutine_")
+
+    def test_thread_count_needs_an_openblas(self, monkeypatch):
+        # an extension that links no OpenBLAS has no thread count to read or
+        # set, and then blas_threads() reads 0, so ladders stay serial
+        import _ctypes
+        assert hk_lapack._thread_count(_ctypes.__file__) is None
+        monkeypatch.setattr(hk_lapack, "_OPENBLAS", [hk_lapack._OPENBLAS[0], None])
+        assert hk_lapack.blas_threads() == 0
 
     def test_public_lapack_wraps_the_same_routines(self):
         # on the fallback path the routines come from the extension that
