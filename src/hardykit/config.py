@@ -26,6 +26,11 @@ from .weights import Kind, RadialGrid, WeightFamily
 __all__ = ["RunConfig", "parse_config", "serialize_config", "load_config", "apply_overrides"]
 
 MAX_NODES = 2**20  # largest grid any ladder rung or the evolution may build
+# each refinement-ladder rung is (r_min / RMIN_SHRINK, n_points * N_GROW) of
+# the one before; the ladder verdict's thresholds are calibrated to this
+# geometry (see the spectral module)
+RMIN_SHRINK = 4.0
+N_GROW = 2
 
 
 def _check(section: str, rules) -> None:
@@ -72,26 +77,12 @@ class HardyConfig:
 class SpectralConfig:
     c: float = 0.2
     rungs: int = 4
-    rmin_shrink: float = 4.0
-    n_grow: float = 2.0
-    diverge_factor: float = 4.0
-    lambda_floor: float = 1e-6
     sweep_c_lo: float = 0.05
     sweep_c_hi: float = 0.6
     sweep_tol: float = 0.02
 
     def __post_init__(self):
         _check("spectral", (
-            (self.rmin_shrink > 1.0,
-             f"rmin_shrink = {self.rmin_shrink} must be > 1 (each rung shrinks r_min)"),
-            (self.n_grow >= 1.0, f"n_grow = {self.n_grow} must be >= 1 (no rung coarsens)"),
-            (self.diverge_factor >= 2.0,
-             f"diverge_factor = {self.diverge_factor} must be >= 2 (the earlier ratio must exceed factor/2 >= 1)"),
-            # `not x < bound` lets a nan through to the finiteness check of
-            # _merge, which names it as such
-            (not self.lambda_floor < 0.0,
-             f"lambda_floor = {self.lambda_floor} must be >= 0 (a negative floor reads a "
-             f"positive, growing ladder as a cascade)"),
             (self.sweep_c_lo < self.sweep_c_hi,
              f"sweep_c_lo = {self.sweep_c_lo}, sweep_c_hi = {self.sweep_c_hi} "
              f"need sweep_c_lo < sweep_c_hi"),
@@ -163,18 +154,18 @@ class RunConfig:
 
     def __post_init__(self):
         # on the run, not in SpectralConfig: the deepest rung reads [grid] as
-        # well.  In logs, because n_grow ** (rungs - 1) overflows a float long
-        # before the cap, and rmin_shrink ** (rungs - 1) may overflow too
+        # well.  In logs, because RMIN_SHRINK ** (rungs - 1) overflows a float
+        # at a large rungs, which must still read as a config error
         g, s = self.grid, self.spectral
-        log_r_min = math.log10(g.r_min) - (s.rungs - 1) * math.log10(s.rmin_shrink)
+        log_r_min = math.log10(g.r_min) - (s.rungs - 1) * math.log10(RMIN_SHRINK)
         _check("spectral", (
             (s.rungs >= 1, f"rungs = {s.rungs} must be >= 1"),
-            (math.log2(g.n_points) + (s.rungs - 1) * math.log2(s.n_grow) <= math.log2(MAX_NODES),
-             f"the deepest rung has grid.n_points * n_grow^(rungs - 1) = "
-             f"{g.n_points} * {s.n_grow:g}^{s.rungs - 1} nodes, above the cap of {MAX_NODES}"),
+            (math.log2(g.n_points) + (s.rungs - 1) * math.log2(N_GROW) <= math.log2(MAX_NODES),
+             f"the deepest rung has grid.n_points * {N_GROW}^(rungs - 1) = "
+             f"{g.n_points} * {N_GROW}^{s.rungs - 1} nodes, above the cap of {MAX_NODES}"),
             (not log_r_min < math.log10(sys.float_info.min),  # a nan goes on to the finiteness check
-             f"the deepest rung has r_min = grid.r_min / rmin_shrink^(rungs - 1) = "
-             f"{g.r_min:g} / {s.rmin_shrink:g}^{s.rungs - 1} = 10^{log_r_min:.1f}, below the "
+             f"the deepest rung has r_min = grid.r_min / {RMIN_SHRINK:g}^(rungs - 1) = "
+             f"{g.r_min:g} / {RMIN_SHRINK:g}^{s.rungs - 1} = 10^{log_r_min:.1f}, below the "
              f"smallest normal double {sys.float_info.min:.3g}"),
         ))
 

@@ -26,7 +26,8 @@ class ProfileUndefined(HardyKitError, ValueError):
 
 
 class NoConvergence(HardyKitError, ArithmeticError):
-    """Inverse iteration stalled; eigenpair residual above tolerance."""
+    """An eigen-solve failed: the eigenpair residual stayed above tolerance,
+    a LAPACK routine returned a nonzero info, or its input was not finite."""
 
 
 class BadBracket(HardyKitError, ValueError):

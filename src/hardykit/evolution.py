@@ -26,7 +26,7 @@ weighted L^2 norm of u, and record k is y_k = S^{-k per_rec} y_0.  S is
 constant for a cap, so each cap factors it once (LAPACK pttrf, LDL^T without
 pivoting); a failed factorization is a SchemeDivergence.  The records come
 from a shift-invert Krylov basis, and only where that basis does not settle
-are they stepped:
+or overflows are they stepped:
 
 - krylov: shift-invert Lanczos (van den Eshof and Hochbruck, SIAM J. Sci.
   Comput. 27, 2006).  With A = W^{-1/2} K W^{-1/2} - V_cap, it factors
@@ -40,19 +40,21 @@ are they stepped:
   matters: 1 + x rounds by up to eps, and the power k = 160000 scales that
   to 1.8e-11 relative.  The basis grows until two successive bases agree to
   1e-13 relative on every record: 7-24 vectors on the built-in families at
-  n = 512 and 8192.  A record that overflows is a SchemeDivergence, as on
-  the steps path.  The Ritz values lie inside the spectrum, so an early
-  basis underestimates the growth.  Over a survey of 6400 caps (five
-  families, n_points 16-512, c 0-1.2, caps 1-1e4, T 0.05-8) against forced
-  stepping, every outcome and verdict is the same, the norms agree to
-  3.8e-10 relative, and an overflow is read at stepping's record or up to
-  6.75 later in time (T = 8).  On the n = 8190 evolve they agree to 1e-9.
+  n = 512 and 8192.  The Ritz values lie inside the spectrum, so an early
+  basis underestimates the growth and may overflow at a later record than
+  the run does; a basis whose records overflow hands the cap to stepping,
+  so the SchemeDivergence names stepping's time.  Over a survey of 6400
+  caps (five families, n_points 16-512, c 0-1.2, caps 1-1e4, T 0.05-8)
+  against forced stepping, every outcome and verdict is the same and the
+  norms agree to 3.8e-10 relative.  On the n = 8190 evolve they agree to
+  1e-9.
 - steps, the fallback: records * per_rec pttrs solves, taken when the basis
   spans the whole space or reaches _KRYLOV_BASIS vectors before it settles,
-  or when dstev fails.  In that survey 78 caps fell back, all at cap 1e4,
-  c >= 0.8 and T <= 0.5; some (oscillating, c = 2, cap 1e4, T = 0.05 on 382
-  unknowns) do not settle even at 160 vectors, and there the first record
-  never settles, so no restart from a settled record would save the basis.
+  when a record overflows, or when dstev fails.  In that survey 78 caps did
+  not settle, all at cap 1e4, c >= 0.8 and T <= 0.5; some (oscillating,
+  c = 2, cap 1e4, T = 0.05 on 382 unknowns) do not settle even at 160
+  vectors, and there the first record never settles, so no restart from a
+  settled record would save the basis.
   The norms are those of a plain solveh_banded loop on S to the last bit,
   and within 7e-11 relative (n = 8190) of a plain solve_banded loop on the
   unscaled I - dt (A + V_cap).
@@ -126,7 +128,7 @@ def _krylov_records(family: WeightFamily, grid: RadialGrid, c: float, cap: float
     """The norms ||S^{-k per_rec} y0||, k = 1..records, from one Lanczos basis
     of M^{-1}, M = I + gamma A, or None when the basis reaches _KRYLOV_BASIS
     vectors, or spans the whole space, before two successive bases agree on
-    every record, or when dstev fails."""
+    every record, when a record overflows, or when dstev fails."""
     from .lapack import flapack
     dpttrs = flapack.dpttrs
     gamma = per_rec * dt  # the record spacing; halved until M is positive definite
@@ -160,8 +162,10 @@ def _krylov_records(family: WeightFamily, grid: RadialGrid, c: float, cap: float
         with np.errstate(over="ignore", divide="ignore"):
             rate = np.log1p((dt / gamma) * (1.0 / np.maximum(z, np.finfo(float).tiny) - 1.0))
             norms = beta0 * np.sqrt(np.square(U[0] * np.exp(-powers * rate)).sum(axis=1))
+        if not np.all(np.isfinite(norms)):
+            return None  # stepping names the record where the norm overflows
         beta[j] = math.sqrt(float(w @ w))
-        if (not np.all(np.isfinite(norms)) or beta[j] == 0.0
+        if (beta[j] == 0.0
                 or last is not None and np.all(np.abs(norms - last) <= _KRYLOV_RTOL * norms)):
             return norms
         last = norms

@@ -15,10 +15,11 @@ Rayleigh quotient in the generalized metric.
 Divergence of lambda_1 (the weighted Hardy inequality failing) is detected
 on a refinement ladder (r_min / 4, n x 2) per rung: once the truncation
 radius resolves the singular mode, lambda_1 scales like 1/r_min^2, i.e. a
-factor 16 per rung.  The verdict requires the last ratio to exceed the
-documented factor (default 4) and the previous one half of it, which keeps
-float64 noise at deep rungs from faking a divergence.  A ladder of fewer
-than three rungs cannot show a cascade and reads Unresolved.
+factor 16 per rung.  The verdict requires the last ratio to exceed a fixed
+factor of 4 and the previous one 2, which keeps float64 noise at deep rungs
+from faking a divergence; the ladder's geometry and these thresholds are
+constants, calibrated together.  A ladder of fewer than three rungs cannot
+show a cascade and reads Unresolved.
 
 Everything operates on the radial subspace: the sharpness constructions are
 radial, and for radial weights the critical constant is visible there.  The
@@ -31,10 +32,9 @@ points carry no shared mutable state.
 A ladder's rungs are solved on two threads where numpy's and scipy's BLAS
 each run on one (lapack.blas_threads(); importing the lapack module pins
 them unless OPENBLAS_NUM_THREADS is set), and one after the other
-otherwise, since BLAS pool threads would hold the second core.  The rungs
-are split by node count, the largest first to the side with fewer nodes:
-with n_grow = 2 the deepest rung (8/15 of a 4-rung ladder's nodes) runs on
-a worker thread beside the other three, and equal rungs split two and two.
+otherwise, since BLAS pool threads would hold the second core.  The
+deepest rung, which holds more than half of the ladder's nodes, is solved
+on a worker thread beside the others.
 Every pencil is assembled on the calling thread, the worker's first and
 each of the caller's just before its solve; the worker runs only
 _solve_smallest, whose LAPACK calls release the interpreter lock (see the
@@ -56,7 +56,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import SpectralConfig
+from .config import N_GROW, RMIN_SHRINK, SpectralConfig
 from .errors import (
     BadBracket,
     DivergentIntegral,
@@ -170,6 +170,10 @@ def assemble(problem: SpectralProblem) -> Tuple[Tridiagonal, np.ndarray]:
 
 
 _RESIDUAL_TOL = 1e-8  # largest eigenpair residual the problem grid accepts
+# the ladder verdict's cascade test (see _ladder_verdict), calibrated to the
+# factor RMIN_SHRINK^2 = 16 per rung of a resolved 1/r_min^2 cascade
+_DIVERGE_FACTOR = 4.0   # the last ratio must exceed it, the one before half of it
+_LAMBDA_FLOOR = 1e-6    # eigenvalues within it of 0 are below resolution
 
 
 def _solve_smallest(A: Tridiagonal, M: np.ndarray, enforce: bool = True):
@@ -246,9 +250,10 @@ class RayleighResult:
 MIN_RUNGS = 3  # a shorter ladder cannot show a cascade
 
 
-def _ladder_verdict(lams: List[float], factor: float, floor: float) -> str:
+def _ladder_verdict(lams: List[float]) -> str:
     """Diverging when some trailing 3-rung window shows the 1/r_min^2
-    cascade: last ratio above `factor`, the one before above factor/2.
+    cascade: last ratio above _DIVERGE_FACTOR, the one before above half
+    of it.
     Unresolved for a ladder of fewer than MIN_RUNGS rungs, which cannot
     tell the two apart.
 
@@ -263,86 +268,61 @@ def _ladder_verdict(lams: List[float], factor: float, floor: float) -> str:
         if len(window) < 3:
             continue
         l1, l2, l3 = window
-        if l3 < -10.0 * floor and l2 < -floor:
-            if l1 < -floor:
+        if l3 < -10.0 * _LAMBDA_FLOOR and l2 < -_LAMBDA_FLOOR:
+            if l1 < -_LAMBDA_FLOOR:
                 r_prev = l2 / l1
-            elif abs(l1) <= floor:
+            elif abs(l1) <= _LAMBDA_FLOOR:
                 r_prev = math.inf      # cascade emerging from below resolution
             else:
                 continue               # genuinely positive rung: not a cascade
-            if l3 / l2 > factor and r_prev > factor / 2.0:
+            if l3 / l2 > _DIVERGE_FACTOR and r_prev > _DIVERGE_FACTOR / 2.0:
                 return "Diverging"
     return "Bounded"
 
 
-def _split(sizes: List[int]) -> Tuple[List[int], List[int]]:
-    """(worker's, caller's) rung indices, balanced by node count: the largest
-    rung first (the deeper on a tie), each to the side with fewer nodes so
-    far (the worker's on a tie), except that a lone rung is the caller's.
-    Each side is in rung order."""
-    worker: List[int] = []
-    caller: List[int] = []
-    worker_nodes = caller_nodes = 0
-    for k in sorted(range(len(sizes)), key=lambda k: (sizes[k], k), reverse=True):
-        if caller_nodes < worker_nodes:
-            caller.append(k)
-            caller_nodes += sizes[k]
-        else:
-            worker.append(k)
-            worker_nodes += sizes[k]
-    if not caller:  # a lone rung: there is nothing to run beside it
-        return caller, worker
-    return sorted(worker), sorted(caller)
-
-
 def lambda1(problem: SpectralProblem, ladder: SpectralConfig = SpectralConfig()) -> RayleighResult:
     """Smallest Rayleigh quotient, with the verdict of a ladder of `rungs`
-    rungs, each (r_min / rmin_shrink, n x n_grow) from the one before;
+    rungs, each (r_min / RMIN_SHRINK, n x N_GROW) from the one before;
     rungs=1 is the single solve on the problem grid (verdict Unresolved).
 
-    The rungs are solved on two threads where BLAS runs on one (see the
-    module docstring); the exception raised is that of the shallowest
-    failing rung, as if they had run one after the other."""
+    Where BLAS runs on one thread, the deepest rung is solved on a worker
+    thread (see the module docstring); the exception raised is that of the
+    shallowest failing rung, as if the rungs had run one after the other."""
     g = problem.grid
     rungs = max(ladder.rungs, 1)  # rung 0, the problem grid, is always solved
-    sizes = [int(round(g.n_points * ladder.n_grow**k)) for k in range(rungs)]
     outcomes: list = [None] * rungs  # rung k's solve, or the exception it raised
 
+    def rung(k):
+        return replace(g, r_min=g.r_min / RMIN_SHRINK**k, n_points=g.n_points * N_GROW**k)
+
     def pencil(k):
-        if k == 0:
-            return assemble(problem)
-        rung = replace(g, r_min=g.r_min / ladder.rmin_shrink**k, n_points=sizes[k])
-        return assemble(replace(problem, grid=rung))
+        return assemble(replace(problem, grid=rung(k)) if k else problem)
 
     def solve(k, A, M):
         lam, vec, res = _solve_smallest(A, M, enforce=k == 0)
         outcomes[k] = (lam, vec, res) if k == 0 else lam
 
-    def solve_all(pencils):
+    def solve_deepest(A, M):
         # the worker: an exception it raised is raised by the caller below
-        while pencils:
-            k, (A, M) = pencils.pop(0)
-            try:
-                solve(k, A, M)
-            except BaseException as exc:
-                outcomes[k] = exc
-                return
+        try:
+            solve(rungs - 1, A, M)
+        except BaseException as exc:
+            outcomes[-1] = exc
 
     from . import lapack
     # beside BLAS pool threads a second thread of ours slows the ladder down
-    theirs, ours = _split(sizes) if lapack.blas_threads() == 1 else ([], list(range(rungs)))
-    pencils = []
-    for k in theirs:
+    split = rungs > 1 and lapack.blas_threads() == 1
+    worker = None
+    if split:
         try:
-            pencils.append((k, pencil(k)))
+            deepest = pencil(rungs - 1)
         except Exception as exc:
-            outcomes[k] = exc
-            break
-    worker = threading.Thread(target=solve_all, args=(pencils,)) if pencils else None
-    if worker is not None:
-        worker.start()
+            outcomes[-1] = exc
+        else:
+            worker = threading.Thread(target=solve_deepest, args=deepest)
+            worker.start()
     try:
-        for k in ours:
+        for k in range(rungs - 1 if split else rungs):
             try:
                 solve(k, *pencil(k))
             except Exception as exc:
@@ -356,10 +336,9 @@ def lambda1(problem: SpectralProblem, ladder: SpectralConfig = SpectralConfig())
             raise outcome
     lam0, vec, res = outcomes[0]
     rows = [(g.n_points, g.r_min, lam0)]
-    rows += [(sizes[k], g.r_min / ladder.rmin_shrink**k, outcomes[k]) for k in range(1, rungs)]
-    verdict = _ladder_verdict([row[2] for row in rows], ladder.diverge_factor, ladder.lambda_floor)
+    rows += [(rung(k).n_points, rung(k).r_min, outcomes[k]) for k in range(1, rungs)]
     return RayleighResult(lambda1=lam0, eigvec=vec, nodes=g.nodes[1:-1], residual=res,
-                          ladder=rows, verdict=verdict)
+                          ladder=rows, verdict=_ladder_verdict([row[2] for row in rows]))
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,7 @@ sweep_tol = 0.01
 
     def test_defaults_cover_all_tunables(self):
         text = serialize_config(RunConfig())
-        for key in ("tail_window", "diverge_factor", "lambda_floor", "rmin_shrink",
-                    "n_grow", "cap_dt_safety", "c_offset", "n_ladder", "sweep_tol"):
+        for key in ("tail_window", "cap_dt_safety", "c_offset", "n_ladder", "sweep_tol"):
             assert key in text, key
 
     def test_unknown_key_rejected(self):
@@ -85,14 +84,6 @@ sweep_tol = 0.01
         ("sweep_tol = nan", "sweep_tol = nan must be > 0"),
         ("sweep_c_lo = 0.6", "sweep_c_lo = 0.6, sweep_c_hi = 0.6 need sweep_c_lo < sweep_c_hi"),
         ("sweep_c_hi = 0.01", "sweep_c_lo = 0.05, sweep_c_hi = 0.01 need sweep_c_lo <"),
-        ("rmin_shrink = 1", "rmin_shrink = 1.0 must be > 1"),
-        ("n_grow = 0.5", "n_grow = 0.5 must be >= 1"),
-        ("diverge_factor = 1", "diverge_factor = 1.0 must be >= 2"),
-        ("diverge_factor = 0.5", "diverge_factor = 0.5 must be >= 2"),
-        ("diverge_factor = nan", "diverge_factor = nan must be >= 2"),
-        ("diverge_factor = 1.0001", "diverge_factor = 1.0001 must be >= 2"),
-        ("diverge_factor = 1.5", "diverge_factor = 1.5 must be >= 2"),
-        ("lambda_floor = -1e5", "lambda_floor = -100000.0 must be >= 0"),
     ])
     def test_spectral_ranges_rejected(self, assignment, message):
         with pytest.raises(ConfigError, match=re.escape(f"[spectral] {message}")):
@@ -309,7 +300,6 @@ class TestCli:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("task, overrides", [
-        ("spectrum", ["spectral.c=0.5", "spectral.lambda_floor=nan"]),
         ("spectrum", ["spectral.c=nan"]),
         ("evolve", ["evolution.c=inf"]),
         ("evolve", ["evolution.caps=100,nan,10000"]),
@@ -339,6 +329,10 @@ class TestCli:
         "spectral.residual_tol=1e-8", "sharpness.gamma_j_max=12",
         # the verdict rules (constants of hardykit.evolution)
         "evolution.t_star_frac=0.5", "evolution.blowup_ratio=2.0", "evolution.omega_rtol=0.1",
+        # the ladder geometry (hardykit.config) and the cascade thresholds
+        # calibrated to it (hardykit.spectral)
+        "spectral.rmin_shrink=4.0", "spectral.n_grow=2.0", "spectral.diverge_factor=4.0",
+        "spectral.lambda_floor=1e-6",
     ])
     def test_removed_key_is_unknown(self, tmp_path, capsys, override):
         key, value = override.split("=")
@@ -403,12 +397,12 @@ class TestCli:
     def test_evolve_cross_check_reads_spectral_ladder(self, tmp_path):
         rc = main(["evolve", "--out", str(tmp_path / "o"),
                    "--override", "evolution.c=0.35",
-                   "--override", "spectral.diverge_factor=1e6",
+                   "--override", "spectral.rungs=2",
                    "--override", "evolution.caps=10,100,1000",
                    "--override", "evolution.T=1"])
         assert rc == 0
         evo = json.loads((tmp_path / "o" / "evolution.json").read_text())
-        assert evo["spectral_verdict"] == "Bounded"
+        assert evo["spectral_verdict"] == "Unresolved"
 
     def test_numeric_failure_exit_3(self, tmp_path):
         # both sweep endpoints subcritical: BadBracket
@@ -523,19 +517,17 @@ class TestCli:
     @pytest.mark.parametrize("override,message", [
         ("spectral.rungs=0", "[spectral] rungs = 0 must be >= 1"),
         ("spectral.rungs=-1", "[spectral] rungs = -1 must be >= 1"),
-        ("spectral.n_grow=1e6", "[spectral] the deepest rung has grid.n_points * "
-                                "n_grow^(rungs - 1) = 256 * 1e+06^3 nodes, above the cap of 1048576"),
         ("spectral.rungs=14", "= 256 * 2^13 nodes, above the cap of 1048576"),
         ("spectral.rungs=40", "= 256 * 2^39 nodes, above the cap"),
         ("spectral.rungs=100000", "= 256 * 2^99999 nodes, above the cap"),
         ("grid.n_points=2000000", "= 2000000 * 2^3 nodes, above the cap"),
         ("evolution.n_points=2000000", "[evolution] n_points = 2000000 must lie in [16, 1048576]"),
-        ("spectral.rmin_shrink=1e200", "[spectral] the deepest rung has r_min = grid.r_min / "
-                                       "rmin_shrink^(rungs - 1) = 1e-05 / 1e+200^3 = 10^-605.0, "
-                                       "below the smallest normal double 2.23e-308"),
+        ("grid.r_min=1e-306", "[spectral] the deepest rung has r_min = grid.r_min / "
+                              "4^(rungs - 1) = 1e-306 / 4^3 = 10^-307.8, "
+                              "below the smallest normal double 2.23e-308"),
     ])
     def test_oversized_grid_exit_2(self, tmp_path, capsys, override, message):
-        # config errors, raised before any allocation (n_grow=1e6 would ask for 22.9 GiB)
+        # config errors, raised before any allocation (spectral.rungs=40 would ask for 2^47 nodes)
         rc = main(["spectrum", "--out", str(tmp_path / "o"), "--override", override])
         assert rc == 2
         err = capsys.readouterr().err

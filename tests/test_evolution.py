@@ -6,7 +6,16 @@ import pytest
 from scipy.linalg import solve_banded, solveh_banded
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
-from hardykit import RadialGrid, dichotomy_verdict, evolution, fit_envelope, lapack, run_capped
+from hardykit import (
+    Kind,
+    RadialGrid,
+    WeightFamily,
+    dichotomy_verdict,
+    evolution,
+    fit_envelope,
+    lapack,
+    run_capped,
+)
 from hardykit.config import EvolutionConfig, SpectralConfig
 from hardykit.errors import DegenerateSeries, NegativeDatum, SchemeDivergence
 from hardykit.evolution import _implicit_euler
@@ -276,14 +285,24 @@ class TestPropagatorPath:
         assert (max(sizes) == n_points - 2) is (path == "steps")
 
     def test_overflowing_norms_are_scheme_divergence(self, exppow3, monkeypatch):
-        # c = 50 grows like e^{hundreds * t}: the norms leave the double
-        # range before T = 8 on both paths
-        kwargs = dict(T=8.0, dt=0.01, grid=GRID, records=8)
-        with pytest.raises(SchemeDivergence, match="non-finite"):
-            run_capped(exppow3, 50.0, 1e3, BUMP, **kwargs)
-        monkeypatch.setattr(evolution, "_KRYLOV_BASIS", 1)
-        with pytest.raises(SchemeDivergence, match="non-finite"):
-            run_capped(exppow3, 50.0, 1e3, BUMP, **kwargs)
+        # the norms leave the double range before T = 8 (c = 50 grows like
+        # e^{hundreds * t}).  An early basis underestimates the growth and
+        # overflows later (at t = 3 and t = 7 here), so a basis whose records
+        # overflow hands the cap to stepping: both paths name the record
+        # where the stepped norm overflows
+        pexp3 = WeightFamily(Kind.POWER_EXP_POWER, 3, b=1.0, m=2.0, beta=1.0)
+        cases = [(exppow3, 50.0, 1e3, GRID, 8, "t=1"),
+                 (pexp3, 1.2, 1e4, RadialGrid(1e-4, 8.0, 64), 64, "t=0.25")]
+        default = evolution._KRYLOV_BASIS
+        for family, c, cap, grid, records, t in cases:
+            kwargs = dict(T=8.0, dt=0.01, grid=grid, records=records)
+            messages = []
+            for basis in (default, 1):  # a one-vector basis never settles, so it steps
+                monkeypatch.setattr(evolution, "_KRYLOV_BASIS", basis)
+                with pytest.raises(SchemeDivergence) as exc:
+                    run_capped(family, c, cap, BUMP, **kwargs)
+                messages.append(str(exc.value))
+            assert messages == [f"non-finite norm at {t}"] * 2
 
     def test_path_is_reported_but_not_written(self, exppow3):
         # every cap's basis settles, and on the Krylov path min_value is the

@@ -37,7 +37,7 @@ from hardykit.errors import (
     UnsupportedFunction,
 )
 from hardykit import evolution, spectral
-from hardykit.config import SpectralConfig
+from hardykit.config import N_GROW, RMIN_SHRINK, SpectralConfig
 from hardykit import lapack as hk_lapack
 from hardykit.spectral import phi_n_gamma_bounds, _theta, _theta_deriv
 from hardykit.weights import RadialBump, surface_measure
@@ -179,50 +179,37 @@ class TestLambda1:
         assert callable(evolution.solve_banded)
 
     @pytest.mark.parametrize("blas_threads", [1, 2, 0])
-    @pytest.mark.parametrize("n_grow", [1.0, 2.0])
     @pytest.mark.parametrize("rungs", [0, 1, 2, 3, 4])
-    def test_ladder_matches_serial_solves_bitwise(self, exppow3, monkeypatch, rungs, n_grow,
-                                                  blas_threads):
-        # the rungs run on two threads beside a one-thread BLAS and on one
-        # otherwise; each must read exactly what a plain loop over the rungs
-        # reads.  rungs = 0 solves the problem grid alone
+    def test_ladder_matches_serial_solves_bitwise(self, exppow3, monkeypatch, rungs, blas_threads):
+        # beside a one-thread BLAS the deepest rung runs on a worker thread,
+        # and otherwise every rung runs on the caller; each must read exactly
+        # what a plain loop over the rungs reads.  rungs = 0 solves the
+        # problem grid alone
         monkeypatch.setattr(hk_lapack, "blas_threads", lambda: blas_threads)
-        solve, solvers = spectral._solve_smallest, set()
+        solve, solvers = spectral._solve_smallest, {}
 
         def recorded(A, M, enforce):
-            solvers.add(threading.current_thread())
+            solvers[A.n + 2] = threading.current_thread()  # by the rung's node count
             return solve(A, M, enforce=enforce)
 
         monkeypatch.setattr(spectral, "_solve_smallest", recorded)
-        ladder = SpectralConfig(rungs=rungs, n_grow=n_grow)
+        ladder = SpectralConfig(rungs=rungs)
         prob = SpectralProblem(exppow3, 0.3, GRID)
         got = lambda1(prob, ladder)
-        caller = {threading.current_thread()}
-        if blas_threads == 1 and rungs > 1:
-            assert solvers - caller  # a worker thread solved a rung
-        else:
-            assert solvers == caller
         rows = []
         for k in range(max(rungs, 1)):
-            r_min = GRID.r_min / ladder.rmin_shrink**k
-            n = int(round(GRID.n_points * n_grow**k))
+            r_min = GRID.r_min / RMIN_SHRINK**k
+            n = GRID.n_points * N_GROW**k
             rung = replace(prob, grid=replace(GRID, r_min=r_min, n_points=n))
-            lam, vec, res = spectral._solve_smallest(*assemble(rung), enforce=k == 0)
+            lam, vec, res = solve(*assemble(rung), enforce=k == 0)
             rows.append((n, r_min, lam))
             if k == 0:
                 assert (got.lambda1, got.residual) == (lam, res)
                 assert np.array_equal(got.eigvec, vec)
         assert got.ladder == rows
-
-    @pytest.mark.parametrize("sizes, worker, caller", [
-        ([256], [], [0]),
-        ([256, 512], [1], [0]),
-        ([256, 512, 1024, 2048], [3], [0, 1, 2]),
-        ([256] * 4, [1, 3], [0, 2]),
-        ([256] * 3, [0, 2], [1]),
-    ])
-    def test_rungs_split_by_node_count(self, sizes, worker, caller):
-        assert spectral._split(sizes) == (worker, caller)
+        assert sorted(solvers) == [n for n, _, _ in rows]
+        on_worker = [n for n, thread in solvers.items() if thread is not threading.current_thread()]
+        assert on_worker == ([rows[-1][0]] if blas_threads == 1 and rungs > 1 else [])
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     @pytest.mark.parametrize("failing, raised", [
