@@ -179,12 +179,15 @@ class TestLambda1:
         assert callable(evolution.solve_banded)
 
     @pytest.mark.parametrize("blas_threads", [1, 2, 0])
+    @pytest.mark.parametrize("c_scale", [1.0, 2.0])
     @pytest.mark.parametrize("rungs", [0, 1, 2, 3, 4])
-    def test_ladder_matches_serial_solves_bitwise(self, exppow3, monkeypatch, rungs, blas_threads):
+    def test_ladder_matches_serial_solves_bitwise(self, exppow3, monkeypatch, rungs, c_scale,
+                                                  blas_threads):
         # beside a one-thread BLAS the deepest rung runs on a worker thread,
         # and otherwise every rung runs on the caller; each must read exactly
         # what a plain loop over the rungs reads.  rungs = 0 solves the
-        # problem grid alone
+        # problem grid alone.  c = 0.15 lies below the critical constant
+        # 0.25, and c = 0.3 above it, where the rungs' lambda_1 run away
         monkeypatch.setattr(hk_lapack, "blas_threads", lambda: blas_threads)
         solve, solvers = spectral._solve_smallest, {}
 
@@ -194,7 +197,7 @@ class TestLambda1:
 
         monkeypatch.setattr(spectral, "_solve_smallest", recorded)
         ladder = SpectralConfig(rungs=rungs)
-        prob = SpectralProblem(exppow3, 0.3, GRID)
+        prob = SpectralProblem(exppow3, 0.15 * c_scale, GRID)
         got = lambda1(prob, ladder)
         rows = []
         for k in range(max(rungs, 1)):
