@@ -90,18 +90,16 @@ def _require_sweep_ladder(cfg: RunConfig) -> None:
 
 
 def run_analyze(cfg: RunConfig):
-    family = cfg.family.build()
-    report = check_hypotheses(family, cfg.hardy)
+    report = check_hypotheses(cfg.family, cfg.hardy)
     payload = report.to_json_dict()
-    payload["profile"] = compute_profile(family, cfg.hardy).to_json_dict()
+    payload["profile"] = compute_profile(cfg.family, cfg.hardy).to_json_dict()
     return {"hypotheses.json": _json(payload), "hypotheses.txt": report.to_table()}, payload
 
 
 def run_spectrum(cfg: RunConfig):
-    family = cfg.family.build()
-    res = lambda1(SpectralProblem(family, cfg.spectral.c, cfg.grid), cfg.spectral)
+    res = lambda1(SpectralProblem(cfg.family, cfg.spectral.c, cfg.grid), cfg.spectral)
     payload = {
-        "family": family.label(),
+        "family": cfg.family.label(),
         "c": cfg.spectral.c,
         "lambda1": res.lambda1,
         "residual": res.residual,
@@ -118,7 +116,7 @@ def run_spectrum(cfg: RunConfig):
 
 def run_sweep(cfg: RunConfig):
     _require_sweep_ladder(cfg)
-    family = cfg.family.build()
+    family = cfg.family
     s = cfg.spectral
     profile = compute_profile(family, cfg.hardy)
     try:
@@ -154,7 +152,7 @@ def run_sweep(cfg: RunConfig):
 
 
 def run_sharpness(cfg: RunConfig):
-    family = cfg.family.build()
+    family = cfg.family
     profile = compute_profile(family, cfg.hardy)
     sh = cfg.sharpness
     c_n = profile.c0_N0 + sh.c_offset
@@ -186,8 +184,7 @@ def run_sharpness(cfg: RunConfig):
 
 
 def run_evolve(cfg: RunConfig):
-    family = cfg.family.build()
-    run = dichotomy_verdict(family, cfg.evolution.c, cfg.evolution, ladder=cfg.spectral,
+    run = dichotomy_verdict(cfg.family, cfg.evolution.c, cfg.evolution, ladder=cfg.spectral,
                             spectral_grid=cfg.grid)
     rows = [(t, s.cap, nn) for s in run.series for t, nn in zip(s.times, s.norms)]
     payload = run.to_json_dict()
@@ -197,7 +194,7 @@ def run_evolve(cfg: RunConfig):
 def run_report_all(cfg: RunConfig):
     # fail fast: a failed run writes nothing either way, this saves the stage time
     _require_sweep_ladder(cfg)
-    require_phi_n_quotient(compute_profile(cfg.family.build(), cfg.hardy).N0)
+    require_phi_n_quotient(compute_profile(cfg.family, cfg.hardy).N0)
     stages = [runner(cfg) for runner in (run_analyze, run_sweep, run_sharpness, run_evolve)]
     files = {name: text for stage_files, _ in stages for name, text in stage_files.items()}
     hyp, sweep, sharp, evo = (payload for _, payload in stages)

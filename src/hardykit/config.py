@@ -3,12 +3,12 @@
 Each section class is the one definition of its knobs' defaults and
 ranges: the numeric layers take the section object itself (HardyConfig for
 the profile, SpectralConfig for the refinement ladder, EvolutionConfig for
-the cap ladder), and the [grid] section is the library's RadialGrid, so a
-config file pins a run completely (there is no randomness anywhere in the
-toolkit).  Where a library type checks its own values (RadialGrid, and
-WeightFamily behind [family]), its InvalidParams is reported as a config
-error of its section.  Configs round-trip: parse -> serialize -> parse is
-the identity.
+the cap ladder), the [family] section is the library's WeightFamily and the
+[grid] section its RadialGrid, so a config file pins a run completely
+(there is no randomness anywhere in the toolkit).  Where a library type
+checks its own values (WeightFamily's kind and ranges, RadialGrid's
+range), its InvalidParams is reported as a config error of its section.
+Configs round-trip: parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -38,23 +38,6 @@ def _check(section: str, rules) -> None:
     for ok, message in rules:
         if not ok:
             raise ConfigError(f"[{section}] {message}")
-
-
-@dataclass(frozen=True)
-class FamilyConfig:
-    kind: str = "exp_power"
-    dimension: int = 3
-    b: float = 1.0
-    m: float = 2.0
-    beta: float = 0.0
-    alpha: float = 0.0
-
-    def build(self) -> WeightFamily:
-        try:
-            kind = Kind(self.kind.lower())
-        except ValueError as exc:
-            raise ConfigError(f"[family] unknown or missing weight kind: {self.kind!r}") from exc
-        return WeightFamily(kind, self.dimension, self.b, self.m, self.beta, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -145,7 +128,7 @@ class EvolutionConfig:
 @dataclass(frozen=True)
 class RunConfig:
     outdir: str = "out"
-    family: FamilyConfig = field(default_factory=FamilyConfig)
+    family: WeightFamily = field(default_factory=WeightFamily)
     grid: RadialGrid = field(default_factory=RadialGrid)
     hardy: HardyConfig = field(default_factory=HardyConfig)
     spectral: SpectralConfig = field(default_factory=SpectralConfig)
@@ -186,6 +169,8 @@ def _coerce(raw: str, default, key: str):
             inner = int if (default and isinstance(default[0], int)) else float
             return tuple(inner(x) for x in raw.split(",")) if raw else ()
         return type(default)(raw)
+    except InvalidParams:  # an unknown Kind names the kinds; _merge names the section
+        raise
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key} = {raw!r}: {exc}") from exc
 
@@ -195,6 +180,8 @@ def _serialize_value(v) -> str:
         return ",".join(_serialize_value(x) for x in v)
     if isinstance(v, float):
         return f"{v:.17g}"
+    if isinstance(v, Kind):
+        return v.value
     return str(v)
 
 
@@ -222,7 +209,8 @@ def _merge(cfg: RunConfig, raw: dict) -> RunConfig:
         for key, text in raw.get(section, {}).items():
             if key not in defaults:
                 raise ConfigError(f"unknown key [{section}] {key}")
-            resolved[key] = _coerce(text, defaults[key], f"[{section}] {key}")
+            resolved[key] = _in_section(section, _coerce, text, defaults[key],
+                                        f"[{section}] {key}")
         if resolved:
             changes[section] = _in_section(section, replace, block, **resolved)
             parsed += [(section, key, value) for key, value in resolved.items()]
@@ -230,7 +218,6 @@ def _merge(cfg: RunConfig, raw: dict) -> RunConfig:
     if extra:
         raise ConfigError(f"unknown section(s): {sorted(extra)}")
     cfg = replace(cfg, **changes)
-    _in_section("family", cfg.family.build)  # validate family parameters eagerly
     # after every range rule, so their messages come first: a nan or inf in
     # a key with no range rule would otherwise flip a verdict downstream
     for section, key, value in parsed:

@@ -67,7 +67,6 @@ _H1_KNOWN = {
     Kind.POWER_EXP_POWER: False,
     Kind.LOG_WEIGHT: True,
     Kind.OSCILLATING: True,
-    Kind.CUSTOM: None,
 }
 
 # two N0 estimates closer than this count as agreeing
@@ -93,6 +92,7 @@ def c0(dimension: float) -> float:
     return ((dimension - 2.0) / 2.0) ** 2
 
 
+@weights._quiet_overflow  # a non-finite U_mu is the profile's to report
 def compute_Umu(family: WeightFamily, r):
     """U_mu(r) = 1/4 (mu'/mu)^2 - 1/2 (mu''/mu + (N-1)/r mu'/mu)."""
     d1, lap = log_derivatives(family, r)
@@ -206,9 +206,9 @@ def compute_profile(family: WeightFamily, knobs: HardyConfig = HardyConfig()) ->
     the intercept.  Otherwise the profile is flagged oscillatory and L is
     the tail max (limsup estimate), with the tail min kept for diagnostics.
 
-    N_0 uses the closed form N - power_order for the built-in kinds (the
-    H3' integrand is exponentially sensitive to N_0 errors); the two data
-    -driven estimators are still computed and cross-checked against it.
+    N_0 is always the closed form N - power_order (the H3' integrand is
+    exponentially sensitive to N_0 errors); the two data-driven estimators
+    are diagnostics, reported and cross-checked against it.
     """
     return _profile(family, knobs)
 
@@ -237,8 +237,7 @@ def _profile(family: WeightFamily, knobs: HardyConfig) -> HardyProfile:
         L_inf = L
 
     n0_est = estimate_N0(family, knobs)
-    analytic = family.analytic_N0()
-    N0 = analytic if analytic is not None else n0_est.value
+    N0 = family.analytic_N0()
 
     c0N = c0(family.dimension)
     return HardyProfile(
@@ -252,7 +251,7 @@ def _profile(family: WeightFamily, knobs: HardyConfig) -> HardyProfile:
         L_inf=L_inf,
         n0_slope=n0_est.slope,
         n0_quadrature=n0_est.quadrature,
-        n0_agrees=n0_est.agrees and (analytic is None or abs(n0_est.value - N0) <= _N0_AGREE_TOL),
+        n0_agrees=n0_est.agrees and abs(n0_est.value - N0) <= _N0_AGREE_TOL,
     )
 
 
@@ -279,7 +278,7 @@ class HypothesisReport:
     small-ball density condition, with witness data."""
 
     family: WeightFamily
-    h1: Optional[bool]
+    h1: bool
     h2_i: bool
     h2_ii_finite: bool
     c0_mu: float
@@ -341,8 +340,8 @@ class HypothesisReport:
         return "\n".join(f"{a:<{width}}  {b}" for a, b in rows) + "\n"
 
 
-def _fmt_bool(v) -> str:
-    return "unknown" if v is None else ("yes" if v else "no")
+def _fmt_bool(v: bool) -> str:
+    return "yes" if v else "no"
 
 
 def _h2_i_check(family: WeightFamily) -> bool:

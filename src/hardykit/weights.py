@@ -22,7 +22,6 @@ LogWeight         mu = theta(r) (log 1/r)^alpha    (theta = 1 on r <= 1/2,
                                                     0 on r >= 1)
 Oscillating       mu = 2 + sin(log r) on r <= 1/2, C^2 blend to the
                   constant 2 on [1/2, 1]
-Custom            user-supplied radial callables
 
 The LogWeight / Oscillating profiles are only meaningful near the origin;
 they are closed with a smooth bump-template transition on [1/2, 1] so that
@@ -104,7 +103,15 @@ class Kind(str, Enum):
     POWER_EXP_POWER = "power_exp_power"
     LOG_WEIGHT = "log_weight"
     OSCILLATING = "oscillating"
-    CUSTOM = "custom"
+
+    @classmethod
+    def _missing_(cls, value):
+        """Kinds match case-insensitively; an unknown one names the kinds."""
+        for kind in cls:
+            if kind.value == str(value).lower():
+                return kind
+        raise InvalidParams(f"unknown weight kind {value!r}; expected one of "
+                            f"{', '.join(kind.value for kind in cls)}")
 
 
 def surface_measure(dimension: int) -> float:
@@ -166,23 +173,20 @@ def _oscillating_blend() -> np.ndarray:
 class WeightFamily:
     """Parametric radial density with analytic log-derivatives.
 
-    Parameters are interpreted per `kind`; irrelevant ones are ignored.
-    `custom_profile` is a pair (mu, mu'/mu) of radial callables; mu''/mu
-    comes from a five-point finite difference of log mu (documented
-    accuracy loss ~1e-6).
+    Parameters are interpreted per `kind`; irrelevant ones are ignored.  The
+    defaults are the Gaussian exp(-r^2) in R^3.  The config's [family]
+    section is this class, defaults and rules included.
     """
 
-    kind: Kind
-    dimension: int
-    b: float = 0.0
-    m: float = 1.0
+    kind: Kind = Kind.EXP_POWER
+    dimension: int = 3
+    b: float = 1.0
+    m: float = 2.0
     beta: float = 0.0
     alpha: float = 0.0
-    custom_profile: Optional[Tuple[Callable, Callable]] = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, Kind):
-            object.__setattr__(self, "kind", Kind(self.kind))
+        object.__setattr__(self, "kind", Kind(self.kind))
         if int(self.dimension) != self.dimension or self.dimension < 3:
             raise InvalidParams(f"dimension must be an integer >= 3, got {self.dimension}")
         object.__setattr__(self, "dimension", int(self.dimension))
@@ -194,11 +198,6 @@ class WeightFamily:
             if self.power_order >= self.dimension:
                 raise InvalidParams(f"beta must be < dimension for mu to be locally "
                                     f"integrable, got beta={self.beta:g}")
-        if self.kind is Kind.CUSTOM:
-            if self.custom_profile is None or len(self.custom_profile) != 2:
-                raise InvalidParams("custom kind requires a (mu, mu'/mu) pair")
-        elif self.custom_profile is not None:
-            raise InvalidParams("custom_profile is only valid with kind=custom")
 
     @property
     def power_order(self) -> float:
@@ -212,14 +211,9 @@ class WeightFamily:
             return (0.5, 1.0)
         return ()
 
-    def analytic_N0(self) -> Optional[float]:
-        """Closed-form effective dimension sup{d : r^{-d} in L^1_loc(dmu)}.
-
-        N - beta for the power-singular kind and N for every other built-in;
-        None for custom profiles (use the numeric estimators).
-        """
-        if self.kind is Kind.CUSTOM:
-            return None
+    def analytic_N0(self) -> float:
+        """Closed-form effective dimension sup{d : r^{-d} in L^1_loc(dmu)}:
+        N - beta for the power-singular kind and N for every other."""
         return self.dimension - self.power_order
 
     def label(self) -> str:
@@ -257,7 +251,7 @@ def _log_mu_jet(family: WeightFamily, s: np.ndarray, derivs: bool):
     kind; with `derivs`, the triple (g, g', g'') of s-derivatives.
 
     g is -inf where mu vanishes (the compact-support closure), and g', g''
-    are nan there.  Custom profiles have the value only.
+    are nan there.
     """
     k = family.kind
     if k is Kind.LEBESGUE:
@@ -284,26 +278,23 @@ def _log_mu_jet(family: WeightFamily, s: np.ndarray, derivs: bool):
                 g1[trans] += w * t1
                 g2[trans] += w * w * t2 + w * t1
         return (g, g1, g2) if derivs else g
-    if k is Kind.OSCILLATING:
-        near = s <= LOG_HALF
-        q = 2.0 + np.sin(s)
-        g = np.where(near, np.log(q), np.log(2.0))
+    # Kind.OSCILLATING
+    near = s <= LOG_HALF
+    q = 2.0 + np.sin(s)
+    g = np.where(near, np.log(q), np.log(2.0))
+    if derivs:
+        g1 = np.where(near, np.cos(s) / q, 0.0)
+        g2 = np.where(near, (3.0 - 2.0 * q) / q**2, 0.0)
+    mid = ~near & (s < 0.0)
+    if mid.any():
+        c, x = _oscillating_blend(), np.exp(s[mid])
+        p0 = P.polyval(x, c)
+        g[mid] = np.log(p0)
         if derivs:
-            g1 = np.where(near, np.cos(s) / q, 0.0)
-            g2 = np.where(near, (3.0 - 2.0 * q) / q**2, 0.0)
-        mid = ~near & (s < 0.0)
-        if mid.any():
-            c, x = _oscillating_blend(), np.exp(s[mid])
-            p0 = P.polyval(x, c)
-            g[mid] = np.log(p0)
-            if derivs:
-                x1 = x * P.polyval(x, P.polyder(c)) / p0
-                g1[mid] = x1
-                g2[mid] = x1 + x * x * P.polyval(x, P.polyder(c, 2)) / p0 - x1 * x1
-        return (g, g1, g2) if derivs else g
-    r = np.exp(np.maximum(s, -700.0))  # custom callables only see r >= ~1e-304
-    with np.errstate(divide="ignore"):
-        return np.log(np.asarray(family.custom_profile[0](r), dtype=float))
+            x1 = x * P.polyval(x, P.polyder(c)) / p0
+            g1[mid] = x1
+            g2[mid] = x1 + x * x * P.polyval(x, P.polyder(c, 2)) / p0 - x1 * x1
+    return (g, g1, g2) if derivs else g
 
 
 @_quiet_overflow
@@ -331,20 +322,9 @@ def log_derivatives(family: WeightFamily, r):
     arr = _check_radius(r)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    N = family.dimension
-    if family.kind is Kind.CUSTOM:
-        mu_fn, d1_fn = family.custom_profile
-        d1 = np.atleast_1d(np.asarray(d1_fn(arr), dtype=float))
-        # five-point finite difference of g = log mu; mu''/mu = g'' + g'^2
-        h = 1e-3 * arr
-        g = lambda x: np.log(np.asarray(mu_fn(x), dtype=float))
-        g2 = (-g(arr + 2 * h) + 16 * g(arr + h) - 30 * g(arr)
-              + 16 * g(arr - h) - g(arr - 2 * h)) / (12 * h * h)
-        lap = g2 + d1 * d1 + (N - 1.0) / arr * d1
-    else:
-        _, g1, g2 = _log_mu_jet(family, np.log(arr), True)
-        d1 = g1 / arr
-        lap = (g2 + (N - 2.0) * g1 + g1 * g1) / (arr * arr)
+    _, g1, g2 = _log_mu_jet(family, np.log(arr), True)
+    d1 = g1 / arr
+    lap = (g2 + (family.dimension - 2.0) * g1 + g1 * g1) / (arr * arr)
     if scalar:
         return float(d1[0]), float(lap[0])
     return d1, lap

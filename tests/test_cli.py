@@ -21,7 +21,7 @@ from hardykit.config import (
 )
 from hardykit.errors import ConfigError, NoConvergence
 from hardykit import schemas
-from hardykit.weights import RadialGrid
+from hardykit.weights import Kind, RadialGrid, WeightFamily, eval_mu
 
 
 def _ini_keys(text):
@@ -126,6 +126,12 @@ sweep_tol = 0.01
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
         assert parse_config(block) == RunConfig()
+
+    def test_family_section_is_the_library_family(self):
+        # one definition of the family defaults: the Gaussian exp(-r^2) in R^3
+        assert RunConfig().family == WeightFamily() == WeightFamily(Kind.EXP_POWER, 3)
+        for r in (0.1, 0.5, 1.0, 2.0):
+            assert eval_mu(WeightFamily(), r) == pytest.approx(math.exp(-r * r), rel=1e-14)
 
     def test_overrides(self):
         cfg = apply_overrides(RunConfig(), ["family.kind=lebesgue",
@@ -267,6 +273,34 @@ class TestCli:
         empty = tmp_path / "empty_family.ini"
         empty.write_text("[family]\n\n[spectral]\nc = 0.2\n")
         assert main(["analyze", "--config", str(empty), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("kind", ["custom", "bogus"])
+    def test_unknown_kind_exit_2(self, tmp_path, capsys, kind):
+        # there are no custom profiles: "custom" is as unknown as any other name
+        rc = main(["analyze", "--out", str(tmp_path / "o"), "--override", f"family.kind={kind}"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: [family] unknown weight kind {kind!r}; expected one of "
+            f"lebesgue, exp_power, power_exp_power, log_weight, oscillating\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_kind_case_is_normalized_in_the_outdir(self, tmp_path):
+        upper, lower = tmp_path / "upper", tmp_path / "lower"
+        assert main(["analyze", "--out", str(upper), "--override", "family.kind=EXP_POWER"]) == 0
+        assert main(["analyze", "--out", str(lower), "--override", "family.kind=exp_power"]) == 0
+        names = sorted(os.listdir(lower))
+        assert "config_used.ini" in names and sorted(os.listdir(upper)) == names
+        assert filecmp.cmpfiles(upper, lower, names, shallow=False) == (names, [], [])
+
+    def test_weight_overflow_on_the_grid_exit_3(self, tmp_path, capsys):
+        # mu = r^300 overflows a double at r ~ 10.6, inside the default grid
+        rc = main(["spectrum", "--out", str(tmp_path / "o"),
+                   "--override", "family.kind=power_exp_power",
+                   "--override", "family.b=0", "--override", "family.beta=-300"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numeric failure [spectrum]: weight not finite on the grid\n")
+        assert not (tmp_path / "o").exists()
 
     def test_run_outdir_override_names_the_outdir(self, tmp_path):
         rc = main(["analyze", "--override", f"run.outdir={tmp_path / 'o'}"])
@@ -693,3 +727,18 @@ def test_audit_tasks_never_load_scipy_linalg(tmp_path):
                          capture_output=True, text=True, check=True).stdout.splitlines()
     states = [line for line in out if line.startswith("[")]
     assert states == ["[False, False]", "[False, False]", "[False, True]", "[False, True]"]
+
+
+@pytest.mark.parametrize("b, m", [("1e308", "0.01"), ("1e200", "0.5")])
+def test_profile_overflow_prints_one_line(tmp_path, b, m):
+    # U_mu overflows on the dyadic ladder: the one line on stderr is the
+    # failure, with no numpy warning before it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "hardykit.cli", "analyze",
+                          "--out", str(tmp_path / "o"),
+                          "--override", f"family.b={b}", "--override", f"family.m={m}"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 3
+    assert out.stderr == "numeric failure [analyze]: r^2 U_mu not finite on the dyadic ladder\n"
+    assert not (tmp_path / "o").exists()

@@ -123,8 +123,8 @@ class TestProfile:
             assert p.N0 == 3.0
 
     def test_custom_undefined_near_zero(self):
-        mu = lambda r: np.where(np.asarray(r) < 0.01, np.nan, 1.0)
-        fam = WeightFamily(Kind.CUSTOM, 3, custom_profile=(mu, lambda r: 0.0 * np.asarray(r)))
+        # (mu'/mu)^2 ~ (b m r^{m-1})^2 overflows on the dyadic ladder
+        fam = WeightFamily(Kind.EXP_POWER, 3, b=1e200, m=0.5)
         with pytest.raises(ProfileUndefined):
             compute_profile(fam)
 

@@ -73,8 +73,8 @@ class TestEvalMu:
             WeightFamily(Kind.EXP_POWER, 3, b=1.0, m=0.0)
         with pytest.raises(InvalidParams):
             WeightFamily(Kind.LEBESGUE, 2)
-        with pytest.raises(InvalidParams):
-            WeightFamily(Kind.CUSTOM, 3)
+        with pytest.raises(InvalidParams, match="unknown weight kind 'custom'"):
+            WeightFamily("custom", 3)
         with pytest.raises(InvalidParams, match="beta"):  # r^{-3} not L^1_loc(R^3)
             WeightFamily(Kind.POWER_EXP_POWER, 3, beta=3.0)
 
@@ -147,22 +147,6 @@ class TestLogDerivatives:
         d1_fd, lap_fd = fd_log_derivatives(logw_pos, 0.75)
         assert d1 == pytest.approx(d1_fd, rel=1e-7)
         assert lap == pytest.approx(lap_fd, rel=1e-7)
-
-    def test_custom_with_fd_fallback(self, exppow3):
-        mu = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
-        d1 = lambda r: -2.0 * np.asarray(r, dtype=float)
-        fam = WeightFamily(Kind.CUSTOM, 3, custom_profile=(mu, d1))
-        for r in (0.05, 0.5, 2.0):
-            got = log_derivatives(fam, r)
-            want = log_derivatives(exppow3, r)
-            assert got[0] == pytest.approx(want[0], rel=1e-12)
-            assert abs(got[1] - want[1]) <= 1e-6 * max(1.0, abs(want[1]))
-
-    def test_custom_profile_is_a_pair(self):
-        mu = lambda r: np.exp(-np.asarray(r, dtype=float) ** 2)
-        d1 = lambda r: -2.0 * np.asarray(r, dtype=float)
-        with pytest.raises(InvalidParams, match="pair"):
-            WeightFamily(Kind.CUSTOM, 3, custom_profile=(mu, d1, None))
 
 
 class TestWeightedIntegral:
@@ -342,17 +326,24 @@ class TestHatElementIntegrals:
             for name, want in _one_shot_element_integrals(family, nodes).items():
                 assert np.array_equal(getattr(got, name), want), (family.label(), name)
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [math.inf])
     def test_non_finite_weight_in_last_block_raises(self, bad):
         nodes = np.geomspace(1e-5, 20.0, 3 * _B + 5)
+        log_max = math.log(np.finfo(float).max)
 
         def family(edge):
-            mu = lambda r: np.where(r > edge, bad, 1.0)
-            return WeightFamily(Kind.CUSTOM, 3, custom_profile=(mu, np.zeros_like))
+            # the density mu r^2 = r^(2 - beta) passes the largest double at
+            # r = edge (mu alone cannot overflow in the last element only: mu r^2
+            # overflows an element before mu does)
+            return WeightFamily(Kind.POWER_EXP_POWER, 3, b=0.0,
+                                beta=2.0 - log_max / math.log(edge))
 
         hat_element_integrals(family(nodes[-1]), nodes)  # finite up to r_max
+        last = family(nodes[-2])
+        with np.errstate(over="ignore"):
+            assert eval_mu(last, nodes[-1]) * nodes[-1] ** 2 == bad
         with pytest.raises(QuadratureFailure, match="weight not finite on the grid"):
-            hat_element_integrals(family(nodes[-2]), nodes)  # only the last element
+            hat_element_integrals(last, nodes)  # only the last element
 
     def test_peak_memory_is_a_few_doubles_per_node(self, exppow3):
         # the output's seven rows plus one block; all elements at once held 91
