@@ -5,8 +5,8 @@ Flags: --config <path>, --out <dir>, --override section.key=value (repeat).
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 
 Config grammar (see also README): line-oriented `key = value` under
-`[section]` headers; sections run/family/grid/hardy/spectral/sharpness/
-evolution; a family block is e.g.
+`[section]` headers; sections run/family/grid/spectral/sharpness/evolution;
+a family block is e.g.
 
     [family]
     kind = exp_power      # lebesgue | exp_power | power_exp_power |
@@ -17,9 +17,9 @@ evolution; a family block is e.g.
     beta = 0.0
     alpha = 0.0
 
-Every task reads the profile of dmu with the [hardy] section and every
-spectral ladder, evolve's cross-check included, with the [spectral]
-section: the numeric layers take the section objects themselves.
+Every task reads the one profile of dmu (on the hardy module's fixed
+ladder) and every spectral ladder, evolve's cross-check included, with the
+[spectral] section: the numeric layers take the section objects themselves.
 report-all runs each stage once and composes summary.md and index.json in
 memory from the stages' payloads.
 
@@ -90,9 +90,9 @@ def _require_sweep_ladder(cfg: RunConfig) -> None:
 
 
 def run_analyze(cfg: RunConfig):
-    report = check_hypotheses(cfg.family, cfg.hardy)
+    report = check_hypotheses(cfg.family)
     payload = report.to_json_dict()
-    payload["profile"] = compute_profile(cfg.family, cfg.hardy).to_json_dict()
+    payload["profile"] = compute_profile(cfg.family).to_json_dict()
     return {"hypotheses.json": _json(payload), "hypotheses.txt": report.to_table()}, payload
 
 
@@ -118,7 +118,7 @@ def run_sweep(cfg: RunConfig):
     _require_sweep_ladder(cfg)
     family = cfg.family
     s = cfg.spectral
-    profile = compute_profile(family, cfg.hardy)
+    profile = compute_profile(family)
     try:
         res = critical_sweep(family, s.sweep_c_lo, s.sweep_c_hi, s.sweep_tol,
                              grid=cfg.grid, ladder=s)
@@ -153,11 +153,11 @@ def run_sweep(cfg: RunConfig):
 
 def run_sharpness(cfg: RunConfig):
     family = cfg.family
-    profile = compute_profile(family, cfg.hardy)
+    profile = compute_profile(family)
     sh = cfg.sharpness
     c_n = profile.c0_N0 + sh.c_offset
     lo, hi = phi_n_gamma_bounds(c_n, profile.N0)
-    gamma = sh.gamma if sh.gamma != 0.0 else 0.75 * lo + 0.25 * hi
+    gamma = 0.75 * lo + 0.25 * hi   # a fixed interior point of the admissible range
     rows_n = []
     for n in sh.n_ladder:
         q = quotient_phi_n(family, c_n, gamma, n, profile=profile)
@@ -194,7 +194,7 @@ def run_evolve(cfg: RunConfig):
 def run_report_all(cfg: RunConfig):
     # fail fast: a failed run writes nothing either way, this saves the stage time
     _require_sweep_ladder(cfg)
-    require_phi_n_quotient(compute_profile(cfg.family, cfg.hardy).N0)
+    require_phi_n_quotient(compute_profile(cfg.family).N0)
     stages = [runner(cfg) for runner in (run_analyze, run_sweep, run_sharpness, run_evolve)]
     files = {name: text for stage_files, _ in stages for name, text in stage_files.items()}
     hyp, sweep, sharp, evo = (payload for _, payload in stages)

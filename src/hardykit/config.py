@@ -1,13 +1,14 @@
 """Run configuration: line-oriented key=value with [section] headers.
 
 Each section class is the one definition of its knobs' defaults and
-ranges: the numeric layers take the section object itself (HardyConfig for
-the profile, SpectralConfig for the refinement ladder, EvolutionConfig for
-the cap ladder), the [family] section is the library's WeightFamily and the
-[grid] section its RadialGrid, so a config file pins a run completely
-(there is no randomness anywhere in the toolkit).  Where a library type
-checks its own values (WeightFamily's kind and ranges, RadialGrid's
-range), its InvalidParams is reported as a config error of its section.
+ranges: the numeric layers take the section object itself (SpectralConfig
+for the refinement ladder, EvolutionConfig for the cap ladder), the
+[family] section is the library's WeightFamily and the [grid] section its
+RadialGrid, so a config file pins a run completely (there is no randomness
+anywhere in the toolkit; the profile ladder and the phi_n exponent are
+constants).  Where a library type checks its own values (WeightFamily's
+kind and ranges, RadialGrid's range), its InvalidParams is reported as a
+config error of its section.
 Configs round-trip: parse -> serialize -> parse is the identity.
 """
 
@@ -41,22 +42,6 @@ def _check(section: str, rules) -> None:
 
 
 @dataclass(frozen=True)
-class HardyConfig:
-    k_min: int = 10
-    k_max: int = 40
-    tail_window: int = 10
-
-    def __post_init__(self):
-        _check("hardy", (
-            (self.k_min >= 1,
-             f"k_min = {self.k_min} must be >= 1 (every ladder radius 2^-k must be <= 1/2)"),
-            (3 <= self.tail_window <= self.k_max - self.k_min + 1,
-             f"tail_window = {self.tail_window}, k_min = {self.k_min}, k_max = {self.k_max} "
-             f"need 3 <= tail_window <= k_max - k_min + 1 (the tail fit needs three rungs)"),
-        ))
-
-
-@dataclass(frozen=True)
 class SpectralConfig:
     c: float = 0.2
     rungs: int = 4
@@ -77,7 +62,6 @@ class SpectralConfig:
 @dataclass(frozen=True)
 class SharpnessConfig:
     c_offset: float = 0.25   # phi_n runs at c = c0(N0) + c_offset
-    gamma: float = 0.0       # 0 (never admissible) means: choose automatically
     n_ladder: Tuple[int, ...] = (4, 16, 64, 256)
 
     def __post_init__(self):
@@ -130,7 +114,6 @@ class RunConfig:
     outdir: str = "out"
     family: WeightFamily = field(default_factory=WeightFamily)
     grid: RadialGrid = field(default_factory=RadialGrid)
-    hardy: HardyConfig = field(default_factory=HardyConfig)
     spectral: SpectralConfig = field(default_factory=SpectralConfig)
     sharpness: SharpnessConfig = field(default_factory=SharpnessConfig)
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
@@ -153,7 +136,7 @@ class RunConfig:
         ))
 
 
-_SECTIONS = ("family", "grid", "hardy", "spectral", "sharpness", "evolution")
+_SECTIONS = ("family", "grid", "spectral", "sharpness", "evolution")
 
 
 def _coerce(raw: str, default, key: str):
@@ -198,25 +181,25 @@ def _merge(cfg: RunConfig, raw: dict) -> RunConfig:
     """`cfg` with `raw` (section -> key -> text) applied.  Each section is
     rebuilt once, so a check on two keys (sweep_c_lo < sweep_c_hi) sees
     both new values."""
-    changes, parsed = {}, []
-    for key, text in raw.get("run", {}).items():
-        if key != "outdir":
-            raise ConfigError(f"unknown key [run] {key}")
-        changes["outdir"] = text.strip()
-    for section in _SECTIONS:
-        block, resolved = getattr(cfg, section), {}
-        defaults = {f.name: f.default for f in fields(block)}
-        for key, text in raw.get(section, {}).items():
-            if key not in defaults:
+    defaults = {s: {f.name: f.default for f in fields(getattr(cfg, s))} for s in _SECTIONS}
+    defaults["run"] = {"outdir": cfg.outdir}
+    for section, block in raw.items():
+        for key in block:
+            if key not in defaults.get(section, ()):
                 raise ConfigError(f"unknown key [{section}] {key}")
-            resolved[key] = _in_section(section, _coerce, text, defaults[key],
+        if section not in defaults:  # an empty header
+            raise ConfigError(f"unknown section [{section}]")
+    changes, parsed = {}, []
+    if "outdir" in raw.get("run", {}):
+        changes["outdir"] = raw["run"]["outdir"].strip()
+    for section in _SECTIONS:
+        resolved = {}
+        for key, text in raw.get(section, {}).items():
+            resolved[key] = _in_section(section, _coerce, text, defaults[section][key],
                                         f"[{section}] {key}")
         if resolved:
-            changes[section] = _in_section(section, replace, block, **resolved)
+            changes[section] = _in_section(section, replace, getattr(cfg, section), **resolved)
             parsed += [(section, key, value) for key, value in resolved.items()]
-    extra = set(raw) - set(_SECTIONS) - {"run"}
-    if extra:
-        raise ConfigError(f"unknown section(s): {sorted(extra)}")
     cfg = replace(cfg, **changes)
     # after every range rule, so their messages come first: a nan or inf in
     # a key with no range rule would otherwise flip a verdict downstream
@@ -282,7 +265,5 @@ def apply_overrides(cfg: RunConfig, overrides) -> RunConfig:
             raise ConfigError(f"override must be section.key=value, got {item!r}")
         section, key = lhs.split(".", 1)
         section, key = section.strip(), key.strip()
-        if section != "run" and section not in _SECTIONS:
-            raise ConfigError(f"unknown section in override: {section!r}")
         raw.setdefault(section, {})[key] = value.strip()
     return _merge(cfg, raw) if raw else cfg

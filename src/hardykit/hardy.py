@@ -14,11 +14,12 @@ growth conditions away from the origin are about.  The effective dimension
 N_0 = sup{ d : r^{-d} locally integrable against dmu } controls the sharp
 constant c_0(N_0).
 
-Limits at 0 are estimated on dyadic ladders r = 2^{-k}.  A slowly varying
-tail (log-corrected weights decay like 1/k on that ladder) is removed by an
-a + b/k least-squares fit; profiles whose tail refuses to fit (the
-oscillating example has genuinely distinct liminf and limsup) are flagged
-and reported by their tail extremes instead.
+Limits at 0 are estimated on the dyadic ladder r = 2^{-k}, k = _K_MIN..
+_K_MAX.  A slowly varying tail (log-corrected weights decay like 1/k on
+that ladder) is removed by an a + b/k least-squares fit on its last
+_TAIL_WINDOW rungs; profiles whose tail refuses to fit (the oscillating
+example has genuinely distinct liminf and limsup) are flagged and reported
+by their tail extremes instead.
 
 The audit samples the hypotheses, which are universal statements, on
 fixed meshes with fixed thresholds (the _H2III_*, _H2IV_*, _H3P_* and
@@ -43,7 +44,6 @@ from typing import Optional
 import numpy as np
 
 from . import weights
-from .config import HardyConfig
 from .errors import DivergentIntegral, ProfileUndefined, QuadratureFailure
 from .weights import WeightFamily, Kind, eval_mu, log_derivatives, weighted_integral
 
@@ -68,6 +68,11 @@ _H1_KNOWN = {
     Kind.LOG_WEIGHT: True,
     Kind.OSCILLATING: True,
 }
+
+# the profile ladder r = 2^{-k}, k = _K_MIN.._K_MAX, and its tail-fit window
+_K_MIN = 10
+_K_MAX = 40
+_TAIL_WINDOW = 10
 
 # two N0 estimates closer than this count as agreeing
 _N0_AGREE_TOL = 0.05
@@ -151,13 +156,13 @@ def _inverse_k_fit(k: np.ndarray, y: np.ndarray):
     return coef, A @ coef
 
 
-def _dyadic_slope_intercept(family: WeightFamily, k_min: int, k_max: int) -> float:
-    """k->oo intercept of the local log-log slope of mu on r = 2^{-k}.
+def _dyadic_slope_intercept(family: WeightFamily) -> float:
+    """k->oo intercept of the local log-log slope of mu on the profile ladder.
 
     Pure powers give a constant slope -beta; log-corrected weights drift
     like c/k, which the a + b/k fit removes.
     """
-    ks = np.arange(k_min, k_max + 1)
+    ks = np.arange(_K_MIN, _K_MAX + 1)
     lg = weights.log_mu(family, -ks * math.log(2.0))
     if not np.all(np.isfinite(lg)):
         raise ProfileUndefined("weight not evaluable on the dyadic ladder")
@@ -174,14 +179,16 @@ def _integral_diverges(family: WeightFamily, delta: float) -> bool:
         return True
 
 
-def estimate_N0(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -> N0Estimate:
-    """Estimate N_0 twice: log-log slope of mu on r = 2^{-k}, k = k_min..k_max
-    (the only knobs read), and bisection on the integrability flag of
-    r^{-delta} against dmu to a width of _N0_BISECT_TOL.  The two agree when
-    they lie within _N0_AGREE_TOL of each other."""
+def estimate_N0(family: WeightFamily) -> N0Estimate:
+    """Estimate N_0 twice: log-log slope of mu on the profile ladder
+    r = 2^{-k}, k = _K_MIN.._K_MAX, and bisection on the integrability flag
+    of r^{-delta} against dmu to a width of _N0_BISECT_TOL, bracketed by
+    [0, max(N, analytic N_0) + 1.5].  The two agree when they lie within
+    _N0_AGREE_TOL of each other."""
     N = family.dimension
-    slope_n0 = N + _dyadic_slope_intercept(family, knobs.k_min, knobs.k_max)
-    lo, hi = 0.0, N + 1.5   # delta = 0 is mu(B_1), finite for any admissible mu
+    slope_n0 = N + _dyadic_slope_intercept(family)
+    # delta = 0 is mu(B_1), finite for any admissible mu
+    lo, hi = 0.0, max(N, family.analytic_N0()) + 1.5
     if _integral_diverges(family, lo) or not _integral_diverges(family, hi):
         raise ProfileUndefined("effective-dimension bisection bracket failed")
     while hi - lo > _N0_BISECT_TOL:
@@ -198,24 +205,21 @@ def estimate_N0(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -> N0E
     )
 
 
-def compute_profile(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -> HardyProfile:
-    """Estimate L = limsup r^2 U_mu, c_{0,mu} and N_0 for a family.
+@lru_cache(maxsize=64)
+def compute_profile(family: WeightFamily) -> HardyProfile:
+    """Estimate L = limsup r^2 U_mu, c_{0,mu} and N_0 for a family (cached).
 
-    The r^2 U_mu ladder runs over r = 2^{-k}, k = k_min..k_max.  On the tail
-    window we fit a + b/k; a small residual means the limit exists and L is
-    the intercept.  Otherwise the profile is flagged oscillatory and L is
-    the tail max (limsup estimate), with the tail min kept for diagnostics.
+    The r^2 U_mu ladder runs over r = 2^{-k}, k = _K_MIN.._K_MAX.  On the
+    last _TAIL_WINDOW rungs we fit a + b/k; a small residual means the limit
+    exists and L is the intercept.  Otherwise the profile is flagged
+    oscillatory and L is the tail max (limsup estimate), with the tail min
+    kept for diagnostics.
 
     N_0 is always the closed form N - power_order (the H3' integrand is
     exponentially sensitive to N_0 errors); the two data-driven estimators
     are diagnostics, reported and cross-checked against it.
     """
-    return _profile(family, knobs)
-
-
-@lru_cache(maxsize=64)
-def _profile(family: WeightFamily, knobs: HardyConfig) -> HardyProfile:
-    ks = np.arange(knobs.k_min, knobs.k_max + 1)
+    ks = np.arange(_K_MIN, _K_MAX + 1)
     rs = 2.0 ** (-ks.astype(float))
     try:
         vals = np.asarray(rs**2 * compute_Umu(family, rs), dtype=float)
@@ -224,8 +228,8 @@ def _profile(family: WeightFamily, knobs: HardyConfig) -> HardyProfile:
     if not np.all(np.isfinite(vals)):
         raise ProfileUndefined("r^2 U_mu not finite on the dyadic ladder")
 
-    tail = vals[-knobs.tail_window:]
-    coef, fitted = _inverse_k_fit(ks[-knobs.tail_window:].astype(float), tail)
+    tail = vals[-_TAIL_WINDOW:]
+    coef, fitted = _inverse_k_fit(ks[-_TAIL_WINDOW:].astype(float), tail)
     fit_resid = float(np.max(np.abs(tail - fitted)))
     scale = max(1.0, float(np.max(np.abs(tail))))
     oscillatory = fit_resid > 1e-3 * scale
@@ -236,7 +240,7 @@ def _profile(family: WeightFamily, knobs: HardyConfig) -> HardyProfile:
         L = float(coef[0])
         L_inf = L
 
-    n0_est = estimate_N0(family, knobs)
+    n0_est = estimate_N0(family)
     N0 = family.analytic_N0()
 
     c0N = c0(family.dimension)
@@ -253,11 +257,6 @@ def _profile(family: WeightFamily, knobs: HardyConfig) -> HardyProfile:
         n0_quadrature=n0_est.quadrature,
         n0_agrees=n0_est.agrees and abs(n0_est.value - N0) <= _N0_AGREE_TOL,
     )
-
-
-# the one cache's statistics and reset, under the public name
-compute_profile.cache_info = _profile.cache_info
-compute_profile.cache_clear = _profile.cache_clear
 
 
 def compute_U(family: WeightFamily, r, profile: Optional[HardyProfile] = None):
@@ -366,10 +365,10 @@ def _h2_i_check(family: WeightFamily) -> bool:
         return False
 
 
-def check_hypotheses(family: WeightFamily, knobs: HardyConfig = HardyConfig()) -> HypothesisReport:
-    """Audit every hypothesis on the module's fixed meshes, from the profile
-    the knobs (the [hardy] section) set; failures are findings, not errors."""
-    profile = compute_profile(family, knobs)
+def check_hypotheses(family: WeightFamily) -> HypothesisReport:
+    """Audit every hypothesis on the module's fixed meshes, from the family's
+    profile; failures are findings, not errors."""
+    profile = compute_profile(family)
 
     h2_i = _h2_i_check(family)
     h2_ii_finite = math.isfinite(profile.c0_mu)

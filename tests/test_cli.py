@@ -61,14 +61,18 @@ sweep_tol = 0.01
 
     def test_defaults_cover_all_tunables(self):
         text = serialize_config(RunConfig())
-        for key in ("tail_window", "cap_dt_safety", "c_offset", "n_ladder", "sweep_tol"):
+        for key in ("cap_dt_safety", "c_offset", "n_ladder", "sweep_tol"):
             assert key in text, key
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("[family]\nkindd = lebesgue\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape("unknown key [nosuch] x")):
             parse_config("[nosuch]\nx = 1\n")
+        with pytest.raises(ConfigError, match=re.escape("unknown section [nosuch]")):
+            parse_config("[nosuch]\n")
+        with pytest.raises(ConfigError, match=re.escape("unknown key [nosuch] x")):
+            apply_overrides(RunConfig(), ["nosuch.x=1"])
         with pytest.raises(ConfigError):
             parse_config("[run]\ntask = frobnicate\n")
 
@@ -103,19 +107,6 @@ sweep_tol = 0.01
     def test_sharpness_ranges_rejected(self, assignment, message):
         with pytest.raises(ConfigError, match=re.escape(f"[sharpness] {message}")):
             parse_config(f"[sharpness]\n{assignment}\n")
-
-    @pytest.mark.parametrize("assignment,message", [
-        ("k_min = 50", "tail_window = 10, k_min = 50, k_max = 40 need 3 <= tail_window"),
-        ("tail_window = 2", "tail_window = 2, k_min = 10, k_max = 40 need 3 <= tail_window"),
-        ("tail_window = 0", "tail_window = 0, k_min = 10, k_max = 40 need 3 <= tail_window"),
-        ("tail_window = 32", "tail_window = 32, k_min = 10, k_max = 40 need 3 <= tail_window"),
-        # r = 2^-k <= 1/2 keeps the ladder off the closures of log_weight and oscillating
-        ("k_min = 0", "k_min = 0 must be >= 1"),
-        ("k_min = -3", "k_min = -3 must be >= 1"),
-    ])
-    def test_hardy_ranges_rejected(self, assignment, message):
-        with pytest.raises(ConfigError, match=re.escape(f"[hardy] {message}")):
-            parse_config(f"[hardy]\n{assignment}\n")
 
     def test_deepest_rung_at_the_cap_accepted(self):
         # 256 * 2^12 = 2^20 nodes exactly
@@ -263,6 +254,17 @@ class TestCli:
         assert rc == 2
         assert "beta" in capsys.readouterr().err
 
+    def test_n0_above_the_dimension_exit_0(self, tmp_path):
+        # N0 = N - beta = 5 lies above N + 1.5, where the N0 bisection's bracket ended
+        rc = main(["analyze", "--out", str(tmp_path / "o"),
+                   "--override", "family.kind=power_exp_power",
+                   "--override", "family.beta=-2"])
+        assert rc == 0
+        hyp = json.loads((tmp_path / "o" / "hypotheses.json").read_text())
+        assert hyp["classification"] == "H2"
+        assert hyp["profile"]["n0_quadrature_estimate"] == pytest.approx(5.0, abs=0.05)
+        assert hyp["profile"]["n0_estimators_agree"]
+
     def test_config_error_exit_2(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[family]\nkind = bogus\n")
@@ -367,6 +369,8 @@ class TestCli:
         # calibrated to it (hardykit.spectral)
         "spectral.rmin_shrink=4.0", "spectral.n_grow=2.0", "spectral.diverge_factor=4.0",
         "spectral.lambda_floor=1e-6",
+        # the profile ladder (hardykit.hardy) and the phi_n exponent (hardykit.cli)
+        "hardy.k_min=10", "hardy.k_max=40", "hardy.tail_window=10", "sharpness.gamma=0.0",
     ])
     def test_removed_key_is_unknown(self, tmp_path, capsys, override):
         key, value = override.split("=")
@@ -410,7 +414,7 @@ class TestCli:
         assert len(calls) == 1
         assert cli.compute_profile.cache_info().misses == 1
 
-    def test_hardy_knobs_reach_summary(self, tmp_path):
+    def test_summary_c0_mu_is_the_audits(self, tmp_path):
         rc = main(["report-all", "--out", str(tmp_path / "o"),
                    "--override", "family.kind=log_weight",
                    "--override", "family.alpha=1.0",
@@ -420,9 +424,7 @@ class TestCli:
                    "--override", "evolution.u0_hi=0.2",
                    "--override", "evolution.c=0.1",
                    "--override", "evolution.caps=10,100,1000",
-                   "--override", "evolution.T=1",
-                   "--override", "hardy.k_max=24",
-                   "--override", "hardy.tail_window=6"])
+                   "--override", "evolution.T=1"])
         assert rc == 0
         hyp = json.loads((tmp_path / "o" / "hypotheses.json").read_text())
         summary = (tmp_path / "o" / "summary.md").read_text()

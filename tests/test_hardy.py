@@ -14,7 +14,6 @@ from hardykit import (
     compute_Umu,
     estimate_N0,
 )
-from hardykit.config import HardyConfig
 from hardykit.errors import ProfileUndefined
 
 from conftest import fd_log_derivatives
@@ -81,11 +80,11 @@ class TestUmu:
 
 class TestProfile:
     def test_cache_keys_on_the_knobs_it_reads(self):
-        # the call forms with and without the default knobs share one entry
+        # one profile per family: the second call is a hit
         fam = WeightFamily(Kind.EXP_POWER, 5, b=0.5, m=1.5)
         before = compute_profile.cache_info().misses
         p = compute_profile(fam)
-        assert compute_profile(fam, HardyConfig()) is p
+        assert compute_profile(fam) is p
         assert compute_profile.cache_info().misses - before == 1
 
     def test_exp_power(self, exppow3):
@@ -161,7 +160,8 @@ class TestComputeU:
 
 
 class TestN0Estimator:
-    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5])
+    # beta < 0 puts N0 = N - beta above N + 1.5
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0, 1.5, -1.6, -2.0])
     def test_power_exp_power_grid(self, beta):
         fam = WeightFamily(Kind.POWER_EXP_POWER, 4, b=1.0, m=2.0, beta=beta)
         est = estimate_N0(fam)
