@@ -283,6 +283,8 @@ def fit_envelope(times: Sequence[float], norms: Sequence[float]) -> Envelope:
     if np.any(n <= 0.0) or not np.all(np.isfinite(n)):
         raise DegenerateSeries("norm series must be positive and finite")
     half = len(n) // 2
+    if not np.any(t[half:] ** 2):  # polyfit divides the t column by its norm
+        raise DegenerateSeries(f"times up to {t[-1]:g} are too small to fit: t^2 underflows")
     omega = float(np.polyfit(t[half:], np.log(n[half:]), 1)[0])
     ratios = n / (np.exp(omega * t) * n[0])
     return Envelope(M=max(1.0, float(np.max(ratios))), omega=omega)

@@ -26,9 +26,7 @@ OPENBLAS_NUM_THREADS is set, importing this module loads scipy's OpenBLAS
 with that variable at 1 for the load only, and then sets numpy's and
 scipy's OpenBLAS to one thread at run time, through the same symbol
 lookup: the pin does not depend on whether numpy was imported first, and
-no child process inherits it.  Where either BLAS may still use more
-threads, or is not an OpenBLAS whose count can be read, blas_threads() says
-so and spectral solves the rungs one after the other.
+no child process inherits it.  A user's setting is kept.
 """
 
 from __future__ import annotations
@@ -139,14 +137,6 @@ _OPENBLAS = [_thread_count(_NUMPY_PATH), _thread_count(_PATH)]
 if "OPENBLAS_NUM_THREADS" not in os.environ:
     for _counts in filter(None, _OPENBLAS):
         _counts[1](1)
-
-
-def blas_threads() -> int:
-    """The most threads numpy's or scipy's OpenBLAS may use now, or 0 when
-    either is not an OpenBLAS whose count can be read."""
-    if None in _OPENBLAS:
-        return 0
-    return max(get() for get, _ in _OPENBLAS)
 
 
 def _check_info(routine: str, info: int) -> None:

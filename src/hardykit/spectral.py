@@ -29,21 +29,16 @@ n reaches, are computed once per (family, c, gamma).
 Assembly and solves are pure per problem instance; ladder rungs and sweep
 points carry no shared mutable state.
 
-A ladder's rungs are solved on two threads where numpy's and scipy's BLAS
-each run on one (lapack.blas_threads(); importing the lapack module pins
-them unless OPENBLAS_NUM_THREADS is set), and one after the other
-otherwise, since BLAS pool threads would hold the second core.  The
-deepest rung, which holds more than half of the ladder's nodes, is solved
-on a worker thread beside the others.
+A ladder of two or more rungs solves its deepest rung, which holds more
+than half of the ladder's nodes, on a worker thread beside the others.
 Every pencil is assembled on the calling thread, the worker's first and
 each of the caller's just before its solve; the worker runs only
 _solve_smallest, whose LAPACK calls release the interpreter lock (see the
 lapack module), so the caller's assembly and solves overlap them.  The
-results are bitwise those of solving the rungs one after the other.  Each
-rung records its outcome, and lambda1 raises the exception of the
-shallowest failing rung, whether it failed in assembly or in the solve:
-the error a serial ladder would meet first.  The worker is always joined
-before lambda1 returns or raises.
+results are bitwise those of solving the rungs one after the other.  The
+worker is always joined before lambda1 returns or raises, and the
+exception raised is that of the shallowest failing rung, whether it failed
+in assembly or in the solve: the error a serial ladder would meet first.
 """
 
 from __future__ import annotations
@@ -285,12 +280,11 @@ def lambda1(problem: SpectralProblem, ladder: SpectralConfig = SpectralConfig())
     rungs, each (r_min / RMIN_SHRINK, n x N_GROW) from the one before;
     rungs=1 is the single solve on the problem grid (verdict Unresolved).
 
-    Where BLAS runs on one thread, the deepest rung is solved on a worker
-    thread (see the module docstring); the exception raised is that of the
-    shallowest failing rung, as if the rungs had run one after the other."""
+    The deepest rung of a longer ladder is solved on a worker thread (see
+    the module docstring); the exception raised is that of the shallowest
+    failing rung, as if the rungs had run one after the other."""
     g = problem.grid
     rungs = max(ladder.rungs, 1)  # rung 0, the problem grid, is always solved
-    outcomes: list = [None] * rungs  # rung k's solve, or the exception it raised
 
     def rung(k):
         return replace(g, r_min=g.r_min / RMIN_SHRINK**k, n_points=g.n_points * N_GROW**k)
@@ -298,45 +292,38 @@ def lambda1(problem: SpectralProblem, ladder: SpectralConfig = SpectralConfig())
     def pencil(k):
         return assemble(replace(problem, grid=rung(k)) if k else problem)
 
-    def solve(k, A, M):
-        lam, vec, res = _solve_smallest(A, M, enforce=k == 0)
-        outcomes[k] = (lam, vec, res) if k == 0 else lam
+    deepest: list = []  # the deepest rung's lambda_1, or the exception it raised
 
     def solve_deepest(A, M):
         # the worker: an exception it raised is raised by the caller below
         try:
-            solve(rungs - 1, A, M)
+            deepest.append(_solve_smallest(A, M, enforce=False)[0])
         except BaseException as exc:
-            outcomes[-1] = exc
+            deepest.append(exc)
 
-    from . import lapack
-    # beside BLAS pool threads a second thread of ours slows the ladder down
-    split = rungs > 1 and lapack.blas_threads() == 1
     worker = None
-    if split:
+    if rungs > 1:
+        # LAPACK loads on the first solve; loaded on the worker, not here, it
+        # left a process 0.3 MB more resident
+        from . import lapack  # noqa: F401
         try:
-            deepest = pencil(rungs - 1)
-        except Exception as exc:
-            outcomes[-1] = exc
+            worker = threading.Thread(target=solve_deepest, args=pencil(rungs - 1))
+        except Exception as exc:  # the deepest pencil failed to assemble
+            deepest.append(exc)
         else:
-            worker = threading.Thread(target=solve_deepest, args=deepest)
             worker.start()
-    try:
-        for k in range(rungs - 1 if split else rungs):
-            try:
-                solve(k, *pencil(k))
-            except Exception as exc:
-                outcomes[k] = exc
-                break
+    try:  # a shallow rung's exception propagates once the worker is joined
+        lam0, vec, res = _solve_smallest(*pencil(0), enforce=True)
+        lams = [lam0] + [_solve_smallest(*pencil(k), enforce=False)[0]
+                         for k in range(1, rungs - 1)]
     finally:
         if worker is not None:
             worker.join()
-    for outcome in outcomes:
+    for outcome in deepest:  # none on a one-rung ladder
         if isinstance(outcome, BaseException):
             raise outcome
-    lam0, vec, res = outcomes[0]
-    rows = [(g.n_points, g.r_min, lam0)]
-    rows += [(rung(k).n_points, rung(k).r_min, outcomes[k]) for k in range(1, rungs)]
+        lams.append(outcome)
+    rows = [(rung(k).n_points, rung(k).r_min, lam) for k, lam in enumerate(lams)]
     return RayleighResult(lambda1=lam0, eigvec=vec, nodes=g.nodes[1:-1], residual=res,
                           ladder=rows, verdict=_ladder_verdict([row[2] for row in rows]))
 

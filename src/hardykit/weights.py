@@ -187,8 +187,9 @@ class WeightFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", Kind(self.kind))
-        if int(self.dimension) != self.dimension or self.dimension < 3:
-            raise InvalidParams(f"dimension must be an integer >= 3, got {self.dimension}")
+        # omega_N's Gamma(N/2) overflows a double from N = 344 on
+        if int(self.dimension) != self.dimension or not 3 <= self.dimension <= 343:
+            raise InvalidParams(f"dimension must be an integer from 3 to 343, got {self.dimension}")
         object.__setattr__(self, "dimension", int(self.dimension))
         if self.kind in (Kind.EXP_POWER, Kind.POWER_EXP_POWER):
             if self.b < 0:

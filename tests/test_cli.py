@@ -304,6 +304,22 @@ class TestCli:
             "numeric failure [spectrum]: weight not finite on the grid\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("dimension", [343, 344, 10**6])
+    def test_dimension_past_the_range_of_omega_n_exit_2(self, tmp_path, capsys, dimension):
+        # omega_N's Gamma(N/2) overflows a double from N = 344 on (at 10**6
+        # pi^(N/2) overflows first), and every task ended in a traceback
+        for task in ("analyze", "spectrum", "sweep", "sharpness", "evolve", "report-all"):
+            rc = main([task, "--out", str(tmp_path / task),
+                       "--override", f"family.dimension={dimension}"])
+            err = capsys.readouterr().err
+            if dimension == 343:  # in range; the numerics may still fail
+                assert rc in (0, 3) and len(err.splitlines()) == (rc == 3)
+            else:
+                assert rc == 2
+                assert err == (f"config error: [family] dimension must be an integer "
+                               f"from 3 to 343, got {dimension}\n")
+            assert rc == 0 or not (tmp_path / task).exists()
+
     def test_run_outdir_override_names_the_outdir(self, tmp_path):
         rc = main(["analyze", "--override", f"run.outdir={tmp_path / 'o'}"])
         assert rc == 0
@@ -693,8 +709,31 @@ def test_lapack_pins_openblas_to_one_thread(preset, first, want):
     # environment a child process would inherit is as it was.  A user's
     # setting is kept
     code = (f"import os, {first}; from hardykit import lapack; "
-            "print(lapack.blas_threads(), 'OPENBLAS_NUM_THREADS' in os.environ)")
+            "print(max(get() for get, _ in lapack._OPENBLAS), "
+            "'OPENBLAS_NUM_THREADS' in os.environ)")
     assert _run_with_blas_threads(code, preset) == want
+
+
+def test_deepest_rung_runs_on_a_worker_beside_two_blas_threads():
+    # a user's OPENBLAS_NUM_THREADS=2 is kept, and the ladder still solves its
+    # deepest rung off the main thread, reading what a serial ladder reads
+    code = """
+import threading
+from dataclasses import replace
+from hardykit import Kind, RadialGrid, SpectralProblem, WeightFamily, assemble, lambda1, spectral
+solve, on_main = spectral._solve_smallest, {}
+def recorded(A, M, enforce):
+    on_main[A.n + 2] = threading.current_thread() is threading.main_thread()
+    return solve(A, M, enforce=enforce)
+spectral._solve_smallest = recorded
+prob = SpectralProblem(WeightFamily(Kind.EXP_POWER, 3), 0.3, RadialGrid())
+ladder = lambda1(prob).ladder
+print([on_main[n] for n in sorted(on_main)])
+print([lam for *_, lam in ladder] == [
+    solve(*assemble(replace(prob, grid=replace(prob.grid, r_min=r, n_points=n))),
+          enforce=False)[0] for n, r, _ in ladder])
+"""
+    assert _run_with_blas_threads(code, "2") == "[True, True, True, False]\nTrue"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
@@ -729,6 +768,20 @@ def test_audit_tasks_never_load_scipy_linalg(tmp_path):
                          capture_output=True, text=True, check=True).stdout.splitlines()
     states = [line for line in out if line.startswith("[")]
     assert states == ["[False, False]", "[False, False]", "[False, True]", "[False, True]"]
+
+
+def test_evolve_too_short_to_fit_prints_one_line(tmp_path):
+    # at T = 1e-200 the squares of the record times underflow: the envelope
+    # fit ended in a LinAlgError traceback, after LAPACK's own complaints
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "hardykit.cli", "evolve",
+                          "--out", str(tmp_path / "o"), "--override", "evolution.T=1e-200"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 3
+    assert out.stderr == ("numeric failure [evolve]: times up to 1e-200 are too small to fit: "
+                          "t^2 underflows\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("b, m", [("1e308", "0.01"), ("1e200", "0.5")])

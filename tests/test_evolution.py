@@ -338,6 +338,13 @@ class TestFitEnvelope:
         with pytest.raises(DegenerateSeries):
             fit_envelope(np.linspace(0, 1, 10), np.array([1.0] * 9 + [0.0]))
 
+    def test_times_whose_squares_underflow_are_degenerate(self):
+        # np.polyfit divides the time column by its norm, which is 0 once
+        # every t^2 underflows (T = 1e-162), and its SVD then fails
+        assert np.isfinite(fit_envelope(np.linspace(0.0, 1e-161, 16), np.ones(16)).omega)
+        with pytest.raises(DegenerateSeries, match="t\\^2 underflows"):
+            fit_envelope(np.linspace(0.0, 1e-162, 16), np.ones(16))
+
 
 def _knobs(**changes):
     """The cap ladder the cross-check tests run: caps 10..1000, T = 1, on GRID."""

@@ -178,17 +178,14 @@ class TestLambda1:
         assert np.array_equal(got.eigvec, want.eigvec)
         assert callable(evolution.solve_banded)
 
-    @pytest.mark.parametrize("blas_threads", [1, 2, 0])
     @pytest.mark.parametrize("c_scale", [1.0, 2.0])
     @pytest.mark.parametrize("rungs", [0, 1, 2, 3, 4])
-    def test_ladder_matches_serial_solves_bitwise(self, exppow3, monkeypatch, rungs, c_scale,
-                                                  blas_threads):
-        # beside a one-thread BLAS the deepest rung runs on a worker thread,
-        # and otherwise every rung runs on the caller; each must read exactly
-        # what a plain loop over the rungs reads.  rungs = 0 solves the
-        # problem grid alone.  c = 0.15 lies below the critical constant
-        # 0.25, and c = 0.3 above it, where the rungs' lambda_1 run away
-        monkeypatch.setattr(hk_lapack, "blas_threads", lambda: blas_threads)
+    def test_ladder_matches_serial_solves_bitwise(self, exppow3, monkeypatch, rungs, c_scale):
+        # the deepest rung of a ladder of two or more runs on a worker
+        # thread, and the ladder must read exactly what a plain loop over the
+        # rungs reads.  rungs = 0 solves the problem grid alone.  c = 0.15
+        # lies below the critical constant 0.25, and c = 0.3 above it, where
+        # the rungs' lambda_1 run away
         solve, solvers = spectral._solve_smallest, {}
 
         def recorded(A, M, enforce):
@@ -212,7 +209,7 @@ class TestLambda1:
         assert got.ladder == rows
         assert sorted(solvers) == [n for n, _, _ in rows]
         on_worker = [n for n, thread in solvers.items() if thread is not threading.current_thread()]
-        assert on_worker == ([rows[-1][0]] if blas_threads == 1 and rungs > 1 else [])
+        assert on_worker == ([rows[-1][0]] if rungs > 1 else [])
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     @pytest.mark.parametrize("failing, raised", [
@@ -230,7 +227,6 @@ class TestLambda1:
             return real(d, e)
 
         monkeypatch.setattr(spectral, "eigh_tridiagonal", failing_solve)
-        monkeypatch.setattr(hk_lapack, "blas_threads", lambda: 1)
         threads = threading.active_count()
         with pytest.raises(NoConvergence, match=f"^rung {raised}$"):
             lambda1(SpectralProblem(exppow3, 0.3, GRID))
@@ -397,13 +393,11 @@ class TestLapackLoader:
         assert str(err.value) == (f"{hk_lapack._PATH} links neither "
                                   f"scipy_nosuchroutine_ nor nosuchroutine_")
 
-    def test_thread_count_needs_an_openblas(self, monkeypatch):
+    def test_thread_count_needs_an_openblas(self):
         # an extension that links no OpenBLAS has no thread count to read or
-        # set, and then blas_threads() reads 0, so ladders stay serial
+        # set, and the pin passes it by
         import _ctypes
         assert hk_lapack._thread_count(_ctypes.__file__) is None
-        monkeypatch.setattr(hk_lapack, "_OPENBLAS", [hk_lapack._OPENBLAS[0], None])
-        assert hk_lapack.blas_threads() == 0
 
     def test_public_lapack_wraps_the_same_routines(self):
         # on the fallback path the routines come from the extension that
