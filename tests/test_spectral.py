@@ -178,14 +178,29 @@ class TestLambda1:
         assert np.array_equal(got.eigvec, want.eigvec)
         assert callable(evolution.solve_banded)
 
+    @pytest.mark.parametrize("blas_threads", [1, 2, 0])
     @pytest.mark.parametrize("c_scale", [1.0, 2.0])
     @pytest.mark.parametrize("rungs", [0, 1, 2, 3, 4])
-    def test_ladder_matches_serial_solves_bitwise(self, exppow3, monkeypatch, rungs, c_scale):
-        # the deepest rung of a ladder of two or more runs on a worker
-        # thread, and the ladder must read exactly what a plain loop over the
-        # rungs reads.  rungs = 0 solves the problem grid alone.  c = 0.15
-        # lies below the critical constant 0.25, and c = 0.3 above it, where
-        # the rungs' lambda_1 run away
+    def test_ladder_matches_serial_solves_bitwise(self, exppow3, monkeypatch, rungs, c_scale,
+                                                  blas_threads):
+        # whatever the BLAS thread count (0 leaves it as it stands), the
+        # deepest rung of a ladder of two or more runs on a worker thread,
+        # and the ladder must read exactly what a plain loop over the rungs
+        # reads.  rungs = 0 solves the problem grid alone.  c = 0.15 lies
+        # below the critical constant 0.25, and c = 0.3 above it, where the
+        # rungs' lambda_1 run away
+        counts = [c for c in hk_lapack._OPENBLAS if c is not None and blas_threads]
+        pinned = [get() for get, _ in counts]
+        for _, put in counts:
+            put(blas_threads)
+        try:
+            self._check_ladder_against_serial_solves(exppow3, monkeypatch, rungs, c_scale)
+        finally:
+            for (_, put), n in zip(counts, pinned):
+                put(n)
+
+    @staticmethod
+    def _check_ladder_against_serial_solves(exppow3, monkeypatch, rungs, c_scale):
         solve, solvers = spectral._solve_smallest, {}
 
         def recorded(A, M, enforce):
