@@ -97,6 +97,11 @@ class EvolutionConfig:
             (0.0 < self.cap_dt_safety < 1.0,
              f"cap_dt_safety = {self.cap_dt_safety} must lie in (0, 1)"),
             (self.records >= 8, f"records = {self.records} must be >= 8"),
+            # the record spacing; below the normal range the steps lose their
+            # precision, and at T = 5e-324 the spacing is 0
+            (self.records < 8 or self.T / self.records >= sys.float_info.min,
+             f"T / records = {self.T} / {self.records} must be a normal double, "
+             f">= {sys.float_info.min:.3g}"),
             (16 <= self.n_points <= MAX_NODES,
              f"n_points = {self.n_points} must lie in [16, {MAX_NODES}]"),
             (0.0 < self.r_min < self.r_max < math.inf,

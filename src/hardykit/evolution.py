@@ -107,11 +107,10 @@ __all__ = [
 
 # pttrf stays a module attribute, so a caller can rebind it to inspect or
 # replace the factorization.  LAPACK loads on the first factorization (see
-# the lapack module); the per-step pttrs is bound once per caller from the
-# same extension, so the stepping loop calls LAPACK directly.
+# the lapack module); the per-step pttrs is bound once per caller.
 def dpttrf(d, e):
-    from .lapack import flapack
-    return flapack.dpttrf(d, e)
+    from . import lapack
+    return lapack.dpttrf(d, e)
 
 
 _KRYLOV_BASIS = 64
@@ -121,6 +120,9 @@ _KRYLOV_RTOL = 1e-13
 _T_STAR_FRAC = 0.5     # t* = T * _T_STAR_FRAC, the record the cap ratios read
 _BLOWUP_RATIO = 2.0    # > 1: the solutions grow with the cap, so every ratio is >= 1
 _OMEGA_RTOL = 0.1
+# fit_envelope's degeneracy bound: the fitted half's log-norms must spread by
+# at least this many ulps of their largest magnitude
+_FIT_ROUNDING = 16.0
 
 
 def _krylov_records(family: WeightFamily, grid: RadialGrid, c: float, cap: float,
@@ -129,8 +131,8 @@ def _krylov_records(family: WeightFamily, grid: RadialGrid, c: float, cap: float
     of M^{-1}, M = I + gamma A, or None when the basis reaches _KRYLOV_BASIS
     vectors, or spans the whole space, before two successive bases agree on
     every record, when a record overflows, or when dstev fails."""
-    from .lapack import flapack
-    dpttrs = flapack.dpttrs
+    from . import lapack
+    dpttrs = lapack.dpttrs
     gamma = per_rec * dt  # the record spacing; halved until M is positive definite
     while True:
         *factors, info = dpttrf(*_implicit_euler(family, grid, c, cap, gamma)[2])
@@ -147,14 +149,14 @@ def _krylov_records(family: WeightFamily, grid: RadialGrid, c: float, cap: float
     powers = per_rec * np.arange(1.0, records + 1.0)[:, None]
     last = None
     for j in range(size):
-        w, _ = dpttrs(*factors, V[j])
+        w = dpttrs(*factors, V[j])
         basis = V[:j + 1]
         h = basis @ w
         w -= h @ basis
         h2 = basis @ w  # full reorthogonalization, twice
         w -= h2 @ basis
         alpha[j] = h[j] + h2[j]
-        z, U, info = flapack.dstev(alpha[:j + 1], beta[:max(j, 1)])
+        z, U, info = lapack.dstev(alpha[:j + 1], beta[:max(j, 1)])
         if info != 0:
             return None
         # the Ritz values z of the positive definite M^{-1} are positive, up
@@ -230,8 +232,7 @@ def run_capped(
     u = np.asarray(u0(r), dtype=float)
     if np.any(u < 0.0):
         raise NegativeDatum("initial datum must be nonnegative")
-    from .lapack import flapack
-    dpttrs = flapack.dpttrs
+    from .lapack import dpttrs
     d, e, info = dpttrf(*diagonals)
     if info != 0:
         raise SchemeDivergence(
@@ -246,8 +247,7 @@ def run_capped(
         norms[1:] = krylov
     else:
         for rec in range(1, records + 1):
-            for _ in range(per_rec):
-                y, _ = dpttrs(d, e, y, overwrite_b=1)
+            dpttrs(d, e, y, overwrite_b=True, times=per_rec)
             with np.errstate(over="ignore", invalid="ignore"):
                 norms[rec] = math.sqrt(float(y @ y))
             if not math.isfinite(norms[rec]):
@@ -285,7 +285,15 @@ def fit_envelope(times: Sequence[float], norms: Sequence[float]) -> Envelope:
     half = len(n) // 2
     if not np.any(t[half:] ** 2):  # polyfit divides the t column by its norm
         raise DegenerateSeries(f"times up to {t[-1]:g} are too small to fit: t^2 underflows")
-    omega = float(np.polyfit(t[half:], np.log(n[half:]), 1)[0])
+    logs = np.log(n[half:])
+    spread, size = float(np.ptp(logs)), float(np.max(np.abs(logs)))
+    if spread < _FIT_ROUNDING * np.finfo(float).eps * size:
+        # the norms do not move beyond rounding, and the fit's intercept leaks
+        # that rounding into omega, scaled by 1/T (4.9e133 at T = 1e-150)
+        raise DegenerateSeries(
+            f"log-norms up to t = {t[-1]:g} spread {spread:.3g}, within rounding of their "
+            f"size {size:.3g}: too short a time to fit a rate")
+    omega = float(np.polyfit(t[half:], logs, 1)[0])
     ratios = n / (np.exp(omega * t) * n[0])
     return Envelope(M=max(1.0, float(np.max(ratios))), omega=omega)
 

@@ -97,8 +97,9 @@ __all__ = [
 
 
 # The two solvers stay module attributes, so a caller can rebind them to
-# count or replace the solves.  LAPACK loads on the first call (see the
-# lapack module), so the audit tasks (analyze, sharpness) never load it.
+# count or replace the solves.  The LAPACK bindings load on the first call
+# (see the lapack module), so the audit tasks (analyze, sharpness) never
+# load them.
 def eigh_tridiagonal(d, e):
     from . import lapack
     return lapack.eigh_tridiagonal(d, e)

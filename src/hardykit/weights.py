@@ -56,7 +56,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import (
     DivergentIntegral,
@@ -160,7 +159,7 @@ def _oscillating_blend() -> np.ndarray:
     d1 = math.cos(t) / 0.5
     d2 = (-math.sin(t) - math.cos(t)) / 0.25
     unit = np.eye(6)
-    A = [[P.polyval(rr, P.polyder(unit[p], k)) for p in range(6)]
+    A = [[np.polyval(np.polyder(unit[p, ::-1], k), rr) for p in range(6)]
          for rr in (0.5, 1.0) for k in range(3)]
     return np.linalg.solve(A, [val, d1, d2, 2.0, 0.0, 0.0])
 
@@ -288,13 +287,13 @@ def _log_mu_jet(family: WeightFamily, s: np.ndarray, derivs: bool):
         g2 = np.where(near, (3.0 - 2.0 * q) / q**2, 0.0)
     mid = ~near & (s < 0.0)
     if mid.any():
-        c, x = _oscillating_blend(), np.exp(s[mid])
-        p0 = P.polyval(x, c)
+        p, x = _oscillating_blend()[::-1], np.exp(s[mid])  # highest power first
+        p0 = np.polyval(p, x)
         g[mid] = np.log(p0)
         if derivs:
-            x1 = x * P.polyval(x, P.polyder(c)) / p0
+            x1 = x * np.polyval(np.polyder(p), x) / p0
             g1[mid] = x1
-            g2[mid] = x1 + x * x * P.polyval(x, P.polyder(c, 2)) / p0 - x1 * x1
+            g2[mid] = x1 + x * x * np.polyval(np.polyder(p, 2), x) / p0 - x1 * x1
     return (g, g1, g2) if derivs else g
 
 
@@ -335,8 +334,16 @@ def log_derivatives(family: WeightFamily, r):
 # weighted quadrature
 # ----------------------------------------------------------------------
 
-_GL_NODES = 10               # per rule; a refinement level evaluates 2x this
-_QX, _QW = np.polynomial.legendre.leggauss(_GL_NODES)
+# the 10-point Gauss-Legendre rule, as np.polynomial.legendre.leggauss(10)
+# gives it; a refinement level evaluates it on both halves of an interval
+_QX = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244, -0.4333953941292472,
+    -0.14887433898163122, 0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717])
+_QW = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982, 0.2692667193099965,
+    0.2955242247147528, 0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814])
 _TOL_SAFETY = 1.0 / 16.0     # estimates are checked against rtol / 16
 _INHERIT = 2.0**-16          # share of a parent's estimate its halves carry
 _MAX_PENDING = 4096          # sub-intervals one level may refine
@@ -536,7 +543,15 @@ class RadialGrid:
         return np.geomspace(self.r_min, self.r_max, self.n_points)
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
+# the 12-point rule, as np.polynomial.legendre.leggauss(12) gives it
+_GL_X = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047, -0.5873179542866175,
+    -0.3678314989981802, -0.1252334085114689, 0.1252334085114689, 0.3678314989981802,
+    0.5873179542866175, 0.7699026741943047, 0.9041172563704748, 0.9815606342467192])
+_GL_W = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642, 0.20316742672306573,
+    0.2334925365383546, 0.2491470458134027, 0.2491470458134027, 0.2334925365383546,
+    0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141])
 _GL_X1, _GL_W2 = _GL_X + 1.0, _GL_W / 2.0
 _ELEMENT_BLOCK = 256  # elements per block: each 12-point temporary is 24 KiB
 

@@ -673,14 +673,15 @@ class TestCli:
 
 
 def test_import_leaves_unused_scipy_out():
-    # of scipy, hardykit loads only the compiled LAPACK extension, on the
-    # first solve (hardykit.lapack); the subpackages would cost start-up time
+    # hardykit imports no scipy package, and its Gauss-Legendre rules are
+    # tables, so numpy.polynomial is not imported either: each would cost
+    # start-up time and memory
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, hardykit.cli; "
             "print(hardykit.cli.__file__); "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse') "
-            "if m in sys.modules])")
+            "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse', "
+            "'numpy.polynomial') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
     assert out[0].startswith(src)
@@ -704,13 +705,12 @@ def _run_with_blas_threads(code, threads):
 ])
 def test_lapack_pins_openblas_to_one_thread(preset, first, want):
     # the spectral ladder runs a second thread of its own: once hardykit.lapack
-    # is loaded (on the first solve), numpy's and scipy's OpenBLAS run on one
-    # thread, whichever of numpy and hardykit was imported first, and the
-    # environment a child process would inherit is as it was.  A user's
-    # setting is kept
+    # is loaded (on the first solve), the OpenBLAS its routines come from,
+    # numpy's, runs on one thread, whichever of numpy and hardykit was
+    # imported first, and the environment a child process would inherit is
+    # as it was.  A user's setting is kept
     code = (f"import os, {first}; from hardykit import lapack; "
-            "print(max(get() for get, _ in lapack._OPENBLAS), "
-            "'OPENBLAS_NUM_THREADS' in os.environ)")
+            "print(lapack._OPENBLAS[0](), 'OPENBLAS_NUM_THREADS' in os.environ)")
     assert _run_with_blas_threads(code, preset) == want
 
 
@@ -738,8 +738,8 @@ print([lam for *_, lam in ladder] == [
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 def test_a_solve_starts_no_thread():
-    # scipy's OpenBLAS, loaded on the first solve, starts no pool thread, and
-    # the ladder's worker thread is joined: the threads are numpy's
+    # the first solve loads no library with a thread pool of its own, and the
+    # ladder's worker thread is joined: the threads are numpy's
     code = ("import os, numpy; before = len(os.listdir('/proc/self/task')); "
             "from hardykit import Kind, RadialGrid, SpectralProblem, WeightFamily, lambda1; "
             "lambda1(SpectralProblem(WeightFamily(Kind.EXP_POWER, 3), 0.3, RadialGrid())); "
@@ -749,8 +749,8 @@ def test_a_solve_starts_no_thread():
 
 def test_audit_tasks_never_load_scipy_linalg(tmp_path):
     # no task imports scipy.linalg: the first eigen-solve or factorization
-    # imports hardykit.lapack, which loads only scipy's compiled LAPACK
-    # extension.  analyze and sharpness have none, so it is not loaded after
+    # imports hardykit.lapack, which binds the LAPACK numpy links.  analyze
+    # and sharpness have none, so it is not loaded after
     # them; sweep has, so it is loaded after that (the check is not vacuous)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -781,6 +781,43 @@ def test_evolve_too_short_to_fit_prints_one_line(tmp_path):
     assert out.returncode == 3
     assert out.stderr == ("numeric failure [evolve]: times up to 1e-200 are too small to fit: "
                           "t^2 underflows\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs Linux /proc")
+def test_report_all_maps_no_second_lapack(tmp_path):
+    # the six LAPACK routines come from the library numpy links: a whole
+    # report-all maps neither scipy's _flapack nor scipy's OpenBLAS (numpy's
+    # wheel links libscipy_openblas64_, scipy's libscipy_openblas-<hash>)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, hardykit.cli; "
+            "assert hardykit.cli.main(['report-all', '--out', sys.argv[1]]) == 0; "
+            "maps = open('/proc/self/maps').read(); "
+            "print('hardykit.lapack' in sys.modules, "
+            "[name for name in ('_flapack', 'libscipy_openblas-') if name in maps])")
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")], env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[-1] == "True []"
+
+
+@pytest.mark.parametrize("T, code, message", [
+    ("5e-324", 2, "config error: [evolution] T / records = 5e-324 / 64 must be a normal "
+                  "double, >= 2.23e-308\n"),
+    ("1e-150", 3, "numeric failure [evolve]: log-norms up to t = 1e-150 spread 0, within "
+                  "rounding of their size 0.0886: too short a time to fit a rate\n"),
+], ids=["5e-324", "1e-150"])
+def test_evolve_too_short_for_a_rate_prints_one_line(tmp_path, T, code, message):
+    # at T = 5e-324 the record spacing is 0, which ended in a ZeroDivisionError
+    # traceback; at T = 1e-150 the norms do not move beyond rounding, and the
+    # run exited 0 with omega = 4.9e133, a fit of that rounding
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "hardykit.cli", "evolve",
+                          "--out", str(tmp_path / "o"), "--override", f"evolution.T={T}"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == code
+    assert out.stderr == message
     assert not (tmp_path / "o").exists()
 
 

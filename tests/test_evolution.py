@@ -271,13 +271,13 @@ class TestPropagatorPath:
     def test_basis_never_outgrows_the_space(self, oscillating, monkeypatch,
                                             n_points, c, T, records, path):
         sizes = []
-        real = lapack.flapack.dstev
+        real = lapack.dstev
 
         def dstev(d, e):
             sizes.append(len(d))
             return real(d, e)
 
-        monkeypatch.setattr(lapack.flapack, "dstev", dstev)
+        monkeypatch.setattr(lapack, "dstev", dstev)
         grid = RadialGrid(1e-4, 8.0, n_points)
         s = run_capped(oscillating, c, 1e4, BUMP, T=T, dt=0.01, grid=grid, records=records)
         assert s.path == path
@@ -344,6 +344,19 @@ class TestFitEnvelope:
         assert np.isfinite(fit_envelope(np.linspace(0.0, 1e-161, 16), np.ones(16)).omega)
         with pytest.raises(DegenerateSeries, match="t\\^2 underflows"):
             fit_envelope(np.linspace(0.0, 1e-162, 16), np.ones(16))
+
+    def test_norms_flat_to_rounding_are_degenerate(self):
+        # the fit's intercept leaks the log-norms' rounding into omega, scaled
+        # by 1/T: log-norms that spread by less than _FIT_ROUNDING ulps of
+        # their size carry no rate
+        with pytest.raises(DegenerateSeries, match="within rounding of their size"):
+            fit_envelope(np.linspace(0.0, 1e-150, 16), np.full(16, 1.5))
+        # a rate of 1e-13 over T = 1 moves the fitted half's log-norms by about
+        # 30 times that bound, and the fit reads it
+        t = np.linspace(0.0, 1.0, 16)
+        logs = np.log(1.5 * np.exp(1e-13 * t))[8:]
+        assert np.ptp(logs) > 16 * evolution._FIT_ROUNDING * np.finfo(float).eps * logs.max()
+        assert fit_envelope(t, 1.5 * np.exp(1e-13 * t)).omega == pytest.approx(1e-13, rel=0.1)
 
 
 def _knobs(**changes):

@@ -1,5 +1,4 @@
 import ctypes
-import importlib.machinery
 import math
 import sys
 import threading
@@ -189,7 +188,7 @@ class TestLambda1:
         # reads.  rungs = 0 solves the problem grid alone.  c = 0.15 lies
         # below the critical constant 0.25, and c = 0.3 above it, where the
         # rungs' lambda_1 run away
-        counts = [c for c in hk_lapack._OPENBLAS if c is not None and blas_threads]
+        counts = [hk_lapack._OPENBLAS] if hk_lapack._OPENBLAS and blas_threads else []
         pinned = [get() for get, _ in counts]
         for _, put in counts:
             put(blas_threads)
@@ -347,8 +346,21 @@ class TestLapackLoader:
         assert factors[2] == 0
         for got, want in zip(factors, scipy_lapack.dpttrf(s, t)):
             assert np.array_equal(got, want)
-        assert np.array_equal(hk_lapack.flapack.dpttrs(*factors[:2], b)[0],
-                              scipy_lapack.dpttrs(*factors[:2], b)[0])
+        x = hk_lapack.dpttrs(*factors[:2], b)
+        assert np.array_equal(x, scipy_lapack.dpttrs(*factors[:2], b)[0])
+        # repeated solves in place, as the stepping loop makes them
+        y, want = b.copy(), b
+        for _ in range(3):
+            want = scipy_lapack.dpttrs(*factors[:2], want)[0]
+        assert hk_lapack.dpttrs(*factors[:2], y, overwrite_b=True, times=3) is y
+        assert np.array_equal(y, want)
+
+        # the Krylov records' small projections, here on the most graded rows
+        for rows in (1, 2, 64, 512):
+            args = (d[:rows], e[:max(rows - 1, 1)])
+            got, want = hk_lapack.dstev(*args), scipy_lapack.dstev(*args)
+            assert got[2] == want[2] == 0
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("n", [2, 17, 1000, 16384])
     def test_eigensolver_matches_scipy_on_graded_matrices(self, n):
@@ -398,15 +410,17 @@ class TestLapackLoader:
         assert any(overlapped() for _ in range(3))  # a busy host may pause this thread
 
     def test_routine_lookup(self):
-        # scipy's OpenBLAS prefixes its LAPACK symbols; a missing routine is
-        # named with the library file and both symbol names
-        fn = hk_lapack._routine(hk_lapack._PATH, "dstebz", None)
+        # the routines are those of the LAPACK numpy links; a missing routine
+        # is named with the library file and every symbol tried for it
+        path = hk_lapack._LAPACK.path
+        (fn,), integer = hk_lapack._routines(path, ["dstebz"])
         assert ctypes.cast(fn, ctypes.c_void_p).value == \
-            ctypes.cast(hk_lapack._dstebz, ctypes.c_void_p).value
+            ctypes.cast(hk_lapack._LAPACK.dstebz, ctypes.c_void_p).value
+        assert integer is hk_lapack._LAPACK.int
         with pytest.raises(ImportError) as err:
-            hk_lapack._routine(hk_lapack._PATH, "nosuchroutine", [])
-        assert str(err.value) == (f"{hk_lapack._PATH} links neither "
-                                  f"scipy_nosuchroutine_ nor nosuchroutine_")
+            hk_lapack._routines(path, ["nosuchroutine"])
+        assert str(err.value) == (f"{path} exports none of scipy_nosuchroutine_64_, "
+                                  f"scipy_nosuchroutine_, nosuchroutine_64_, nosuchroutine_")
 
     def test_thread_count_needs_an_openblas(self):
         # an extension that links no OpenBLAS has no thread count to read or
@@ -415,32 +429,42 @@ class TestLapackLoader:
         assert hk_lapack._thread_count(_ctypes.__file__) is None
 
     def test_public_lapack_wraps_the_same_routines(self):
-        # on the fallback path the routines come from the extension that
-        # scipy.linalg.lapack wraps, which is the same file
-        assert getattr(scipy_lapack, "_flapack").__file__ == hk_lapack._PATH
+        # the first candidate is numpy's extension, and it is the one bound;
+        # the second is the extension that scipy.linalg.lapack wraps, which
+        # exports all six routines with 32-bit integers
+        umath = sys.modules.get("numpy._core._multiarray_umath") \
+            or sys.modules["numpy.core._multiarray_umath"]
+        candidates = list(hk_lapack._candidates())
+        assert candidates == [umath.__file__, getattr(scipy_lapack, "_flapack").__file__]
+        assert hk_lapack._LAPACK.path == candidates[0]
+        assert hk_lapack._bind(candidates[1]).int is ctypes.c_int
 
     def test_fallback_to_public_lapack_is_bitwise_equal(self, exppow3, monkeypatch):
-        # a scipy without linalg/_flapack where hardykit looks: the loader
-        # imports scipy.linalg.lapack, and every number stays the same
+        # a numpy whose LAPACK lacks a routine: the six come from scipy's
+        # _flapack, and every number stays the same, on the Krylov path and
+        # on the stepped one (a one-vector basis never settles)
         prob = SpectralProblem(exppow3, 0.3, GRID)
-        run = lambda: (lambda1(prob),
-                       evolution.run_capped(exppow3, 0.3, 1e3, RadialBump(0.25, 1.0),
-                                            T=0.5, dt=1e-2, grid=RadialGrid(1e-4, 8.0, 384),
-                                            records=8))
-        direct, capped = run()
-        assert hk_lapack.flapack is not scipy_lapack
+        default = evolution._KRYLOV_BASIS
 
-        find_spec = importlib.machinery.PathFinder.find_spec
-        monkeypatch.setattr(
-            importlib.machinery.PathFinder, "find_spec",
-            lambda name, path=None, target=None:
-                None if name == "_flapack" else find_spec(name, path, target))
-        monkeypatch.setattr(hk_lapack, "flapack", hk_lapack.load())
-        assert hk_lapack.flapack is scipy_lapack
+        def run():
+            capped = []
+            for basis in (default, 1):
+                monkeypatch.setattr(evolution, "_KRYLOV_BASIS", basis)
+                capped.append(evolution.run_capped(
+                    exppow3, 0.3, 1e3, RadialBump(0.25, 1.0), T=0.5, dt=1e-2,
+                    grid=RadialGrid(1e-4, 8.0, 384), records=8))
+            return lambda1(prob), capped
+
+        direct, capped = run()
+        flapack = list(hk_lapack._candidates())[1]
+        assert hk_lapack._LAPACK.path != flapack
+        monkeypatch.setattr(hk_lapack, "_LAPACK", hk_lapack._bind(flapack))
         fallback, capped_fb = run()
         assert fallback.ladder == direct.ladder
         assert np.array_equal(fallback.eigvec, direct.eigvec)
-        assert np.array_equal(capped_fb.norms, capped.norms)
+        assert [s.path for s in capped_fb] == [s.path for s in capped] == ["krylov", "steps"]
+        for got, want in zip(capped_fb, capped):
+            assert np.array_equal(got.norms, want.norms)
 
     def test_non_finite_pencil_is_no_convergence(self, exppow3, monkeypatch):
         A, M = assemble(SpectralProblem(exppow3, 0.2, GRID))
@@ -449,10 +473,26 @@ class TestLapackLoader:
         def no_call(*args):
             raise AssertionError("a non-finite pencil reached dstebz")
 
-        monkeypatch.setattr(hk_lapack, "_dstebz", no_call)
+        monkeypatch.setattr(hk_lapack._LAPACK, "dstebz", no_call)
         with pytest.raises(NoConvergence, match="dstebz") as err:
             spectral._solve_smallest(spectral.Tridiagonal(diag, A.off), M)
         assert isinstance(err.value, HardyKitError)  # the CLI exits 3
+
+    def test_misshapen_input_never_reaches_lapack(self):
+        # the wrappers pass raw pointers: a length or a layout LAPACK would
+        # read past is a ValueError before the call
+        d, e, b = np.full(8, 4.0), np.full(7, -1.0), np.ones(8)
+        factors = hk_lapack.dpttrf(d, e)[:2]
+        with pytest.raises(ValueError):
+            hk_lapack.solve_banded((1, 1), np.ones((3, 8)), np.ones(9))
+        with pytest.raises(ValueError):
+            hk_lapack.dpttrf(d, e[:-1])
+        with pytest.raises(ValueError):
+            hk_lapack.dpttrs(*factors, b[:-1])
+        with pytest.raises(ValueError):
+            hk_lapack.dpttrs(*factors, np.ones((8, 2))[:, 0], overwrite_b=True)
+        with pytest.raises(ValueError):
+            hk_lapack.dstev(d, e[:-1])
 
     def test_singular_banded_solve_is_no_convergence(self):
         with pytest.raises(NoConvergence, match="dgtsv"):

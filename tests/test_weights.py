@@ -404,3 +404,12 @@ class TestTemplateDerivatives:
         assert np.allclose(_theta_deriv(r), _central(_theta, r, 1e-5), rtol=1e-6, atol=1e-8)
         assert np.array_equal(_theta_deriv(np.array([0.5, 1.0, 2.0, 3.0])), np.zeros(4))
         assert isinstance(_theta_deriv(1.5), float)
+
+
+def test_gauss_legendre_tables_are_leggauss():
+    # the rules are literal tables, so that numpy.polynomial is never
+    # imported: bit for bit what leggauss computes
+    from numpy.polynomial.legendre import leggauss
+    for n, x, w in ((10, weights._QX, weights._QW), (12, weights._GL_X, weights._GL_W)):
+        want_x, want_w = leggauss(n)
+        assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
