@@ -5,7 +5,7 @@ Flags: --config <path>, --out <dir>, --override section.key=value (repeat).
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 
 Config grammar (see also README): line-oriented `key = value` under
-`[section]` headers; sections run/family/grid/spectral/sharpness/evolution;
+`[section]` headers; sections run/family/grid/spectral/evolution;
 a family block is e.g.
 
     [family]
@@ -42,7 +42,7 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig, apply_overrides, load_config, serialize_config
 from .errors import BadBracket, ConfigError, HardyKitError
-from .hardy import check_hypotheses, compute_profile
+from .hardy import check_hypotheses, compute_profile, estimate_N0
 from .schemas import EIGVEC, EVOLUTION, PHI_GAMMA, PHI_N, SPECTRUM_LADDER, SWEEP_TRACE
 from .spectral import (
     MIN_RUNGS,
@@ -55,6 +55,12 @@ from .spectral import (
     require_phi_n_quotient,
 )
 from .evolution import dichotomy_verdict
+
+# the sweep's bisection width (its c_hat is consistent within this + 0.05 of
+# c0(N0)), and the phi_n ladder: c = c0(N0) + _PHI_N_C_OFFSET, n in _PHI_N_LADDER
+_SWEEP_TOL = 0.02
+_PHI_N_C_OFFSET = 0.25
+_PHI_N_LADDER = (4, 16, 64, 256)
 
 
 def _fmt(x) -> str:
@@ -90,9 +96,13 @@ def _require_sweep_ladder(cfg: RunConfig) -> None:
 
 
 def run_analyze(cfg: RunConfig):
+    profile = compute_profile(cfg.family)
+    n0 = estimate_N0(cfg.family)  # diagnostics that no other task reads
     report = check_hypotheses(cfg.family)
     payload = report.to_json_dict()
-    payload["profile"] = compute_profile(cfg.family).to_json_dict()
+    payload["profile"] = {**profile.to_json_dict(), "n0_slope_estimate": n0.slope,
+                          "n0_quadrature_estimate": n0.quadrature,
+                          "n0_estimators_agree": n0.agrees}
     return {"hypotheses.json": _json(payload), "hypotheses.txt": report.to_table()}, payload
 
 
@@ -120,7 +130,7 @@ def run_sweep(cfg: RunConfig):
     s = cfg.spectral
     profile = compute_profile(family)
     try:
-        res = critical_sweep(family, s.sweep_c_lo, s.sweep_c_hi, s.sweep_tol,
+        res = critical_sweep(family, s.sweep_c_lo, s.sweep_c_hi, _SWEEP_TOL,
                              grid=cfg.grid, ladder=s)
     except BadBracket as exc:
         if exc.verdicts == ("Bounded", "Bounded") and s.sweep_c_hi <= profile.c0_mu:
@@ -145,7 +155,7 @@ def run_sweep(cfg: RunConfig):
         "c_hat": res.c_hat,
         "bracket": [res.c_lo, res.c_hi],
         "c0_N0_expected": profile.c0_N0,
-        "consistent": abs(res.c_hat - profile.c0_N0) <= s.sweep_tol + 0.05,
+        "consistent": abs(res.c_hat - profile.c0_N0) <= _SWEEP_TOL + 0.05,
         "C_mu_operational": c_mu_op,
     }
     return {"sweep_trace.csv": _csv(SWEEP_TRACE, rows), "sweep.json": _json(payload)}, payload
@@ -154,12 +164,11 @@ def run_sweep(cfg: RunConfig):
 def run_sharpness(cfg: RunConfig):
     family = cfg.family
     profile = compute_profile(family)
-    sh = cfg.sharpness
-    c_n = profile.c0_N0 + sh.c_offset
+    c_n = profile.c0_N0 + _PHI_N_C_OFFSET
     lo, hi = phi_n_gamma_bounds(c_n, profile.N0)
     gamma = 0.75 * lo + 0.25 * hi   # a fixed interior point of the admissible range
     rows_n = []
-    for n in sh.n_ladder:
+    for n in _PHI_N_LADDER:
         q = quotient_phi_n(family, c_n, gamma, n, profile=profile)
         rows_n.append((c_n, gamma, n, q.value, q.upper_bound))
 

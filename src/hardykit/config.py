@@ -5,10 +5,11 @@ ranges: the numeric layers take the section object itself (SpectralConfig
 for the refinement ladder, EvolutionConfig for the cap ladder), the
 [family] section is the library's WeightFamily and the [grid] section its
 RadialGrid, so a config file pins a run completely (there is no randomness
-anywhere in the toolkit; the profile ladder and the phi_n exponent are
-constants).  Where a library type checks its own values (WeightFamily's
-kind and ranges, RadialGrid's range), its InvalidParams is reported as a
-config error of its section.
+anywhere in the toolkit; the profile ladder, the phi_n ladder, the sweep
+width and the evolve's step and initial datum are constants).  Where a
+library type checks its own values (WeightFamily's kind and ranges,
+RadialGrid's range), its InvalidParams is reported as a config error of its
+section.
 Configs round-trip: parse -> serialize -> parse is the identity.
 """
 
@@ -32,6 +33,9 @@ MAX_NODES = 2**20  # largest grid any ladder rung or the evolution may build
 # geometry (see the spectral module)
 RMIN_SHRINK = 4.0
 N_GROW = 2
+# the evolve's initial datum is the bump on this support, which the
+# [evolution] grid must meet (see the evolution module)
+U0_SUPPORT = (0.25, 1.0)
 
 
 def _check(section: str, rules) -> None:
@@ -47,29 +51,12 @@ class SpectralConfig:
     rungs: int = 4
     sweep_c_lo: float = 0.05
     sweep_c_hi: float = 0.6
-    sweep_tol: float = 0.02
 
     def __post_init__(self):
         _check("spectral", (
             (self.sweep_c_lo < self.sweep_c_hi,
              f"sweep_c_lo = {self.sweep_c_lo}, sweep_c_hi = {self.sweep_c_hi} "
              f"need sweep_c_lo < sweep_c_hi"),
-            (self.sweep_tol > 0.0,
-             f"sweep_tol = {self.sweep_tol} must be > 0 (the bisection stops at it)"),
-        ))
-
-
-@dataclass(frozen=True)
-class SharpnessConfig:
-    c_offset: float = 0.25   # phi_n runs at c = c0(N0) + c_offset
-    n_ladder: Tuple[int, ...] = (4, 16, 64, 256)
-
-    def __post_init__(self):
-        n = self.n_ladder
-        _check("sharpness", (
-            (0.0 < self.c_offset < math.inf, f"c_offset = {self.c_offset} must be finite and > 0"),
-            (len(n) >= 2 and n[0] >= 2 and all(a < b for a, b in zip(n, n[1:])),
-             f"n_ladder = {n} needs >= 2 entries, each >= 2, strictly increasing"),
         ))
 
 
@@ -78,14 +65,10 @@ class EvolutionConfig:
     c: float = 0.2
     caps: Tuple[float, ...] = (1e2, 1e3, 1e4)
     T: float = 8.0
-    dt: float = 0.01
     records: int = 64
     r_min: float = 1e-4
     r_max: float = 8.0
     n_points: int = 512
-    u0_lo: float = 0.25
-    u0_hi: float = 1.0
-    cap_dt_safety: float = 0.5  # dt * cap < 1 keeps the step SPD and inverse-positive
 
     def __post_init__(self):
         caps = self.caps
@@ -93,9 +76,6 @@ class EvolutionConfig:
             (len(caps) >= 3 and min(caps) > 0.0 and max(caps) >= 100.0 * min(caps),
              f"caps = {caps} needs >= 3 entries, all > 0, spanning >= 2 decades"),
             (0.0 < self.T < math.inf, f"T = {self.T} must be finite and > 0"),
-            (self.dt > 0.0, f"dt = {self.dt} must be > 0"),
-            (0.0 < self.cap_dt_safety < 1.0,
-             f"cap_dt_safety = {self.cap_dt_safety} must lie in (0, 1)"),
             (self.records >= 8, f"records = {self.records} must be >= 8"),
             # the record spacing; below the normal range the steps lose their
             # precision, and at T = 5e-324 the spacing is 0
@@ -106,11 +86,10 @@ class EvolutionConfig:
              f"n_points = {self.n_points} must lie in [16, {MAX_NODES}]"),
             (0.0 < self.r_min < self.r_max < math.inf,
              f"r_min = {self.r_min}, r_max = {self.r_max} need 0 < r_min < r_max < inf"),
-            (0.0 <= self.u0_lo < self.u0_hi,
-             f"u0_lo = {self.u0_lo}, u0_hi = {self.u0_hi} need 0 <= u0_lo < u0_hi"),
-            (self.u0_lo < self.r_max and self.u0_hi > self.r_min,
-             f"u0 support ({self.u0_lo}, {self.u0_hi}) misses the grid "
-             f"({self.r_min}, {self.r_max})"),
+            # else the datum is 0 on the grid, and so is every record
+            (U0_SUPPORT[0] < self.r_max and U0_SUPPORT[1] > self.r_min,
+             f"r_min = {self.r_min}, r_max = {self.r_max} miss the support "
+             f"({U0_SUPPORT[0]:g}, {U0_SUPPORT[1]:g}) of the initial bump"),
         ))
 
 
@@ -120,7 +99,6 @@ class RunConfig:
     family: WeightFamily = field(default_factory=WeightFamily)
     grid: RadialGrid = field(default_factory=RadialGrid)
     spectral: SpectralConfig = field(default_factory=SpectralConfig)
-    sharpness: SharpnessConfig = field(default_factory=SharpnessConfig)
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
 
     def __post_init__(self):
@@ -141,7 +119,7 @@ class RunConfig:
         ))
 
 
-_SECTIONS = ("family", "grid", "spectral", "sharpness", "evolution")
+_SECTIONS = ("family", "grid", "spectral", "evolution")
 
 
 def _coerce(raw: str, default, key: str):

@@ -43,7 +43,8 @@ class InadmissibleGamma(HardyKitError, ValueError):
 
 
 class NonIntegrableTestFunction(HardyKitError, ArithmeticError):
-    """A sharpness test function is not square integrable against the weight."""
+    """A sharpness test function is not square integrable against the weight,
+    or its cap leaves the double range."""
 
 
 class UnsupportedFunction(HardyKitError, ValueError):

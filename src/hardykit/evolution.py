@@ -17,7 +17,7 @@ flux leaving one cell enters its neighbour, so the stiffness rows of
 interior cells sum to zero and d mu changes only through the boundary
 fluxes.  Scaled by W^{1/2}, the implicit-Euler matrix becomes the symmetric
 S = I + dt W^{-1/2} K W^{-1/2} - dt V_cap, with nonpositive off-diagonal;
-whenever dt * cap < 1 (the documented safety factor keeps it below) S is a
+whenever dt * cap < 1 (run_capped clamps dt to _CAP_DT_SAFETY / cap) S is a
 positive definite Stieltjes matrix, so it is inverse-positive and implicit
 Euler preserves positivity.
 
@@ -90,7 +90,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .config import EvolutionConfig, SpectralConfig
+from .config import U0_SUPPORT, EvolutionConfig, SpectralConfig
 from .errors import DegenerateSeries, NegativeDatum, SchemeDivergence
 from .spectral import SpectralProblem, grid_parts, lambda1
 from .spectral import solve_banded  # noqa: F401  (bench/tracer.py hooks this name)
@@ -116,6 +116,11 @@ def dpttrf(d, e):
 _KRYLOV_BASIS = 64
 _KRYLOV_RTOL = 1e-13
 
+# the cap ladder's step before the clamp, and the clamp's dt * cap bound,
+# which keeps S an inverse-positive Stieltjes matrix
+_DT = 0.01
+_CAP_DT_SAFETY = 0.5
+
 # the verdict rules (see the module docstring)
 _T_STAR_FRAC = 0.5     # t* = T * _T_STAR_FRAC, the record the cap ratios read
 _BLOWUP_RATIO = 2.0    # > 1: the solutions grow with the cap, so every ratio is >= 1
@@ -123,6 +128,9 @@ _OMEGA_RTOL = 0.1
 # fit_envelope's degeneracy bound: the fitted half's log-norms must spread by
 # at least this many ulps of their largest magnitude
 _FIT_ROUNDING = 16.0
+# dichotomy_verdict's: they must spread by at least ten times the accuracy of
+# the Krylov records, or the fitted rate is the records' noise
+_RATE_SPREAD = 10.0 * _KRYLOV_RTOL
 
 
 def _krylov_records(family: WeightFamily, grid: RadialGrid, c: float, cap: float,
@@ -212,7 +220,7 @@ def run_capped(
     grid: RadialGrid,
     *,
     records: int = EvolutionConfig.records,
-    cap_dt_safety: float = EvolutionConfig.cap_dt_safety,
+    cap_dt_safety: float = _CAP_DT_SAFETY,
 ) -> EvolutionSeries:
     """Evolve the capped problem and record the weighted L^2 norms.
 
@@ -337,8 +345,8 @@ def dichotomy_verdict(
     ladder: SpectralConfig = SpectralConfig(),
     spectral_grid: RadialGrid = RadialGrid(),
 ) -> EvolutionRun:
-    """Run the cap ladder of the knobs, from the bump on (u0_lo, u0_hi),
-    and classify the outcome.
+    """Run the cap ladder of the knobs at step _DT, from the bump on
+    U0_SUPPORT, and classify the outcome.
 
     BlowupSignature: the norm at t* = T * _T_STAR_FRAC grows superlinearly in
     the cap (last ratio above _BLOWUP_RATIO and ratios nondecreasing).
@@ -350,13 +358,16 @@ def dichotomy_verdict(
     i_star = int(round(_T_STAR_FRAC * knobs.records))
     caps = sorted(float(k) for k in knobs.caps)
     grid = RadialGrid(knobs.r_min, knobs.r_max, knobs.n_points)
-    u0 = RadialBump(knobs.u0_lo, knobs.u0_hi)
-    series = [
-        run_capped(family, c, cap, u0, knobs.T, knobs.dt, grid, records=knobs.records,
-                   cap_dt_safety=knobs.cap_dt_safety)
-        for cap in caps
-    ]
+    series = [run_capped(family, c, cap, RadialBump(*U0_SUPPORT), knobs.T, _DT, grid,
+                         records=knobs.records) for cap in caps]
     envelopes = [fit_envelope(s.times, s.norms) for s in series]
+    for s in series:  # the half that fit_envelope fits
+        spread = float(np.ptp(np.log(s.norms[len(s.norms) // 2:])))
+        if spread < _RATE_SPREAD:
+            raise DegenerateSeries(
+                f"at cap {s.cap:g} the log-norms up to t = {s.times[-1]:g} spread "
+                f"{spread:.3g}, less than {_RATE_SPREAD:g}, ten times the records' "
+                f"accuracy: too short a time to resolve a rate")
     t_star = series[0].times[i_star]
     at_star = [s.norms[i_star] for s in series]
     ratios = [float(b / a) for a, b in zip(at_star[:-1], at_star[1:])]

@@ -116,9 +116,6 @@ class HardyProfile:
     c0_N0: float                # ((N0-2)/2)^2
     oscillatory: bool = False   # tail window did not converge to a limit
     L_inf: float = 0.0          # tail-window liminf of r^2 U_mu (diagnostic)
-    n0_slope: float = float("nan")
-    n0_quadrature: float = float("nan")
-    n0_agrees: bool = True
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,9 +127,6 @@ class HardyProfile:
             "c0_N0": self.c0_N0,
             "oscillatory": self.oscillatory,
             "liminf_r2Umu": self.L_inf,
-            "n0_slope_estimate": self.n0_slope,
-            "n0_quadrature_estimate": self.n0_quadrature,
-            "n0_estimators_agree": self.n0_agrees,
         }
 
 
@@ -142,7 +136,7 @@ class N0Estimate:
 
     slope: float        # N - beta_hat from the extrapolated log-log slope
     quadrature: float   # bisection on the divergence flag of int r^{-d} dmu
-    agrees: bool
+    agrees: bool        # with each other, and with the analytic N_0
 
     @property
     def value(self) -> float:
@@ -183,12 +177,13 @@ def estimate_N0(family: WeightFamily) -> N0Estimate:
     """Estimate N_0 twice: log-log slope of mu on the profile ladder
     r = 2^{-k}, k = _K_MIN.._K_MAX, and bisection on the integrability flag
     of r^{-delta} against dmu to a width of _N0_BISECT_TOL, bracketed by
-    [0, max(N, analytic N_0) + 1.5].  The two agree when they lie within
-    _N0_AGREE_TOL of each other."""
-    N = family.dimension
+    [0, max(N, analytic N_0) + 1.5].  They agree when they lie within
+    _N0_AGREE_TOL of each other and the bisection lies within it of the
+    analytic N_0."""
+    N, analytic = family.dimension, family.analytic_N0()
     slope_n0 = N + _dyadic_slope_intercept(family)
     # delta = 0 is mu(B_1), finite for any admissible mu
-    lo, hi = 0.0, max(N, family.analytic_N0()) + 1.5
+    lo, hi = 0.0, max(N, analytic) + 1.5
     if _integral_diverges(family, lo) or not _integral_diverges(family, hi):
         raise ProfileUndefined("effective-dimension bisection bracket failed")
     while hi - lo > _N0_BISECT_TOL:
@@ -201,7 +196,7 @@ def estimate_N0(family: WeightFamily) -> N0Estimate:
     return N0Estimate(
         slope=slope_n0,
         quadrature=quad_n0,
-        agrees=abs(slope_n0 - quad_n0) <= _N0_AGREE_TOL,
+        agrees=max(abs(slope_n0 - quad_n0), abs(quad_n0 - analytic)) <= _N0_AGREE_TOL,
     )
 
 
@@ -216,8 +211,8 @@ def compute_profile(family: WeightFamily) -> HardyProfile:
     kept for diagnostics.
 
     N_0 is always the closed form N - power_order (the H3' integrand is
-    exponentially sensitive to N_0 errors); the two data-driven estimators
-    are diagnostics, reported and cross-checked against it.
+    exponentially sensitive to N_0 errors); estimate_N0's two data-driven
+    estimators are diagnostics that the analyze task reports beside it.
     """
     ks = np.arange(_K_MIN, _K_MAX + 1)
     rs = 2.0 ** (-ks.astype(float))
@@ -240,9 +235,7 @@ def compute_profile(family: WeightFamily) -> HardyProfile:
         L = float(coef[0])
         L_inf = L
 
-    n0_est = estimate_N0(family)
     N0 = family.analytic_N0()
-
     c0N = c0(family.dimension)
     return HardyProfile(
         family=family,
@@ -253,9 +246,6 @@ def compute_profile(family: WeightFamily) -> HardyProfile:
         c0_N0=c0(N0),
         oscillatory=oscillatory,
         L_inf=L_inf,
-        n0_slope=n0_est.slope,
-        n0_quadrature=n0_est.quadrature,
-        n0_agrees=n0_est.agrees and abs(n0_est.value - N0) <= _N0_AGREE_TOL,
     )
 
 

@@ -469,6 +469,8 @@ def _capped_quotient(family: WeightFamily, c: float, g: float, n: int):
         raise NonIntegrableTestFunction(
             str(exc) if n else f"r^{2 * g:g} or r^{2 * g - 2:g} not integrable against dmu"
         ) from exc
+    except OverflowError as exc:  # the cap's square; N0 = 343 overflows from n = 16 on
+        raise NonIntegrableTestFunction(f"phi_n's cap squared, {n}^{-2 * g:g}, overflows") from exc
     out_num, out_den = _annulus(family, c, g)
     return cap_num + (g * g - c) * mid_I + out_num, cap_den + mid_den + out_den, mid_I
 

@@ -103,7 +103,8 @@ class TestProfile:
         assert p.L == pytest.approx(L_exact, abs=1e-6)
         assert p.c0_mu == pytest.approx(c0(N - beta), abs=1e-4)
         assert p.N0 == pytest.approx(N - beta, abs=1e-12)
-        assert p.n0_agrees
+        est = estimate_N0(fam)
+        assert est.agrees and est.value == pytest.approx(p.N0, abs=0.05)
 
     def test_oscillating(self, oscillating):
         p = compute_profile(oscillating)

@@ -33,6 +33,7 @@ from hardykit.errors import (
     InadmissibleGamma,
     InvalidParams,
     NoConvergence,
+    NonIntegrableTestFunction,
     UnsupportedFunction,
 )
 from hardykit import evolution, spectral
@@ -572,6 +573,18 @@ class TestPhiN:
             quotient_phi_n(exppow3, 0.5, -0.3, 4, profile=p)   # above min((2-N0)/2, 0)
         with pytest.raises(InadmissibleGamma):
             quotient_phi_n(exppow3, 0.5, -0.8, 4, profile=p)   # below -sqrt(c)
+
+    def test_cap_past_the_double_range_is_a_numeric_failure(self):
+        # N0 = 343 puts gamma near -170.5: 16^341 overflows a double, which
+        # ended sharpness in an OverflowError traceback
+        fam = WeightFamily(Kind.EXP_POWER, 343)
+        p = compute_profile(fam)
+        c = p.c0_N0 + 0.25
+        lo, hi = phi_n_gamma_bounds(c, p.N0)
+        g = 0.75 * lo + 0.25 * hi
+        with pytest.raises(NonIntegrableTestFunction,
+                           match=r"phi_n's cap squared, 16\^341\.\d+, overflows"):
+            quotient_phi_n(fam, c, g, 16, profile=p)
 
     def test_divergence_is_fast_near_effective_dimension_two(self):
         # the quotient's growth rate n^{-(2 gamma + N0 - 2)} is admissibility
