@@ -29,6 +29,7 @@ from .spectral import (  # noqa: F401
     SweepResult,
     assemble,
     critical_sweep,
+    ground_state,
     improved_hardy_slack,
     lambda1,
     phi_gamma_ladder,

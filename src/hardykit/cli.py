@@ -18,8 +18,8 @@ a family block is e.g.
     alpha = 0.0
 
 Every task reads the one profile of dmu (on the hardy module's fixed
-ladder) and every spectral ladder, evolve's cross-check included, with the
-[spectral] section: the numeric layers take the section objects themselves.
+ladder), and every spectral ladder, evolve's cross-check included, has the
+fixed four rungs of config.RUNGS.
 report-all runs each stage once and composes summary.md and index.json in
 memory from the stages' payloads.
 
@@ -36,7 +36,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -45,9 +44,9 @@ from .errors import BadBracket, ConfigError, HardyKitError
 from .hardy import check_hypotheses, compute_profile, estimate_N0
 from .schemas import EIGVEC, EVOLUTION, PHI_GAMMA, PHI_N, SPECTRUM_LADDER, SWEEP_TRACE
 from .spectral import (
-    MIN_RUNGS,
     SpectralProblem,
     critical_sweep,
+    ground_state,
     lambda1,
     phi_gamma_ladder,
     phi_n_gamma_bounds,
@@ -87,14 +86,6 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _require_sweep_ladder(cfg: RunConfig) -> None:
-    # a shorter ladder reads Unresolved at every c, so the bisection cannot start
-    if cfg.spectral.rungs < MIN_RUNGS:
-        raise ConfigError(
-            f"[spectral] rungs = {cfg.spectral.rungs} must be >= {MIN_RUNGS} for a sweep"
-        )
-
-
 def run_analyze(cfg: RunConfig):
     profile = compute_profile(cfg.family)
     n0 = estimate_N0(cfg.family)  # diagnostics that no other task reads
@@ -107,7 +98,7 @@ def run_analyze(cfg: RunConfig):
 
 
 def run_spectrum(cfg: RunConfig):
-    res = lambda1(SpectralProblem(cfg.family, cfg.spectral.c, cfg.grid), cfg.spectral)
+    res = lambda1(SpectralProblem(cfg.family, cfg.spectral.c, cfg.grid))
     payload = {
         "family": cfg.family.label(),
         "c": cfg.spectral.c,
@@ -125,13 +116,11 @@ def run_spectrum(cfg: RunConfig):
 
 
 def run_sweep(cfg: RunConfig):
-    _require_sweep_ladder(cfg)
     family = cfg.family
     s = cfg.spectral
     profile = compute_profile(family)
     try:
-        res = critical_sweep(family, s.sweep_c_lo, s.sweep_c_hi, _SWEEP_TOL,
-                             grid=cfg.grid, ladder=s)
+        res = critical_sweep(family, s.sweep_c_lo, s.sweep_c_hi, _SWEEP_TOL, grid=cfg.grid)
     except BadBracket as exc:
         if exc.verdicts == ("Bounded", "Bounded") and s.sweep_c_hi <= profile.c0_mu:
             raise BadBracket(
@@ -145,9 +134,7 @@ def run_sweep(cfg: RunConfig):
     # operational additive constant: -lambda1 at the weighted Hardy coupling
     # (couplings <= 0 are trivially valid and need no constant)
     if profile.c0_mu > 0.0:
-        lam_at_c0mu = lambda1(SpectralProblem(family, profile.c0_mu, cfg.grid),
-                              replace(s, rungs=1)).lambda1
-        c_mu_op = max(0.0, -lam_at_c0mu)
+        c_mu_op = max(0.0, -ground_state(SpectralProblem(family, profile.c0_mu, cfg.grid))[0])
     else:
         c_mu_op = 0.0
     payload = {
@@ -193,8 +180,7 @@ def run_sharpness(cfg: RunConfig):
 
 
 def run_evolve(cfg: RunConfig):
-    run = dichotomy_verdict(cfg.family, cfg.evolution.c, cfg.evolution, ladder=cfg.spectral,
-                            spectral_grid=cfg.grid)
+    run = dichotomy_verdict(cfg.family, cfg.evolution.c, cfg.evolution, spectral_grid=cfg.grid)
     rows = [(t, s.cap, nn) for s in run.series for t, nn in zip(s.times, s.norms)]
     payload = run.to_json_dict()
     return {"evolution.csv": _csv(EVOLUTION, rows), "evolution.json": _json(payload)}, payload
@@ -202,7 +188,6 @@ def run_evolve(cfg: RunConfig):
 
 def run_report_all(cfg: RunConfig):
     # fail fast: a failed run writes nothing either way, this saves the stage time
-    _require_sweep_ladder(cfg)
     require_phi_n_quotient(compute_profile(cfg.family).N0)
     stages = [runner(cfg) for runner in (run_analyze, run_sweep, run_sharpness, run_evolve)]
     files = {name: text for stage_files, _ in stages for name, text in stage_files.items()}

@@ -1,12 +1,12 @@
 """Run configuration: line-oriented key=value with [section] headers.
 
 Each section class is the one definition of its knobs' defaults and
-ranges: the numeric layers take the section object itself (SpectralConfig
-for the refinement ladder, EvolutionConfig for the cap ladder), the
-[family] section is the library's WeightFamily and the [grid] section its
-RadialGrid, so a config file pins a run completely (there is no randomness
-anywhere in the toolkit; the profile ladder, the phi_n ladder, the sweep
-width and the evolve's step and initial datum are constants).  Where a
+ranges: the evolution takes its section object itself (EvolutionConfig
+for the cap ladder), the [family] section is the library's WeightFamily
+and the [grid] section its RadialGrid, so a config file pins a run
+completely (there is no randomness anywhere in the toolkit; the profile
+ladder, the refinement ladder, the phi_n ladder, the sweep width and the
+evolve's step and initial datum are constants).  Where a
 library type checks its own values (WeightFamily's kind and ranges,
 RadialGrid's range), its InvalidParams is reported as a config error of its
 section.
@@ -28,11 +28,12 @@ from .weights import Kind, RadialGrid, WeightFamily
 __all__ = ["RunConfig", "parse_config", "serialize_config", "load_config", "apply_overrides"]
 
 MAX_NODES = 2**20  # largest grid any ladder rung or the evolution may build
-# each refinement-ladder rung is (r_min / RMIN_SHRINK, n_points * N_GROW) of
-# the one before; the ladder verdict's thresholds are calibrated to this
-# geometry (see the spectral module)
+# every refinement ladder has RUNGS rungs, each (r_min / RMIN_SHRINK,
+# n_points * N_GROW) of the one before; the ladder verdict's thresholds are
+# calibrated to this geometry (see the spectral module)
 RMIN_SHRINK = 4.0
 N_GROW = 2
+RUNGS = 4
 # the evolve's initial datum is the bump on this support, which the
 # [evolution] grid must meet (see the evolution module)
 U0_SUPPORT = (0.25, 1.0)
@@ -48,7 +49,6 @@ def _check(section: str, rules) -> None:
 @dataclass(frozen=True)
 class SpectralConfig:
     c: float = 0.2
-    rungs: int = 4
     sweep_c_lo: float = 0.05
     sweep_c_hi: float = 0.6
 
@@ -76,7 +76,8 @@ class EvolutionConfig:
             (len(caps) >= 3 and min(caps) > 0.0 and max(caps) >= 100.0 * min(caps),
              f"caps = {caps} needs >= 3 entries, all > 0, spanning >= 2 decades"),
             (0.0 < self.T < math.inf, f"T = {self.T} must be finite and > 0"),
-            (self.records >= 8, f"records = {self.records} must be >= 8"),
+            # the top, 64 times the default, bounds the evolve's time and memory
+            (8 <= self.records <= 4096, f"records = {self.records} must lie in [8, 4096]"),
             # the record spacing; below the normal range the steps lose their
             # precision, and at T = 5e-324 the spacing is 0
             (self.records < 8 or self.T / self.records >= sys.float_info.min,
@@ -102,20 +103,17 @@ class RunConfig:
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
 
     def __post_init__(self):
-        # on the run, not in SpectralConfig: the deepest rung reads [grid] as
-        # well.  In logs, because RMIN_SHRINK ** (rungs - 1) overflows a float
-        # at a large rungs, which must still read as a config error
-        g, s = self.grid, self.spectral
-        log_r_min = math.log10(g.r_min) - (s.rungs - 1) * math.log10(RMIN_SHRINK)
+        # the deepest rung of every spectral ladder is built from [grid]
+        g = self.grid
+        shrink = RMIN_SHRINK ** (RUNGS - 1)
         _check("spectral", (
-            (s.rungs >= 1, f"rungs = {s.rungs} must be >= 1"),
-            (math.log2(g.n_points) + (s.rungs - 1) * math.log2(N_GROW) <= math.log2(MAX_NODES),
-             f"the deepest rung has grid.n_points * {N_GROW}^(rungs - 1) = "
-             f"{g.n_points} * {N_GROW}^{s.rungs - 1} nodes, above the cap of {MAX_NODES}"),
-            (not log_r_min < math.log10(sys.float_info.min),  # a nan goes on to the finiteness check
-             f"the deepest rung has r_min = grid.r_min / {RMIN_SHRINK:g}^(rungs - 1) = "
-             f"{g.r_min:g} / {RMIN_SHRINK:g}^{s.rungs - 1} = 10^{log_r_min:.1f}, below the "
-             f"smallest normal double {sys.float_info.min:.3g}"),
+            (g.n_points * N_GROW ** (RUNGS - 1) <= MAX_NODES,
+             f"the deepest rung has grid.n_points * {N_GROW}^{RUNGS - 1} = "
+             f"{g.n_points} * {N_GROW}^{RUNGS - 1} nodes, above the cap of {MAX_NODES}"),
+            (g.r_min / shrink >= sys.float_info.min,
+             f"the deepest rung has r_min = grid.r_min / {RMIN_SHRINK:g}^{RUNGS - 1} = "
+             f"{g.r_min:g} / {shrink:g} = {g.r_min / shrink:.3g}, below the smallest "
+             f"normal double {sys.float_info.min:.3g}"),
         ))
 
 

@@ -75,8 +75,7 @@ at t* = T/2 exceeds 2 and the ratios increase with the cap; an existence
 signature when the fitted envelope rates of the last two caps agree to 10%
 relative (or 0.02) and the last ratio is at most 2.  Each verdict is
 cross-checked against the spectral Bounded/Diverging verdict for the same
-(family, c); an Unresolved spectral ladder (fewer than 3 rungs) agrees only
-with an Inconclusive run.
+(family, c); an Inconclusive run agrees with either.
 
 Cap runs are independent of each other (parallelizable); on the steps path
 the records are sequential, on the krylov path they come from one basis.
@@ -90,7 +89,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .config import U0_SUPPORT, EvolutionConfig, SpectralConfig
+from .config import U0_SUPPORT, EvolutionConfig
 from .errors import DegenerateSeries, NegativeDatum, SchemeDivergence
 from .spectral import SpectralProblem, grid_parts, lambda1
 from .spectral import solve_banded  # noqa: F401  (bench/tracer.py hooks this name)
@@ -342,7 +341,6 @@ def dichotomy_verdict(
     c: float,
     knobs: EvolutionConfig = EvolutionConfig(),
     *,
-    ladder: SpectralConfig = SpectralConfig(),
     spectral_grid: RadialGrid = RadialGrid(),
 ) -> EvolutionRun:
     """Run the cap ladder of the knobs at step _DT, from the bump on
@@ -352,8 +350,8 @@ def dichotomy_verdict(
     the cap (last ratio above _BLOWUP_RATIO and ratios nondecreasing).
     ExistenceSignature: envelope rates Cauchy in the cap and the ratio has
     settled.  Anything else is Inconclusive.  The verdict is cross-checked
-    against `lambda1` with `ladder` on `spectral_grid` (default: [grid]) for
-    the same (family, c); an Unresolved ladder agrees only with Inconclusive.
+    against the `lambda1` ladder on `spectral_grid` (default: [grid]) for the
+    same (family, c); Inconclusive agrees with either spectral verdict.
     """
     i_star = int(round(_T_STAR_FRAC * knobs.records))
     caps = sorted(float(k) for k in knobs.caps)
@@ -385,11 +383,9 @@ def dichotomy_verdict(
     else:
         verdict = "Inconclusive"
 
-    spectral = lambda1(SpectralProblem(family, c, spectral_grid), ladder).verdict
+    spectral = lambda1(SpectralProblem(family, c, spectral_grid)).verdict
     agrees = verdict == "Inconclusive" or (
-        spectral != "Unresolved"
-        and (verdict == "BlowupSignature") == (spectral == "Diverging")
-    )
+        (verdict == "BlowupSignature") == (spectral == "Diverging"))
     return EvolutionRun(
         family=family,
         c=c,

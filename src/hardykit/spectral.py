@@ -13,13 +13,12 @@ inverse iteration (eigh_tridiagonal) on B^{-1/2} A B^{-1/2}, refined by a
 Rayleigh quotient in the generalized metric.
 
 Divergence of lambda_1 (the weighted Hardy inequality failing) is detected
-on a refinement ladder (r_min / 4, n x 2) per rung: once the truncation
-radius resolves the singular mode, lambda_1 scales like 1/r_min^2, i.e. a
-factor 16 per rung.  The verdict requires the last ratio to exceed a fixed
-factor of 4 and the previous one 2, which keeps float64 noise at deep rungs
-from faking a divergence; the ladder's geometry and these thresholds are
-constants, calibrated together.  A ladder of fewer than three rungs cannot
-show a cascade and reads Unresolved.
+on a refinement ladder of four rungs, (r_min / 4, n x 2) per rung: once the
+truncation radius resolves the singular mode, lambda_1 scales like
+1/r_min^2, i.e. a factor 16 per rung.  The verdict requires the last ratio
+to exceed a fixed factor of 4 and the previous one 2, which keeps float64
+noise at deep rungs from faking a divergence; the ladder's depth, its
+geometry and these thresholds are constants, calibrated together.
 
 Everything operates on the radial subspace: the sharpness constructions are
 radial, and for radial weights the critical constant is visible there.  The
@@ -29,8 +28,8 @@ n reaches, are computed once per (family, c, gamma).
 Assembly and solves are pure per problem instance; ladder rungs and sweep
 points carry no shared mutable state.
 
-A ladder of two or more rungs solves its deepest rung, which holds more
-than half of the ladder's nodes, on a worker thread beside the others.
+The ladder solves its deepest rung, which holds more than half of its
+nodes, on a worker thread beside the others.
 Every pencil is assembled on the calling thread, the worker's first and
 each of the caller's just before its solve; the worker runs only
 _solve_smallest, whose LAPACK calls release the interpreter lock (see the
@@ -51,7 +50,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import N_GROW, RMIN_SHRINK, SpectralConfig
+from .config import N_GROW, RMIN_SHRINK, RUNGS
 from .errors import (
     BadBracket,
     DivergentIntegral,
@@ -75,11 +74,11 @@ from .weights import (
 )
 
 __all__ = [
-    "MIN_RUNGS",
     "SpectralProblem",
     "Tridiagonal",
     "assemble",
     "RayleighResult",
+    "ground_state",
     "lambda1",
     "SweepResult",
     "critical_sweep",
@@ -187,8 +186,9 @@ def _solve_smallest(A: Tridiagonal, M: np.ndarray, enforce: bool = True):
     thresholds are calibrated for exactly that noise.
     """
     sq = np.sqrt(M)
-    d = A.diag / M
-    e = A.off / (sq[:-1] * sq[1:])
+    with np.errstate(over="ignore"):  # an overflow fails eigh_tridiagonal's finiteness check
+        d = A.diag / M
+        e = A.off / (sq[:-1] * sq[1:])
     w, v = eigh_tridiagonal(d, e)
     vg = v[:, 0] / sq
     lam, res = _rayleigh_residual(A, M, vg)
@@ -240,30 +240,20 @@ class RayleighResult:
     nodes: np.ndarray
     residual: float
     ladder: List[Tuple[int, float, float]]
-    verdict: str  # "Bounded" | "Diverging" | "Unresolved"
-
-
-MIN_RUNGS = 3  # a shorter ladder cannot show a cascade
+    verdict: str  # "Bounded" | "Diverging"
 
 
 def _ladder_verdict(lams: List[float]) -> str:
-    """Diverging when some trailing 3-rung window shows the 1/r_min^2
-    cascade: last ratio above _DIVERGE_FACTOR, the one before above half
-    of it.
-    Unresolved for a ladder of fewer than MIN_RUNGS rungs, which cannot
-    tell the two apart.
+    """Diverging when one of the two trailing 3-rung windows shows the
+    1/r_min^2 cascade: last ratio above _DIVERGE_FACTOR, the one before
+    above half of it.
 
     Checking the two trailing windows keeps a single noise-corrupted deep
     rung (float64 cannot certify small eigenvalues there) from masking an
     otherwise clean cascade, while the double-ratio requirement keeps that
     same noise from faking one.
     """
-    if len(lams) < MIN_RUNGS:
-        return "Unresolved"
-    for window in (lams[-3:], lams[-4:-1]):
-        if len(window) < 3:
-            continue
-        l1, l2, l3 = window
+    for l1, l2, l3 in (lams[-3:], lams[-4:-1]):
         if l3 < -10.0 * _LAMBDA_FLOOR and l2 < -_LAMBDA_FLOOR:
             if l1 < -_LAMBDA_FLOOR:
                 r_prev = l2 / l1
@@ -276,22 +266,27 @@ def _ladder_verdict(lams: List[float]) -> str:
     return "Bounded"
 
 
-def lambda1(problem: SpectralProblem, ladder: SpectralConfig = SpectralConfig()) -> RayleighResult:
-    """Smallest Rayleigh quotient, with the verdict of a ladder of `rungs`
-    rungs, each (r_min / RMIN_SHRINK, n x N_GROW) from the one before;
-    rungs=1 is the single solve on the problem grid (verdict Unresolved).
+def ground_state(problem: SpectralProblem) -> Tuple[float, np.ndarray, float]:
+    """(lambda_1, eigenvector, residual) of the single solve on the problem
+    grid, rung 0 of its ladder; a residual above _RESIDUAL_TOL raises
+    NoConvergence."""
+    return _solve_smallest(*assemble(problem), enforce=True)
 
-    The deepest rung of a longer ladder is solved on a worker thread (see
-    the module docstring); the exception raised is that of the shallowest
-    failing rung, as if the rungs had run one after the other."""
+
+def lambda1(problem: SpectralProblem) -> RayleighResult:
+    """Smallest Rayleigh quotient, with the verdict of the RUNGS-rung
+    ladder, each rung (r_min / RMIN_SHRINK, n x N_GROW) from the one before.
+
+    The deepest rung is solved on a worker thread (see the module
+    docstring); the exception raised is that of the shallowest failing
+    rung, as if the rungs had run one after the other."""
     g = problem.grid
-    rungs = max(ladder.rungs, 1)  # rung 0, the problem grid, is always solved
 
     def rung(k):
         return replace(g, r_min=g.r_min / RMIN_SHRINK**k, n_points=g.n_points * N_GROW**k)
 
     def pencil(k):
-        return assemble(replace(problem, grid=rung(k)) if k else problem)
+        return assemble(replace(problem, grid=rung(k)))
 
     deepest: list = []  # the deepest rung's lambda_1, or the exception it raised
 
@@ -302,29 +297,27 @@ def lambda1(problem: SpectralProblem, ladder: SpectralConfig = SpectralConfig())
         except BaseException as exc:
             deepest.append(exc)
 
-    worker = None
-    if rungs > 1:
-        # LAPACK loads on the first solve; loaded on the worker, not here, it
-        # left a process 0.3 MB more resident
-        from . import lapack  # noqa: F401
-        try:
-            worker = threading.Thread(target=solve_deepest, args=pencil(rungs - 1))
-        except Exception as exc:  # the deepest pencil failed to assemble
-            deepest.append(exc)
-        else:
-            worker.start()
+    # LAPACK loads on the first solve; loaded on the worker, not here, it
+    # left a process 0.3 MB more resident
+    from . import lapack  # noqa: F401
+    try:
+        worker = threading.Thread(target=solve_deepest, args=pencil(RUNGS - 1))
+    except Exception as exc:  # the deepest pencil failed to assemble
+        worker = None
+        deepest.append(exc)
+    else:
+        worker.start()
     try:  # a shallow rung's exception propagates once the worker is joined
-        lam0, vec, res = _solve_smallest(*pencil(0), enforce=True)
+        lam0, vec, res = ground_state(problem)
         lams = [lam0] + [_solve_smallest(*pencil(k), enforce=False)[0]
-                         for k in range(1, rungs - 1)]
+                         for k in range(1, RUNGS - 1)]
     finally:
         if worker is not None:
             worker.join()
-    for outcome in deepest:  # none on a one-rung ladder
-        if isinstance(outcome, BaseException):
-            raise outcome
-        lams.append(outcome)
-    rows = [(rung(k).n_points, rung(k).r_min, lam) for k, lam in enumerate(lams)]
+    (outcome,) = deepest
+    if isinstance(outcome, BaseException):
+        raise outcome
+    rows = [(rung(k).n_points, rung(k).r_min, lam) for k, lam in enumerate(lams + [outcome])]
     return RayleighResult(lambda1=lam0, eigvec=vec, nodes=g.nodes[1:-1], residual=res,
                           ladder=rows, verdict=_ladder_verdict([row[2] for row in rows]))
 
@@ -344,26 +337,22 @@ def critical_sweep(
     tol: float,
     *,
     grid: RadialGrid,
-    ladder: SpectralConfig = SpectralConfig(),
 ) -> SweepResult:
     """Bisect the Bounded/Diverging verdict in c, each probe a `lambda1`
     ladder on `grid`.
 
     Returns the midpoint of the final bracket; |c_hat - critical constant|
     is informally tol plus the ladder's detection bias (calibrated against
-    the shipped families; see the sweep defaults).  A ladder shorter than
-    MIN_RUNGS would read Unresolved at every c, and a bracket cannot shrink
-    below adjacent floats, so `ladder.rungs` below MIN_RUNGS or `tol <= 0`
-    raises InvalidParams before any solve.
+    the shipped families; see the sweep defaults).  A bracket cannot shrink
+    below adjacent floats, so `tol <= 0` raises InvalidParams before any
+    solve.
     """
-    if ladder.rungs < MIN_RUNGS:
-        raise InvalidParams(f"a sweep needs ladders of >= {MIN_RUNGS} rungs, got {ladder.rungs}")
     if not tol > 0.0:
         raise InvalidParams(f"a sweep needs tol > 0, got {tol:g}")
     trace: List[dict] = []
 
     def probe(c: float) -> str:
-        res = lambda1(SpectralProblem(family, c, grid), ladder)
+        res = lambda1(SpectralProblem(family, c, grid))
         trace.append({"c": c, "verdict": res.verdict, "ladder": res.ladder})
         return res.verdict
 

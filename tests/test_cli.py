@@ -64,7 +64,7 @@ sweep_c_lo = 0.1
         for key in (("spectral", "sweep_c_hi"), ("evolution", "caps"),
                     ("evolution", "records"), ("grid", "n_points")):
             assert key in keys, key
-        assert len(keys - {("run", "outdir")}) == 20
+        assert len(keys - {("run", "outdir")}) == 19
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -93,8 +93,10 @@ sweep_c_lo = 0.1
             parse_config(f"[spectral]\n{assignment}\n")
 
     def test_deepest_rung_at_the_cap_accepted(self):
-        # 256 * 2^12 = 2^20 nodes exactly
-        assert parse_config("[spectral]\nrungs = 13\n").spectral.rungs == 13
+        # 2^17 * 2^3 = 2^20 nodes exactly
+        assert parse_config("[grid]\nn_points = 131072\n").grid.n_points == 131072
+        with pytest.raises(ConfigError, match=re.escape("= 131073 * 2^3 nodes, above the cap")):
+            parse_config("[grid]\nn_points = 131073\n")
 
     def test_readme_config_block_loads_as_defaults(self):
         # the block carries inline ; comments after values and section headers
@@ -332,6 +334,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: [evolution]")
         assert not (tmp_path / "o").exists()
 
+    def test_records_above_the_cap_exit_2(self, tmp_path, capsys):
+        # an evolve of 1e6 records held over 1 GB and ran for minutes
+        assert parse_config("[evolution]\nrecords = 4096\n").evolution.records == 4096
+        rc = main(["evolve", "--out", str(tmp_path / "o"), "--override", "evolution.records=4097"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: [evolution] records = 4097 must lie in [8, 4096]\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("override", ["r_max=0.2", "r_min=1.5"])
     def test_grid_missing_the_bump_exit_2(self, tmp_path, capsys, override):
         # the datum would be 0 on the grid, and so would every record
@@ -408,6 +419,8 @@ class TestCli:
         "sharpness.c_offset=0.25", "sharpness.n_ladder=4,16,64,256", "spectral.sweep_tol=0.02",
         "evolution.dt=0.01", "evolution.cap_dt_safety=0.5", "evolution.u0_lo=0.25",
         "evolution.u0_hi=1.0",
+        # the ladder depth (hardykit.config), to which the cascade thresholds are calibrated
+        "spectral.rungs=4",
     ])
     def test_removed_key_is_unknown(self, tmp_path, capsys, override):
         key, value = override.split("=")
@@ -466,14 +479,17 @@ class TestCli:
         assert f"| c0_mu | {hyp['profile']['c0_mu']:.6g} |" in summary.splitlines()
 
     def test_evolve_cross_check_reads_spectral_ladder(self, tmp_path):
+        # the cross-check is the spectrum task's ladder on [grid] at evolution.c
         rc = main(["evolve", "--out", str(tmp_path / "o"),
                    "--override", "evolution.c=0.35",
-                   "--override", "spectral.rungs=2",
                    "--override", "evolution.caps=10,100,1000",
                    "--override", "evolution.T=1"])
         assert rc == 0
+        assert main(["spectrum", "--out", str(tmp_path / "s"),
+                     "--override", "spectral.c=0.35"]) == 0
         evo = json.loads((tmp_path / "o" / "evolution.json").read_text())
-        assert evo["spectral_verdict"] == "Unresolved"
+        spectrum = json.loads((tmp_path / "s" / "spectrum.json").read_text())
+        assert evo["spectral_verdict"] == spectrum["verdict"] == "Diverging"
 
     def test_only_analyze_estimates_n0(self, tmp_path, capsys, monkeypatch):
         # the N0 estimators are analyze's diagnostics: a sweep does not run
@@ -561,52 +577,24 @@ class TestCli:
         rc = main(["spectrum", "--out", str(tmp_path / "o"),
                    "--override", "spectral.c=0.2",
                    "--override", "grid.n_points=64",
-                   "--override", "grid.r_min=0.001",
-                   "--override", "spectral.rungs=2"])
+                   "--override", "grid.r_min=0.001"])
         assert rc == 0
         ladder = (tmp_path / "o" / "spectrum_ladder.csv").read_text().splitlines()
         assert ladder[0] == ",".join(schemas.SPECTRUM_LADDER)
-        assert len(ladder) == 3  # header + 2 rungs
+        assert len(ladder) == 5  # header + 4 rungs
         eig = (tmp_path / "o" / "eigvec.csv").read_text().splitlines()
         assert eig[0] == ",".join(schemas.EIGVEC)
         assert len(eig) == 63  # header + interior nodes
 
-    def test_spectrum_short_ladder_unresolved(self, tmp_path):
-        rc = main(["spectrum", "--out", str(tmp_path / "o"),
-                   "--override", "spectral.c=0.5",
-                   "--override", "spectral.rungs=1"])
-        assert rc == 0
-        payload = json.loads((tmp_path / "o" / "spectrum.json").read_text())
-        assert payload["verdict"] == "Unresolved"
-        ladder = (tmp_path / "o" / "spectrum_ladder.csv").read_text().splitlines()
-        assert ladder[1].endswith(",Unresolved")
-
-    @pytest.mark.parametrize("task", ["sweep", "report-all"])
-    def test_sweep_short_ladder_exit_2(self, tmp_path, capsys, monkeypatch, task):
-        def no_audit(*args, **kwargs):
-            raise AssertionError("a stage ran before the ladder was rejected")
-
-        monkeypatch.setattr(cli, "check_hypotheses", no_audit)
-        monkeypatch.setattr(cli, "critical_sweep", no_audit)
-        rc = main([task, "--out", str(tmp_path / "o"), "--override", "spectral.rungs=2"])
-        assert rc == 2
-        assert capsys.readouterr().err.startswith("config error: [spectral] rungs = 2")
-        assert not (tmp_path / "o").exists()
-
     @pytest.mark.parametrize("override,message", [
-        ("spectral.rungs=0", "[spectral] rungs = 0 must be >= 1"),
-        ("spectral.rungs=-1", "[spectral] rungs = -1 must be >= 1"),
-        ("spectral.rungs=14", "= 256 * 2^13 nodes, above the cap of 1048576"),
-        ("spectral.rungs=40", "= 256 * 2^39 nodes, above the cap"),
-        ("spectral.rungs=100000", "= 256 * 2^99999 nodes, above the cap"),
         ("grid.n_points=2000000", "= 2000000 * 2^3 nodes, above the cap"),
         ("evolution.n_points=2000000", "[evolution] n_points = 2000000 must lie in [16, 1048576]"),
         ("grid.r_min=1e-306", "[spectral] the deepest rung has r_min = grid.r_min / "
-                              "4^(rungs - 1) = 1e-306 / 4^3 = 10^-307.8, "
+                              "4^3 = 1e-306 / 64 = 1.56e-308, "
                               "below the smallest normal double 2.23e-308"),
     ])
     def test_oversized_grid_exit_2(self, tmp_path, capsys, override, message):
-        # config errors, raised before any allocation (spectral.rungs=40 would ask for 2^47 nodes)
+        # config errors, raised before any allocation
         rc = main(["spectrum", "--out", str(tmp_path / "o"), "--override", override])
         assert rc == 2
         err = capsys.readouterr().err
@@ -635,11 +623,12 @@ class TestCli:
         assert (match, mismatch, errors) == (names, [], [])
 
     def test_sweep_failing_after_the_bisection_writes_nothing(self, tmp_path, monkeypatch):
-        # cli.lambda1 is only the C_mu_operational solve; the bisection has its own binding
+        # cli.ground_state is only the C_mu_operational solve; the bisection's
+        # ladders solve through the spectral module's own binding
         def no_convergence(*args, **kwargs):
             raise NoConvergence("stalled")
 
-        monkeypatch.setattr(cli, "lambda1", no_convergence)
+        monkeypatch.setattr(cli, "ground_state", no_convergence)
         rc = main(["sweep", "--out", str(tmp_path / "o")])
         assert rc == 3
         assert not (tmp_path / "o" / "sweep_trace.csv").exists()
@@ -854,6 +843,20 @@ def test_evolve_too_short_for_a_rate_prints_one_line(tmp_path, T, code, message)
                          env=env, capture_output=True, text=True)
     assert out.returncode == code
     assert out.stderr == message
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("c", ["1e300", "-1e300"])
+def test_overflowing_pencil_prints_one_line(tmp_path, c):
+    # the pencil's scaling by the lumped mass overflows: the one line on
+    # stderr is the failure, with no numpy warning before it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-m", "hardykit.cli", "spectrum",
+                          "--out", str(tmp_path / "o"), "--override", f"spectral.c={c}"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 3
+    assert out.stderr == "numeric failure [spectrum]: LAPACK dstebz input has non-finite entries\n"
     assert not (tmp_path / "o").exists()
 
 

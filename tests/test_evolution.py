@@ -16,7 +16,7 @@ from hardykit import (
     lapack,
     run_capped,
 )
-from hardykit.config import EvolutionConfig, SpectralConfig
+from hardykit.config import EvolutionConfig
 from hardykit.errors import DegenerateSeries, NegativeDatum, SchemeDivergence
 from hardykit.evolution import _implicit_euler
 from hardykit.spectral import grid_parts
@@ -366,18 +366,14 @@ def _knobs(**changes):
 
 
 class TestDichotomyCrossCheck:
-    @pytest.mark.parametrize("rungs,spectral,agrees", [
-        (4, "Bounded", True),
-        (2, "Unresolved", False),
-    ])
-    def test_unresolved_ladder_does_not_agree(self, exppow3, rungs, spectral, agrees):
-        run = dichotomy_verdict(exppow3, 0.2, _knobs(), ladder=SpectralConfig(rungs=rungs))
+    def test_existence_agrees_with_a_bounded_ladder(self, exppow3):
+        run = dichotomy_verdict(exppow3, 0.2, _knobs())
         assert run.verdict == "ExistenceSignature"
-        assert run.spectral_verdict == spectral
-        assert run.agrees is agrees
+        assert run.spectral_verdict == "Bounded"
+        assert run.agrees is True
 
-    def test_unresolved_ladder_agrees_with_inconclusive(self, exppow3):
-        run = dichotomy_verdict(exppow3, 0.35, _knobs(), ladder=SpectralConfig(rungs=2))
+    def test_inconclusive_agrees_with_a_diverging_ladder(self, exppow3):
+        run = dichotomy_verdict(exppow3, 0.35, _knobs())
         assert run.verdict == "Inconclusive"
-        assert run.spectral_verdict == "Unresolved"
+        assert run.spectral_verdict == "Diverging"
         assert run.agrees is True

@@ -14,7 +14,7 @@ equation a^2 + (N-2) a + c = 0:
   Y_nu(k r) J_nu(k r_min)), nu = sqrt((N-2)^2/4 - c), vanishes at r_min;
   lambda = k^2 for the smallest k > 0 with u(r_max) = 0.
 
-Each test checks the single solve (rungs = 1) against the oracle on a
+Each test checks the single solve (ground_state) against the oracle on a
 refinement in n, with r_min and r_max fixed.
 """
 
@@ -25,8 +25,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import gamma, hyp1f1, jv, rgamma, yv
 
-from hardykit import RadialGrid, SpectralProblem, lambda1
-from hardykit.config import SpectralConfig
+from hardykit import RadialGrid, SpectralProblem, ground_state
 
 R_MIN, R_MAX, C = 1e-5, 20.0, 0.2
 
@@ -64,7 +63,7 @@ def _bessel_lambda(N, c):
 
 def _lambda1(family, n):
     problem = SpectralProblem(family, C, RadialGrid(R_MIN, R_MAX, n))
-    return lambda1(problem, SpectralConfig(rungs=1)).lambda1
+    return ground_state(problem)[0]
 
 
 def test_gaussian_weight_meets_the_kummer_value(exppow3):

@@ -20,6 +20,7 @@ from hardykit import (
     c0,
     compute_profile,
     critical_sweep,
+    ground_state,
     improved_hardy_slack,
     lambda1,
     phi_gamma_ladder,
@@ -37,7 +38,7 @@ from hardykit.errors import (
     UnsupportedFunction,
 )
 from hardykit import evolution, spectral
-from hardykit.config import N_GROW, RMIN_SHRINK, SpectralConfig
+from hardykit.config import N_GROW, RMIN_SHRINK
 from hardykit import lapack as hk_lapack
 from hardykit.spectral import phi_n_gamma_bounds, _theta, _theta_deriv
 from hardykit.weights import RadialBump, surface_measure
@@ -114,41 +115,26 @@ class TestLambda1:
 
     def test_shell_matches_dense_oracle(self, leb3):
         n = 400
-        res = lambda1(SpectralProblem(leb3, 0.0, RadialGrid(1.0, 2.0, n)),
-                      SpectralConfig(rungs=1))
+        lam = ground_state(SpectralProblem(leb3, 0.0, RadialGrid(1.0, 2.0, n)))[0]
         want = shell_oracle_lambda1(3, 4 * n)
-        assert res.lambda1 == pytest.approx(want, rel=1e-3)
+        assert lam == pytest.approx(want, rel=1e-3)
         # radial Dirichlet eigenvalue of the shell in N=3 is pi^2 exactly
-        assert res.lambda1 == pytest.approx(math.pi**2, rel=1e-3)
+        assert lam == pytest.approx(math.pi**2, rel=1e-3)
 
     def test_monotone_in_c(self, exppow3):
-        lams = [lambda1(SpectralProblem(exppow3, c, GRID), SpectralConfig(rungs=1)).lambda1
-                for c in (0.0, 0.1, 0.2, 0.3)]
+        lams = [ground_state(SpectralProblem(exppow3, c, GRID))[0] for c in (0.0, 0.1, 0.2, 0.3)]
         assert all(b <= a + 1e-12 for a, b in zip(lams, lams[1:]))
 
     def test_domain_monotonicity(self, exppow3):
-        small = lambda1(SpectralProblem(exppow3, 0.1, RadialGrid(1e-3, 10.0, 256)),
-                        SpectralConfig(rungs=1)).lambda1
-        large = lambda1(SpectralProblem(exppow3, 0.1, RadialGrid(1e-4, 20.0, 512)),
-                        SpectralConfig(rungs=1)).lambda1
+        small = ground_state(SpectralProblem(exppow3, 0.1, RadialGrid(1e-3, 10.0, 256)))[0]
+        large = ground_state(SpectralProblem(exppow3, 0.1, RadialGrid(1e-4, 20.0, 512)))[0]
         assert large <= small + 1e-12
 
     def test_supercritical_scale_invariance(self, leb3):
         # lambda1 of -u'' - (N-1)/r u' - c/r^2 on [eps, R] scales like 1/eps^2
-        lam1_ = lambda1(SpectralProblem(leb3, 0.5, RadialGrid(1e-3, 20.0, 512)),
-                        SpectralConfig(rungs=1)).lambda1
-        lam2_ = lambda1(SpectralProblem(leb3, 0.5, RadialGrid(2.5e-4, 20.0, 1024)),
-                        SpectralConfig(rungs=1)).lambda1
+        lam1_ = ground_state(SpectralProblem(leb3, 0.5, RadialGrid(1e-3, 20.0, 512)))[0]
+        lam2_ = ground_state(SpectralProblem(leb3, 0.5, RadialGrid(2.5e-4, 20.0, 1024)))[0]
         assert lam2_ / lam1_ == pytest.approx(16.0, rel=0.01)
-
-    @pytest.mark.parametrize("rungs", [1, 2])
-    def test_short_ladder_is_unresolved(self, exppow3, rungs):
-        # c = 0.5 diverges (critical 0.25), but too few rungs cannot show it
-        res = lambda1(SpectralProblem(exppow3, 0.5, GRID), SpectralConfig(rungs=rungs))
-        assert len(res.ladder) == rungs
-        assert res.verdict == "Unresolved"
-        assert lambda1(SpectralProblem(exppow3, 0.5, GRID),
-                       SpectralConfig(rungs=4)).verdict == "Diverging"
 
     def test_ladder_shape(self, exppow3):
         res = lambda1(SpectralProblem(exppow3, 0.2, GRID))
@@ -180,13 +166,11 @@ class TestLambda1:
 
     @pytest.mark.parametrize("blas_threads", [1, 2, 0])
     @pytest.mark.parametrize("c_scale", [1.0, 2.0])
-    @pytest.mark.parametrize("rungs", [0, 1, 2, 3, 4])
-    def test_ladder_matches_serial_solves_bitwise(self, exppow3, monkeypatch, rungs, c_scale,
+    def test_ladder_matches_serial_solves_bitwise(self, exppow3, monkeypatch, c_scale,
                                                   blas_threads):
-        # whatever the BLAS thread count (0 leaves it as it stands), the
-        # deepest rung of a ladder of two or more runs on a worker thread,
-        # and the ladder must read exactly what a plain loop over the rungs
-        # reads.  rungs = 0 solves the problem grid alone.  c = 0.15 lies
+        # whatever the BLAS thread count (0 leaves it as it stands), rung 3,
+        # the deepest, runs on a worker thread, and the ladder must read
+        # exactly what a plain loop over the rungs reads.  c = 0.15 lies
         # below the critical constant 0.25, and c = 0.3 above it, where the
         # rungs' lambda_1 run away
         counts = [hk_lapack._OPENBLAS] if hk_lapack._OPENBLAS and blas_threads else []
@@ -194,13 +178,13 @@ class TestLambda1:
         for _, put in counts:
             put(blas_threads)
         try:
-            self._check_ladder_against_serial_solves(exppow3, monkeypatch, rungs, c_scale)
+            self._check_ladder_against_serial_solves(exppow3, monkeypatch, c_scale)
         finally:
             for (_, put), n in zip(counts, pinned):
                 put(n)
 
     @staticmethod
-    def _check_ladder_against_serial_solves(exppow3, monkeypatch, rungs, c_scale):
+    def _check_ladder_against_serial_solves(exppow3, monkeypatch, c_scale):
         solve, solvers = spectral._solve_smallest, {}
 
         def recorded(A, M, enforce):
@@ -208,11 +192,10 @@ class TestLambda1:
             return solve(A, M, enforce=enforce)
 
         monkeypatch.setattr(spectral, "_solve_smallest", recorded)
-        ladder = SpectralConfig(rungs=rungs)
         prob = SpectralProblem(exppow3, 0.15 * c_scale, GRID)
-        got = lambda1(prob, ladder)
+        got = lambda1(prob)
         rows = []
-        for k in range(max(rungs, 1)):
+        for k in range(4):
             r_min = GRID.r_min / RMIN_SHRINK**k
             n = GRID.n_points * N_GROW**k
             rung = replace(prob, grid=replace(GRID, r_min=r_min, n_points=n))
@@ -224,7 +207,7 @@ class TestLambda1:
         assert got.ladder == rows
         assert sorted(solvers) == [n for n, _, _ in rows]
         on_worker = [n for n, thread in solvers.items() if thread is not threading.current_thread()]
-        assert on_worker == ([rows[-1][0]] if rungs > 1 else [])
+        assert on_worker == [rows[3][0]]
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     @pytest.mark.parametrize("failing, raised", [
@@ -298,16 +281,6 @@ class TestCriticalSweep:
     def test_bad_bracket(self, exppow3):
         with pytest.raises(BadBracket):
             critical_sweep(exppow3, 0.5, 0.6, 0.02, grid=GRID)
-
-    @pytest.mark.parametrize("rungs", [0, 1, 2])
-    def test_short_ladder_rejected_before_solving(self, exppow3, rungs, monkeypatch):
-        def no_solve(*args, **kwargs):
-            raise AssertionError("critical_sweep solved before rejecting the ladder")
-
-        monkeypatch.setattr(spectral, "lambda1", no_solve)
-        with pytest.raises(InvalidParams):
-            critical_sweep(exppow3, 0.05, 0.6, 0.02, grid=GRID,
-                           ladder=SpectralConfig(rungs=rungs))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_nonpositive_tol_rejected_before_solving(self, exppow3, tol, monkeypatch):
@@ -608,13 +581,13 @@ class TestPhiN:
         c = 0.5
         prob = SpectralProblem(exppow3, c, grid)
         A, M = assemble(prob)
-        res = lambda1(prob, SpectralConfig(rungs=1))
+        lam = ground_state(prob)[0]
         r = grid.nodes[1:-1]
         v = np.minimum(r ** -0.6 * _theta(r), 16.0 ** 0.6)   # phi_n, gamma = -0.6, n = 16
         rq_disc = float(v @ A.matvec(v)) / float(v @ (M * v))
-        assert res.lambda1 <= rq_disc + 1e-12
+        assert lam <= rq_disc + 1e-12
         q = quotient_phi_n(exppow3, c, -0.6, 16).value
-        assert res.lambda1 <= q
+        assert lam <= q
         # the interpolant's discrete quotient matches the continuum quotient
         # for Dirichlet-compatible (compactly supported) test functions
         from hardykit.weights import weighted_integral
