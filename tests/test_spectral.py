@@ -38,7 +38,7 @@ from hardykit.errors import (
     UnsupportedFunction,
 )
 from hardykit import evolution, spectral
-from hardykit.config import N_GROW, RMIN_SHRINK
+from hardykit.config import N_GROW, RMIN_SHRINK, RUNGS
 from hardykit import lapack as hk_lapack
 from hardykit.spectral import phi_n_gamma_bounds, _theta, _theta_deriv
 from hardykit.weights import RadialBump, surface_measure
@@ -166,25 +166,26 @@ class TestLambda1:
 
     @pytest.mark.parametrize("blas_threads", [1, 2, 0])
     @pytest.mark.parametrize("c_scale", [1.0, 2.0])
-    def test_ladder_matches_serial_solves_bitwise(self, exppow3, monkeypatch, c_scale,
+    @pytest.mark.parametrize("rungs", [RUNGS])
+    def test_ladder_matches_serial_solves_bitwise(self, exppow3, monkeypatch, rungs, c_scale,
                                                   blas_threads):
         # whatever the BLAS thread count (0 leaves it as it stands), rung 3,
-        # the deepest, runs on a worker thread, and the ladder must read
-        # exactly what a plain loop over the rungs reads.  c = 0.15 lies
-        # below the critical constant 0.25, and c = 0.3 above it, where the
-        # rungs' lambda_1 run away
+        # the deepest of the RUNGS = 4, runs on a worker thread, and the
+        # ladder must read exactly what a plain loop over the rungs reads.
+        # c = 0.15 lies below the critical constant 0.25, and c = 0.3 above
+        # it, where the rungs' lambda_1 run away
         counts = [hk_lapack._OPENBLAS] if hk_lapack._OPENBLAS and blas_threads else []
         pinned = [get() for get, _ in counts]
         for _, put in counts:
             put(blas_threads)
         try:
-            self._check_ladder_against_serial_solves(exppow3, monkeypatch, c_scale)
+            self._check_ladder_against_serial_solves(exppow3, monkeypatch, rungs, c_scale)
         finally:
             for (_, put), n in zip(counts, pinned):
                 put(n)
 
     @staticmethod
-    def _check_ladder_against_serial_solves(exppow3, monkeypatch, c_scale):
+    def _check_ladder_against_serial_solves(exppow3, monkeypatch, rungs, c_scale):
         solve, solvers = spectral._solve_smallest, {}
 
         def recorded(A, M, enforce):
@@ -195,7 +196,7 @@ class TestLambda1:
         prob = SpectralProblem(exppow3, 0.15 * c_scale, GRID)
         got = lambda1(prob)
         rows = []
-        for k in range(4):
+        for k in range(rungs):
             r_min = GRID.r_min / RMIN_SHRINK**k
             n = GRID.n_points * N_GROW**k
             rung = replace(prob, grid=replace(GRID, r_min=r_min, n_points=n))
@@ -207,6 +208,7 @@ class TestLambda1:
         assert got.ladder == rows
         assert sorted(solvers) == [n for n, _, _ in rows]
         on_worker = [n for n, thread in solvers.items() if thread is not threading.current_thread()]
+        assert len(rows) == 4
         assert on_worker == [rows[3][0]]
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
