@@ -18,8 +18,8 @@ a family block is e.g.
     alpha = 0.0
 
 Every task reads the one profile of dmu (on the hardy module's fixed
-ladder), and every spectral ladder, evolve's cross-check included, has the
-fixed four rungs of config.RUNGS.
+ladder), and every spectral ladder, evolve's cross-check included, is the
+four grids of spectral.rung_grids on [grid].
 report-all runs each stage once and composes summary.md and index.json in
 memory from the stages' payloads.
 

@@ -6,10 +6,9 @@ for the cap ladder), the [family] section is the library's WeightFamily
 and the [grid] section its RadialGrid, so a config file pins a run
 completely (there is no randomness anywhere in the toolkit; the profile
 ladder, the refinement ladder, the phi_n ladder, the sweep width and the
-evolve's step and initial datum are constants).  Where a
-library type checks its own values (WeightFamily's kind and ranges,
-RadialGrid's range), its InvalidParams is reported as a config error of its
-section.
+evolve's step and initial datum are constants).  No rule is restated here:
+WeightFamily, RadialGrid and spectral.rung_grids (every [grid] ladder rung)
+check their own values, and their InvalidParams is a config error of the section.
 Configs round-trip: parse -> serialize -> parse is the identity.
 """
 
@@ -23,17 +22,11 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Tuple
 
 from .errors import ConfigError, InvalidParams
+from .spectral import rung_grids
 from .weights import Kind, RadialGrid, WeightFamily
 
 __all__ = ["RunConfig", "parse_config", "serialize_config", "load_config", "apply_overrides"]
 
-MAX_NODES = 2**20  # largest grid any ladder rung or the evolution may build
-# every refinement ladder has RUNGS rungs, each (r_min / RMIN_SHRINK,
-# n_points * N_GROW) of the one before; the ladder verdict's thresholds are
-# calibrated to this geometry (see the spectral module)
-RMIN_SHRINK = 4.0
-N_GROW = 2
-RUNGS = 4
 # the evolve's initial datum is the bump on this support, which the
 # [evolution] grid must meet (see the evolution module)
 U0_SUPPORT = (0.25, 1.0)
@@ -71,6 +64,7 @@ class EvolutionConfig:
     n_points: int = 512
 
     def __post_init__(self):
+        _in_section("evolution", RadialGrid, self.r_min, self.r_max, self.n_points)
         caps = self.caps
         _check("evolution", (
             (len(caps) >= 3 and min(caps) > 0.0 and max(caps) >= 100.0 * min(caps),
@@ -83,10 +77,6 @@ class EvolutionConfig:
             (self.records < 8 or self.T / self.records >= sys.float_info.min,
              f"T / records = {self.T} / {self.records} must be a normal double, "
              f">= {sys.float_info.min:.3g}"),
-            (16 <= self.n_points <= MAX_NODES,
-             f"n_points = {self.n_points} must lie in [16, {MAX_NODES}]"),
-            (0.0 < self.r_min < self.r_max < math.inf,
-             f"r_min = {self.r_min}, r_max = {self.r_max} need 0 < r_min < r_max < inf"),
             # else the datum is 0 on the grid, and so is every record
             (U0_SUPPORT[0] < self.r_max and U0_SUPPORT[1] > self.r_min,
              f"r_min = {self.r_min}, r_max = {self.r_max} miss the support "
@@ -103,18 +93,7 @@ class RunConfig:
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
 
     def __post_init__(self):
-        # the deepest rung of every spectral ladder is built from [grid]
-        g = self.grid
-        shrink = RMIN_SHRINK ** (RUNGS - 1)
-        _check("spectral", (
-            (g.n_points * N_GROW ** (RUNGS - 1) <= MAX_NODES,
-             f"the deepest rung has grid.n_points * {N_GROW}^{RUNGS - 1} = "
-             f"{g.n_points} * {N_GROW}^{RUNGS - 1} nodes, above the cap of {MAX_NODES}"),
-            (g.r_min / shrink >= sys.float_info.min,
-             f"the deepest rung has r_min = grid.r_min / {RMIN_SHRINK:g}^{RUNGS - 1} = "
-             f"{g.r_min:g} / {shrink:g} = {g.r_min / shrink:.3g}, below the smallest "
-             f"normal double {sys.float_info.min:.3g}"),
-        ))
+        _in_section("grid", rung_grids, self.grid)
 
 
 _SECTIONS = ("family", "grid", "spectral", "evolution")
@@ -125,13 +104,12 @@ def _coerce(raw: str, default, key: str):
 
     Dataclass field types are strings under future annotations, so the
     default carries the type: a value set in code (RadialGrid(r_max=20))
-    does not change it.  Tuples are comma-separated scalars.
+    does not change it.  Tuples are comma-separated floats.
     """
     raw = raw.strip()
     try:
         if isinstance(default, tuple):
-            inner = int if (default and isinstance(default[0], int)) else float
-            return tuple(inner(x) for x in raw.split(",")) if raw else ()
+            return tuple(float(x) for x in raw.split(",")) if raw else ()
         return type(default)(raw)
     except InvalidParams:  # an unknown Kind names the kinds; _merge names the section
         raise

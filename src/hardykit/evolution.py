@@ -91,7 +91,7 @@ import numpy as np
 
 from .config import U0_SUPPORT, EvolutionConfig
 from .errors import DegenerateSeries, NegativeDatum, SchemeDivergence
-from .spectral import SpectralProblem, grid_parts, lambda1
+from .spectral import SpectralProblem, grid_parts, lambda1, rung_grids
 from .spectral import solve_banded  # noqa: F401  (bench/tracer.py hooks this name)
 from .weights import RadialBump, RadialGrid, WeightFamily
 
@@ -350,9 +350,10 @@ def dichotomy_verdict(
     the cap (last ratio above _BLOWUP_RATIO and ratios nondecreasing).
     ExistenceSignature: envelope rates Cauchy in the cap and the ratio has
     settled.  Anything else is Inconclusive.  The verdict is cross-checked
-    against the `lambda1` ladder on `spectral_grid` (default: [grid]) for the
-    same (family, c); Inconclusive agrees with either spectral verdict.
+    against the `lambda1` ladder on `spectral_grid` (default: [grid], its rungs
+    checked before any step) for the same (family, c); Inconclusive agrees with either.
     """
+    rung_grids(spectral_grid)
     i_star = int(round(_T_STAR_FRAC * knobs.records))
     caps = sorted(float(k) for k in knobs.caps)
     grid = RadialGrid(knobs.r_min, knobs.r_max, knobs.n_points)

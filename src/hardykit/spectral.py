@@ -18,7 +18,7 @@ truncation radius resolves the singular mode, lambda_1 scales like
 1/r_min^2, i.e. a factor 16 per rung.  The verdict requires the last ratio
 to exceed a fixed factor of 4 and the previous one 2, which keeps float64
 noise at deep rungs from faking a divergence; the ladder's depth, its
-geometry and these thresholds are constants, calibrated together.
+geometry (rung_grids) and these thresholds are constants, calibrated together.
 
 Everything operates on the radial subspace: the sharpness constructions are
 radial, and for radial weights the critical constant is visible there.  The
@@ -50,7 +50,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import N_GROW, RMIN_SHRINK, RUNGS
 from .errors import (
     BadBracket,
     DivergentIntegral,
@@ -79,6 +78,7 @@ __all__ = [
     "assemble",
     "RayleighResult",
     "ground_state",
+    "rung_grids",
     "lambda1",
     "SweepResult",
     "critical_sweep",
@@ -159,14 +159,28 @@ def grid_parts(family: WeightFamily, grid: RadialGrid):
 
 
 def assemble(problem: SpectralProblem) -> Tuple[Tridiagonal, np.ndarray]:
-    """(stiffness, mass) on the interior nodes of the problem grid."""
+    """(stiffness, mass) on the interior nodes of the problem grid; NoConvergence
+    names c when the pencil, or its scaling by the lumped mass, overflows."""
     _, K, H, M = grid_parts(problem.family, problem.grid)
-    return Tridiagonal(K.diag - problem.c * H.diag, K.off - problem.c * H.off), M
+    A = Tridiagonal(K.diag - problem.c * H.diag, K.off - problem.c * H.off)
+    if not all(np.isfinite(x).all() for x in _scaled(A, M)[1:]):
+        raise NoConvergence(f"the pencil at c = {problem.c:g}, or its scaling by the "
+                            f"lumped mass, leaves the double range")
+    return A, M
+
+
+def _scaled(A: Tridiagonal, M: np.ndarray):
+    """(sqrt M, d, e): the pencil scaled to B^{-1/2} A B^{-1/2}, an overflow left as inf."""
+    sq = np.sqrt(M)
+    with np.errstate(over="ignore"):
+        return sq, A.diag / M, A.off / (sq[:-1] * sq[1:])
 
 
 _RESIDUAL_TOL = 1e-8  # largest eigenpair residual the problem grid accepts
-# the ladder verdict's cascade test (see _ladder_verdict), calibrated to the
-# factor RMIN_SHRINK^2 = 16 per rung of a resolved 1/r_min^2 cascade
+# the ladder's RUNGS rungs, each (r_min / RMIN_SHRINK, n_points * N_GROW) of the
+# one before (see rung_grids), and its cascade test (see _ladder_verdict), calibrated
+# to the factor RMIN_SHRINK^2 = 16 per rung of a resolved 1/r_min^2 cascade
+RMIN_SHRINK, N_GROW, RUNGS = 4.0, 2, 4
 _DIVERGE_FACTOR = 4.0   # the last ratio must exceed it, the one before half of it
 _LAMBDA_FLOOR = 1e-6    # eigenvalues within it of 0 are below resolution
 
@@ -185,10 +199,7 @@ def _solve_smallest(A: Tridiagonal, M: np.ndarray, enforce: bool = True):
     eigenvalues, and their values enter only the ratio-based verdict, whose
     thresholds are calibrated for exactly that noise.
     """
-    sq = np.sqrt(M)
-    with np.errstate(over="ignore"):  # an overflow fails eigh_tridiagonal's finiteness check
-        d = A.diag / M
-        e = A.off / (sq[:-1] * sq[1:])
+    sq, d, e = _scaled(A, M)  # a non-finite entry fails eigh_tridiagonal's finiteness check
     w, v = eigh_tridiagonal(d, e)
     vg = v[:, 0] / sq
     lam, res = _rayleigh_residual(A, M, vg)
@@ -230,9 +241,8 @@ def _inverse_iterate(A: Tridiagonal, M: np.ndarray, v: np.ndarray, lam: float):
 class RayleighResult:
     """lambda_1 on the problem grid plus refinement-ladder diagnostics.
 
-    ladder rows are (n_points, r_min, lambda1), ordered by decreasing r_min
-    and increasing n_points; verdict reflects the ladder, lambda1/eigvec the
-    problem grid itself.
+    ladder rows are (n_points, r_min, lambda1), one per grid of rung_grids;
+    verdict reflects the ladder, lambda1/eigvec the problem grid itself.
     """
 
     lambda1: float
@@ -273,21 +283,28 @@ def ground_state(problem: SpectralProblem) -> Tuple[float, np.ndarray, float]:
     return _solve_smallest(*assemble(problem), enforce=True)
 
 
+def rung_grids(grid: RadialGrid) -> List[RadialGrid]:
+    """The ladder's RUNGS grids, rung k (r_min / RMIN_SHRINK^k, n_points * N_GROW^k)
+    of `grid`, rung 0 `grid` itself; a rung that breaks a grid rule raises InvalidParams."""
+    grids = [grid]
+    for k in range(1, RUNGS):
+        try:
+            grids.append(replace(grid, r_min=grid.r_min / RMIN_SHRINK**k,
+                                 n_points=grid.n_points * N_GROW**k))
+        except InvalidParams as exc:
+            raise InvalidParams(f"rung {k} of the ladder, r_min = {grid.r_min:g} / "
+                                f"{RMIN_SHRINK:g}^{k} and n_points = {grid.n_points} * "
+                                f"{N_GROW}^{k}: {exc}") from exc
+    return grids
+
+
 def lambda1(problem: SpectralProblem) -> RayleighResult:
-    """Smallest Rayleigh quotient, with the verdict of the RUNGS-rung
-    ladder, each rung (r_min / RMIN_SHRINK, n x N_GROW) from the one before.
+    """Smallest Rayleigh quotient, with the verdict of the ladder on rung_grids(problem.grid).
 
     The deepest rung is solved on a worker thread (see the module
     docstring); the exception raised is that of the shallowest failing
     rung, as if the rungs had run one after the other."""
-    g = problem.grid
-
-    def rung(k):
-        return replace(g, r_min=g.r_min / RMIN_SHRINK**k, n_points=g.n_points * N_GROW**k)
-
-    def pencil(k):
-        return assemble(replace(problem, grid=rung(k)))
-
+    rungs = [replace(problem, grid=g) for g in rung_grids(problem.grid)]
     deepest: list = []  # the deepest rung's lambda_1, or the exception it raised
 
     def solve_deepest(A, M):
@@ -301,7 +318,7 @@ def lambda1(problem: SpectralProblem) -> RayleighResult:
     # left a process 0.3 MB more resident
     from . import lapack  # noqa: F401
     try:
-        worker = threading.Thread(target=solve_deepest, args=pencil(RUNGS - 1))
+        worker = threading.Thread(target=solve_deepest, args=assemble(rungs[-1]))
     except Exception as exc:  # the deepest pencil failed to assemble
         worker = None
         deepest.append(exc)
@@ -309,16 +326,15 @@ def lambda1(problem: SpectralProblem) -> RayleighResult:
         worker.start()
     try:  # a shallow rung's exception propagates once the worker is joined
         lam0, vec, res = ground_state(problem)
-        lams = [lam0] + [_solve_smallest(*pencil(k), enforce=False)[0]
-                         for k in range(1, RUNGS - 1)]
+        lams = [lam0] + [_solve_smallest(*assemble(p), enforce=False)[0] for p in rungs[1:-1]]
     finally:
         if worker is not None:
             worker.join()
     (outcome,) = deepest
     if isinstance(outcome, BaseException):
         raise outcome
-    rows = [(rung(k).n_points, rung(k).r_min, lam) for k, lam in enumerate(lams + [outcome])]
-    return RayleighResult(lambda1=lam0, eigvec=vec, nodes=g.nodes[1:-1], residual=res,
+    rows = [(p.grid.n_points, p.grid.r_min, lam) for p, lam in zip(rungs, lams + [outcome])]
+    return RayleighResult(lambda1=lam0, eigvec=vec, nodes=problem.grid.nodes[1:-1], residual=res,
                           ladder=rows, verdict=_ladder_verdict([row[2] for row in rows]))
 
 

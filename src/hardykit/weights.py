@@ -94,6 +94,7 @@ LOG_HALF = math.log(0.5)
 _EXP_UNDERFLOW = -745.0  # exp() underflows to 0.0 below this
 _MAX_TAIL_BLOCKS = 58    # deepest block reaches |log r| ~ 2^57
 _DIVERGENCE_BLOWUP = 1e60
+MAX_NODES = 2**20        # the most nodes a RadialGrid may have: it bounds a ladder's memory
 
 
 class Kind(str, Enum):
@@ -523,8 +524,8 @@ class RadialGrid:
     """Geometric grid r_i = r_min * rho^i on [r_min, r_max].
 
     The origin is excluded by construction; the singularity is never
-    evaluated.  The config's [grid] section is this class, defaults and
-    rule included.
+    evaluated.  This class states every grid rule: the config's [grid] and
+    [evolution] grids and each spectral ladder rung are instances of it.
     """
 
     r_min: float = 1e-5
@@ -535,8 +536,11 @@ class RadialGrid:
         if not 0.0 < self.r_min < self.r_max < math.inf:
             raise InvalidParams(
                 f"r_min = {self.r_min}, r_max = {self.r_max} need 0 < r_min < r_max < inf")
-        if self.n_points < 16:
-            raise InvalidParams(f"n_points = {self.n_points} must be >= 16")
+        if self.r_min < np.finfo(float).tiny:
+            raise InvalidParams(f"r_min = {self.r_min} must be a normal double, "
+                                f">= {np.finfo(float).tiny:.3g}")
+        if not 16 <= self.n_points <= MAX_NODES:
+            raise InvalidParams(f"n_points = {self.n_points} must lie in [16, {MAX_NODES}]")
 
     @cached_property
     def nodes(self) -> np.ndarray:

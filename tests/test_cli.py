@@ -95,7 +95,9 @@ sweep_c_lo = 0.1
     def test_deepest_rung_at_the_cap_accepted(self):
         # 2^17 * 2^3 = 2^20 nodes exactly
         assert parse_config("[grid]\nn_points = 131072\n").grid.n_points == 131072
-        with pytest.raises(ConfigError, match=re.escape("= 131073 * 2^3 nodes, above the cap")):
+        with pytest.raises(ConfigError, match=re.escape(
+                "[grid] rung 3 of the ladder, r_min = 1e-05 / 4^3 and n_points = 131073 * 2^3: "
+                "n_points = 1048584 must lie in [16, 1048576]")):
             parse_config("[grid]\nn_points = 131073\n")
 
     def test_readme_config_block_loads_as_defaults(self):
@@ -139,8 +141,22 @@ sweep_c_lo = 0.1
     def test_deepest_rung_r_min_at_the_smallest_normal_accepted(self):
         r_min = sys.float_info.min * 4.0**3
         assert apply_overrides(RunConfig(), [f"grid.r_min={r_min!r}"]).grid.r_min == r_min
-        with pytest.raises(ConfigError, match=re.escape("[spectral] the deepest rung has r_min")):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"[grid] rung 3 of the ladder, r_min = {r_min / 2:g} / 4^3 and "
+                f"n_points = 256 * 2^3: r_min = {r_min / 2 / 64!r} must be a normal double, "
+                f">= 2.23e-308")):
             apply_overrides(RunConfig(), [f"grid.r_min={r_min / 2!r}"])
+
+    def test_grid_rules_read_alike_in_both_sections(self, tmp_path, capsys):
+        # the [grid] and [evolution] grids are both RadialGrids: one rule text
+        errs = []
+        for section in ("grid", "evolution"):
+            assert main(["spectrum", "--out", str(tmp_path / "o"),
+                         "--override", f"{section}.n_points=8"]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs == [f"config error: [{section}] n_points = 8 must lie in [16, 1048576]\n"
+                        for section in ("grid", "evolution")]
+        assert not (tmp_path / "o").exists()
 
     def test_float_17_digits_roundtrip(self):
         cfg = apply_overrides(RunConfig(), ["spectral.c=0.1234567890123456789"])
@@ -434,11 +450,25 @@ class TestCli:
         assert capsys.readouterr().err == message
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("override", ["r_min=0", "r_max=1e-6", "n_points=8", "r_max=inf"])
-    def test_bad_grid_values_exit_2(self, tmp_path, capsys, override):
+    @pytest.mark.parametrize("override, message", [
+        ("r_min=0", "r_min = 0.0, r_max = 20.0 need 0 < r_min < r_max < inf"),
+        ("r_max=1e-6", "r_min = 1e-05, r_max = 1e-06 need 0 < r_min < r_max < inf"),
+        ("n_points=8", "n_points = 8 must lie in [16, 1048576]"),
+        ("r_max=inf", "r_min = 1e-05, r_max = inf need 0 < r_min < r_max < inf"),
+    ], ids=["r_min=0", "r_max=1e-6", "n_points=8", "r_max=inf"])
+    def test_bad_grid_values_exit_2(self, tmp_path, capsys, override, message):
         rc = main(["sweep", "--out", str(tmp_path / "o"), "--override", f"grid.{override}"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("config error: [grid]")
+        assert capsys.readouterr().err == f"config error: [grid] {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_subnormal_evolution_r_min_exit_2(self, tmp_path, capsys):
+        # a grid rule: the run must not reach the element kernel and exit 3
+        # on the vanished lumped mass
+        rc = main(["evolve", "--out", str(tmp_path / "o"), "--override", "evolution.r_min=1e-310"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "config error: [evolution] r_min = 1e-310 must be a normal double, >= 2.23e-308\n")
         assert not (tmp_path / "o").exists()
 
     def test_fractional_node_count_exit_2(self, tmp_path, capsys):
@@ -587,18 +617,20 @@ class TestCli:
         assert len(eig) == 63  # header + interior nodes
 
     @pytest.mark.parametrize("override,message", [
-        ("grid.n_points=2000000", "= 2000000 * 2^3 nodes, above the cap"),
+        ("grid.n_points=2000000", "[grid] n_points = 2000000 must lie in [16, 1048576]"),
         ("evolution.n_points=2000000", "[evolution] n_points = 2000000 must lie in [16, 1048576]"),
-        ("grid.r_min=1e-306", "[spectral] the deepest rung has r_min = grid.r_min / "
-                              "4^3 = 1e-306 / 64 = 1.56e-308, "
-                              "below the smallest normal double 2.23e-308"),
+        ("grid.n_points=131073", "[grid] rung 3 of the ladder, r_min = 1e-05 / 4^3 and "
+                                 "n_points = 131073 * 2^3: n_points = 1048584 must lie in "
+                                 "[16, 1048576]"),
+        ("grid.r_min=1e-306", "[grid] rung 3 of the ladder, r_min = 1e-306 / 4^3 and "
+                              "n_points = 256 * 2^3: r_min = 1.5625e-308 must be a normal "
+                              "double, >= 2.23e-308"),
     ])
     def test_oversized_grid_exit_2(self, tmp_path, capsys, override, message):
         # config errors, raised before any allocation
         rc = main(["spectrum", "--out", str(tmp_path / "o"), "--override", override])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: [") and message in err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "o").exists()
 
     def test_failed_report_all_leaves_no_outdir(self, tmp_path):
@@ -846,17 +878,22 @@ def test_evolve_too_short_for_a_rate_prints_one_line(tmp_path, T, code, message)
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("c", ["1e300", "-1e300"])
-def test_overflowing_pencil_prints_one_line(tmp_path, c):
+@pytest.mark.parametrize("task, override, c", [
+    ("spectrum", "spectral.c", "1e300"),
+    ("spectrum", "spectral.c", "-1e300"),
+    ("sweep", "spectral.sweep_c_hi", "1e300"),
+], ids=["1e300", "-1e300", "sweep-1e300"])
+def test_overflowing_pencil_prints_one_line(tmp_path, task, override, c):
     # the pencil's scaling by the lumped mass overflows: the one line on
-    # stderr is the failure, with no numpy warning before it
+    # stderr names the coupling, with no numpy warning before it
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-m", "hardykit.cli", "spectrum",
-                          "--out", str(tmp_path / "o"), "--override", f"spectral.c={c}"],
+    out = subprocess.run([sys.executable, "-m", "hardykit.cli", task,
+                          "--out", str(tmp_path / "o"), "--override", f"{override}={c}"],
                          env=env, capture_output=True, text=True)
     assert out.returncode == 3
-    assert out.stderr == "numeric failure [spectrum]: LAPACK dstebz input has non-finite entries\n"
+    assert out.stderr == (f"numeric failure [{task}]: the pencil at c = {float(c):g}, or its "
+                          f"scaling by the lumped mass, leaves the double range\n")
     assert not (tmp_path / "o").exists()
 
 

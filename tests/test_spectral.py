@@ -1,5 +1,6 @@
 import ctypes
 import math
+import re
 import sys
 import threading
 import time
@@ -38,7 +39,7 @@ from hardykit.errors import (
     UnsupportedFunction,
 )
 from hardykit import evolution, spectral
-from hardykit.config import N_GROW, RMIN_SHRINK, RUNGS
+from hardykit.spectral import N_GROW, RMIN_SHRINK, RUNGS
 from hardykit import lapack as hk_lapack
 from hardykit.spectral import phi_n_gamma_bounds, _theta, _theta_deriv
 from hardykit.weights import RadialBump, surface_measure
@@ -143,6 +144,25 @@ class TestLambda1:
         ns = [row[0] for row in res.ladder]
         assert r_mins == sorted(r_mins, reverse=True)
         assert ns == sorted(ns)
+
+    def test_rung_grids(self):
+        grid = RadialGrid(1e-5, 20, 256)
+        grids = spectral.rung_grids(grid)
+        assert grids[0] is grid
+        assert [(g.r_min, g.n_points) for g in grids] == [
+            (1e-5, 256), (2.5e-6, 512), (6.25e-7, 1024), (1.5625e-7, 2048)]
+        assert all(g.r_max == 20 for g in grids)
+
+    def test_out_of_range_rung_raises_before_any_element_integral(self, exppow3, monkeypatch):
+        # 2^18 nodes is a valid grid, but its rung 3 would have 2^21 nodes
+        def no_call(*args):
+            raise AssertionError("an element integral was computed")
+
+        monkeypatch.setattr(spectral, "hat_element_integrals", no_call)
+        message = ("rung 3 of the ladder, r_min = 1e-05 / 4^3 and n_points = 262144 * 2^3: "
+                   "n_points = 2097152 must lie in [16, 1048576]")
+        with pytest.raises(InvalidParams, match=re.escape(message)):
+            lambda1(SpectralProblem(exppow3, 0.2, RadialGrid(n_points=2**18)))
 
     def test_eigensolves_route_through_module_attribute(self, exppow3, monkeypatch):
         # a caller that rebinds spectral.eigh_tridiagonal sees every solve

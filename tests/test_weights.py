@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -287,6 +289,20 @@ class TestRadialGrid:
         # an infinite r_max would fill the nodes with inf and nan
         with pytest.raises(InvalidParams, match=f"r_max = {r_max} need 0 < r_min < r_max < inf"):
             RadialGrid(1e-5, r_max, 256)
+
+    def test_node_count_boundaries(self):
+        assert RadialGrid(n_points=weights.MAX_NODES).n_points == 2**20
+        for n in (2**20 + 1, 15):
+            with pytest.raises(InvalidParams,
+                               match=re.escape(f"n_points = {n} must lie in [16, 1048576]")):
+                RadialGrid(n_points=n)
+
+    def test_r_min_is_a_normal_double(self):
+        tiny = sys.float_info.min
+        assert RadialGrid(r_min=tiny).r_min == tiny
+        with pytest.raises(InvalidParams, match=re.escape(
+                f"r_min = {tiny / 2} must be a normal double, >= 2.23e-308")):
+            RadialGrid(r_min=tiny / 2)
 
 
 def _one_shot_element_integrals(family, nodes):
