@@ -25,7 +25,6 @@ from .hardy import (  # noqa: F401
 )
 from .spectral import (  # noqa: F401
     RayleighResult,
-    SpectralProblem,
     SweepResult,
     assemble,
     critical_sweep,

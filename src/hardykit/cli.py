@@ -19,7 +19,9 @@ a family block is e.g.
 
 Every task reads the one profile of dmu (on the hardy module's fixed
 ladder), and every spectral ladder, evolve's cross-check included, is the
-four grids of spectral.rung_grids on [grid].
+four grids of spectral.rung_grids on [grid].  The sweep bisects its bracket
+to spectral.SWEEP_TOL, and its c_hat is consistent within SWEEP_TOL + 0.05
+of c0(N0).
 report-all runs each stage once and composes summary.md and index.json in
 memory from the stages' payloads.
 
@@ -44,7 +46,7 @@ from .errors import BadBracket, ConfigError, HardyKitError
 from .hardy import check_hypotheses, compute_profile, estimate_N0
 from .schemas import EIGVEC, EVOLUTION, PHI_GAMMA, PHI_N, SPECTRUM_LADDER, SWEEP_TRACE
 from .spectral import (
-    SpectralProblem,
+    SWEEP_TOL,
     critical_sweep,
     ground_state,
     lambda1,
@@ -55,9 +57,7 @@ from .spectral import (
 )
 from .evolution import dichotomy_verdict
 
-# the sweep's bisection width (its c_hat is consistent within this + 0.05 of
-# c0(N0)), and the phi_n ladder: c = c0(N0) + _PHI_N_C_OFFSET, n in _PHI_N_LADDER
-_SWEEP_TOL = 0.02
+# the phi_n ladder: c = c0(N0) + _PHI_N_C_OFFSET, n in _PHI_N_LADDER
 _PHI_N_C_OFFSET = 0.25
 _PHI_N_LADDER = (4, 16, 64, 256)
 
@@ -98,7 +98,7 @@ def run_analyze(cfg: RunConfig):
 
 
 def run_spectrum(cfg: RunConfig):
-    res = lambda1(SpectralProblem(cfg.family, cfg.spectral.c, cfg.grid))
+    res = lambda1(cfg.family, cfg.spectral.c, cfg.grid)
     payload = {
         "family": cfg.family.label(),
         "c": cfg.spectral.c,
@@ -120,7 +120,7 @@ def run_sweep(cfg: RunConfig):
     s = cfg.spectral
     profile = compute_profile(family)
     try:
-        res = critical_sweep(family, s.sweep_c_lo, s.sweep_c_hi, _SWEEP_TOL, grid=cfg.grid)
+        res = critical_sweep(family, s.sweep_c_lo, s.sweep_c_hi, grid=cfg.grid)
     except BadBracket as exc:
         if exc.verdicts == ("Bounded", "Bounded") and s.sweep_c_hi <= profile.c0_mu:
             raise BadBracket(
@@ -134,7 +134,7 @@ def run_sweep(cfg: RunConfig):
     # operational additive constant: -lambda1 at the weighted Hardy coupling
     # (couplings <= 0 are trivially valid and need no constant)
     if profile.c0_mu > 0.0:
-        c_mu_op = max(0.0, -ground_state(SpectralProblem(family, profile.c0_mu, cfg.grid))[0])
+        c_mu_op = max(0.0, -ground_state(family, profile.c0_mu, cfg.grid)[0])
     else:
         c_mu_op = 0.0
     payload = {
@@ -142,7 +142,8 @@ def run_sweep(cfg: RunConfig):
         "c_hat": res.c_hat,
         "bracket": [res.c_lo, res.c_hi],
         "c0_N0_expected": profile.c0_N0,
-        "consistent": abs(res.c_hat - profile.c0_N0) <= _SWEEP_TOL + 0.05,
+        # the bisection width plus the ladder's detection bias
+        "consistent": abs(res.c_hat - profile.c0_N0) <= SWEEP_TOL + 0.05,
         "C_mu_operational": c_mu_op,
     }
     return {"sweep_trace.csv": _csv(SWEEP_TRACE, rows), "sweep.json": _json(payload)}, payload
@@ -156,14 +157,14 @@ def run_sharpness(cfg: RunConfig):
     gamma = 0.75 * lo + 0.25 * hi   # a fixed interior point of the admissible range
     rows_n = []
     for n in _PHI_N_LADDER:
-        q = quotient_phi_n(family, c_n, gamma, n, profile=profile)
+        q = quotient_phi_n(family, c_n, gamma, n)
         rows_n.append((c_n, gamma, n, q.value, q.upper_bound))
 
     c_g = profile.c0_N0
     rows_g = []
     gamma_diverges = None
     if c_g > 0:
-        ladder = phi_gamma_ladder(family, c_g, profile=profile)
+        ladder = phi_gamma_ladder(family, c_g)
         rows_g = [(c_g, g, q) for g, q in ladder]
         qs = [q for _, q in ladder]
         gamma_diverges = qs[-1] < -1e2 and qs[-1] < qs[0]

@@ -91,7 +91,7 @@ import numpy as np
 
 from .config import U0_SUPPORT, EvolutionConfig
 from .errors import DegenerateSeries, NegativeDatum, SchemeDivergence
-from .spectral import SpectralProblem, grid_parts, lambda1, rung_grids
+from .spectral import grid_parts, lambda1, rung_grids
 from .spectral import solve_banded  # noqa: F401  (bench/tracer.py hooks this name)
 from .weights import RadialBump, RadialGrid, WeightFamily
 
@@ -384,7 +384,7 @@ def dichotomy_verdict(
     else:
         verdict = "Inconclusive"
 
-    spectral = lambda1(SpectralProblem(family, c, spectral_grid)).verdict
+    spectral = lambda1(family, c, spectral_grid).verdict
     agrees = verdict == "Inconclusive" or (
         (verdict == "BlowupSignature") == (spectral == "Diverging"))
     return EvolutionRun(

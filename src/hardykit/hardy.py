@@ -99,9 +99,17 @@ def c0(dimension: float) -> float:
 
 @weights._quiet_overflow  # a non-finite U_mu is the profile's to report
 def compute_Umu(family: WeightFamily, r):
-    """U_mu(r) = 1/4 (mu'/mu)^2 - 1/2 (mu''/mu + (N-1)/r mu'/mu)."""
-    d1, lap = log_derivatives(family, r)
-    return 0.25 * d1 * d1 - 0.5 * lap
+    """U_mu(r) = 1/4 (mu'/mu)^2 - 1/2 (mu''/mu + (N-1)/r mu'/mu).
+
+    Formed from the jet g(s) = log mu(e^s) as
+    r^2 U_mu = -1/4 g'^2 - 1/2 g'' - 1/2 (N-2) g', divided by r^2 once: the
+    two O(1/r^2) terms of the definition cancel in the jet, so a U_mu that
+    vanishes identically comes out 0, and never -0.0.
+    """
+    arr = weights._check_radius(r)
+    _, g1, g2 = weights._log_mu_jet(family, np.log(np.atleast_1d(arr)), True)
+    out = (0.0 - (0.25 * g1 * g1 + 0.5 * g2 + 0.5 * (family.dimension - 2.0) * g1)) / (arr * arr)
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -249,12 +257,10 @@ def compute_profile(family: WeightFamily) -> HardyProfile:
     )
 
 
-def compute_U(family: WeightFamily, r, profile: Optional[HardyProfile] = None):
+def compute_U(family: WeightFamily, r):
     """U(r) = U_mu(r) - L/r^2, the limsup-shifted potential (relation (u))."""
-    if profile is None:
-        profile = compute_profile(family)
     r = np.asarray(r, dtype=float)
-    return compute_Umu(family, r) - profile.L / r**2
+    return compute_Umu(family, r) - compute_profile(family).L / r**2
 
 
 # ----------------------------------------------------------------------
@@ -374,7 +380,7 @@ def check_hypotheses(family: WeightFamily) -> HypothesisReport:
         if not alive.any():
             h2_iii_bounds[f"{R:g}"] = None
             continue
-        u = compute_U(family, mesh[alive], profile)
+        u = compute_U(family, mesh[alive])
         sup = float(np.max(u))
         h2_iii_bounds[f"{R:g}"] = sup
         if not math.isfinite(sup):
@@ -392,7 +398,7 @@ def check_hypotheses(family: WeightFamily) -> HypothesisReport:
     # r^2 U <= 1/4 |log r|^{-2} holds at every finer mesh point.
     ks = np.arange(1, _H2IV_K_MAX + 1)
     rs = 2.0 ** (-ks.astype(float))
-    r2U = rs**2 * compute_U(family, rs, profile)
+    r2U = rs**2 * compute_U(family, rs)
     bound = 0.25 / np.log(rs) ** 2
     ok = r2U <= bound + 1e-12
     holds_from = None

@@ -25,7 +25,7 @@ radial, and for radial weights the critical constant is visible there.  The
 two share one quotient: phi_gamma = r^gamma theta is phi_n = min(r^gamma
 theta, n^-gamma) without the cap, and the cutoff-annulus integrals, which no
 n reaches, are computed once per (family, c, gamma).
-Assembly and solves are pure per problem instance; ladder rungs and sweep
+Assembly and solves are pure per (family, c, grid); ladder rungs and sweep
 points carry no shared mutable state.
 
 The ladder solves its deepest rung, which holds more than half of its
@@ -46,7 +46,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -59,7 +59,7 @@ from .errors import (
     NonIntegrableTestFunction,
     UnsupportedFunction,
 )
-from .hardy import HardyProfile, c0, compute_U, compute_Umu, compute_profile
+from .hardy import c0, compute_U, compute_Umu, compute_profile
 from .weights import (
     Kind,
     RadialBump,
@@ -73,7 +73,6 @@ from .weights import (
 )
 
 __all__ = [
-    "SpectralProblem",
     "Tridiagonal",
     "assemble",
     "RayleighResult",
@@ -127,15 +126,6 @@ class Tridiagonal:
         return out
 
 
-@dataclass(frozen=True)
-class SpectralProblem:
-    """Rayleigh pencil for -(L + c/|x|^2) with Dirichlet ends."""
-
-    family: WeightFamily
-    c: float
-    grid: RadialGrid
-
-
 @lru_cache(maxsize=256)
 def grid_parts(family: WeightFamily, grid: RadialGrid):
     """(nodes, K, H, M) for one grid: the Laplacian stiffness from the
@@ -158,13 +148,14 @@ def grid_parts(family: WeightFamily, grid: RadialGrid):
     return grid.nodes, Tridiagonal(g[:-1] + g[1:], -g[1:-1]), Tridiagonal(hd, ho), md
 
 
-def assemble(problem: SpectralProblem) -> Tuple[Tridiagonal, np.ndarray]:
-    """(stiffness, mass) on the interior nodes of the problem grid; NoConvergence
-    names c when the pencil, or its scaling by the lumped mass, overflows."""
-    _, K, H, M = grid_parts(problem.family, problem.grid)
-    A = Tridiagonal(K.diag - problem.c * H.diag, K.off - problem.c * H.off)
+def assemble(family: WeightFamily, c: float, grid: RadialGrid) -> Tuple[Tridiagonal, np.ndarray]:
+    """(stiffness, mass) of -(L + c/|x|^2) with Dirichlet ends on the interior
+    nodes of `grid`; NoConvergence names c when the pencil, or its scaling by
+    the lumped mass, overflows."""
+    _, K, H, M = grid_parts(family, grid)
+    A = Tridiagonal(K.diag - c * H.diag, K.off - c * H.off)
     if not all(np.isfinite(x).all() for x in _scaled(A, M)[1:]):
-        raise NoConvergence(f"the pencil at c = {problem.c:g}, or its scaling by the "
+        raise NoConvergence(f"the pencil at c = {c:g}, or its scaling by the "
                             f"lumped mass, leaves the double range")
     return A, M
 
@@ -176,11 +167,12 @@ def _scaled(A: Tridiagonal, M: np.ndarray):
         return sq, A.diag / M, A.off / (sq[:-1] * sq[1:])
 
 
-_RESIDUAL_TOL = 1e-8  # largest eigenpair residual the problem grid accepts
+_RESIDUAL_TOL = 1e-8  # largest eigenpair residual rung 0 accepts
 # the ladder's RUNGS rungs, each (r_min / RMIN_SHRINK, n_points * N_GROW) of the
 # one before (see rung_grids), and its cascade test (see _ladder_verdict), calibrated
 # to the factor RMIN_SHRINK^2 = 16 per rung of a resolved 1/r_min^2 cascade
 RMIN_SHRINK, N_GROW, RUNGS = 4.0, 2, 4
+SWEEP_TOL = 0.02        # the width at which critical_sweep stops bisecting
 _DIVERGE_FACTOR = 4.0   # the last ratio must exceed it, the one before half of it
 _LAMBDA_FLOOR = 1e-6    # eigenvalues within it of 0 are below resolution
 
@@ -239,10 +231,10 @@ def _inverse_iterate(A: Tridiagonal, M: np.ndarray, v: np.ndarray, lam: float):
 
 @dataclass(frozen=True)
 class RayleighResult:
-    """lambda_1 on the problem grid plus refinement-ladder diagnostics.
+    """lambda_1 on a grid plus refinement-ladder diagnostics.
 
     ladder rows are (n_points, r_min, lambda1), one per grid of rung_grids;
-    verdict reflects the ladder, lambda1/eigvec the problem grid itself.
+    verdict reflects the ladder, lambda1/eigvec the grid itself (rung 0).
     """
 
     lambda1: float
@@ -276,11 +268,10 @@ def _ladder_verdict(lams: List[float]) -> str:
     return "Bounded"
 
 
-def ground_state(problem: SpectralProblem) -> Tuple[float, np.ndarray, float]:
-    """(lambda_1, eigenvector, residual) of the single solve on the problem
-    grid, rung 0 of its ladder; a residual above _RESIDUAL_TOL raises
-    NoConvergence."""
-    return _solve_smallest(*assemble(problem), enforce=True)
+def ground_state(family: WeightFamily, c: float, grid: RadialGrid) -> Tuple[float, np.ndarray, float]:
+    """(lambda_1, eigenvector, residual) of the single solve on `grid`, rung 0
+    of its ladder; a residual above _RESIDUAL_TOL raises NoConvergence."""
+    return _solve_smallest(*assemble(family, c, grid), enforce=True)
 
 
 def rung_grids(grid: RadialGrid) -> List[RadialGrid]:
@@ -298,13 +289,13 @@ def rung_grids(grid: RadialGrid) -> List[RadialGrid]:
     return grids
 
 
-def lambda1(problem: SpectralProblem) -> RayleighResult:
-    """Smallest Rayleigh quotient, with the verdict of the ladder on rung_grids(problem.grid).
+def lambda1(family: WeightFamily, c: float, grid: RadialGrid) -> RayleighResult:
+    """Smallest Rayleigh quotient, with the verdict of the ladder on rung_grids(grid).
 
     The deepest rung is solved on a worker thread (see the module
     docstring); the exception raised is that of the shallowest failing
     rung, as if the rungs had run one after the other."""
-    rungs = [replace(problem, grid=g) for g in rung_grids(problem.grid)]
+    rungs = rung_grids(grid)
     deepest: list = []  # the deepest rung's lambda_1, or the exception it raised
 
     def solve_deepest(A, M):
@@ -318,23 +309,24 @@ def lambda1(problem: SpectralProblem) -> RayleighResult:
     # left a process 0.3 MB more resident
     from . import lapack  # noqa: F401
     try:
-        worker = threading.Thread(target=solve_deepest, args=assemble(rungs[-1]))
+        worker = threading.Thread(target=solve_deepest, args=assemble(family, c, rungs[-1]))
     except Exception as exc:  # the deepest pencil failed to assemble
         worker = None
         deepest.append(exc)
     else:
         worker.start()
     try:  # a shallow rung's exception propagates once the worker is joined
-        lam0, vec, res = ground_state(problem)
-        lams = [lam0] + [_solve_smallest(*assemble(p), enforce=False)[0] for p in rungs[1:-1]]
+        lam0, vec, res = ground_state(family, c, grid)
+        lams = [lam0] + [_solve_smallest(*assemble(family, c, g), enforce=False)[0]
+                         for g in rungs[1:-1]]
     finally:
         if worker is not None:
             worker.join()
     (outcome,) = deepest
     if isinstance(outcome, BaseException):
         raise outcome
-    rows = [(p.grid.n_points, p.grid.r_min, lam) for p, lam in zip(rungs, lams + [outcome])]
-    return RayleighResult(lambda1=lam0, eigvec=vec, nodes=problem.grid.nodes[1:-1], residual=res,
+    rows = [(g.n_points, g.r_min, lam) for g, lam in zip(rungs, lams + [outcome])]
+    return RayleighResult(lambda1=lam0, eigvec=vec, nodes=grid.nodes[1:-1], residual=res,
                           ladder=rows, verdict=_ladder_verdict([row[2] for row in rows]))
 
 
@@ -350,25 +342,20 @@ def critical_sweep(
     family: WeightFamily,
     c_lo: float,
     c_hi: float,
-    tol: float,
     *,
     grid: RadialGrid,
 ) -> SweepResult:
-    """Bisect the Bounded/Diverging verdict in c, each probe a `lambda1`
-    ladder on `grid`.
+    """Bisect the Bounded/Diverging verdict in c down to a bracket of width
+    SWEEP_TOL, each probe a `lambda1` ladder on `grid`.
 
     Returns the midpoint of the final bracket; |c_hat - critical constant|
-    is informally tol plus the ladder's detection bias (calibrated against
-    the shipped families; see the sweep defaults).  A bracket cannot shrink
-    below adjacent floats, so `tol <= 0` raises InvalidParams before any
-    solve.
+    is informally SWEEP_TOL plus the ladder's detection bias, which is
+    calibrated against the shipped families with the ladder's constants.
     """
-    if not tol > 0.0:
-        raise InvalidParams(f"a sweep needs tol > 0, got {tol:g}")
     trace: List[dict] = []
 
     def probe(c: float) -> str:
-        res = lambda1(SpectralProblem(family, c, grid))
+        res = lambda1(family, c, grid)
         trace.append({"c": c, "verdict": res.verdict, "ladder": res.ladder})
         return res.verdict
 
@@ -379,7 +366,7 @@ def critical_sweep(
             (v_lo, v_hi),
         )
     lo, hi = c_lo, c_hi
-    while hi - lo > tol:
+    while hi - lo > SWEEP_TOL:
         mid = 0.5 * (lo + hi)
         if probe(mid) == "Diverging":
             hi = mid
@@ -491,19 +478,12 @@ def require_phi_n_quotient(N0: float) -> None:
         )
 
 
-def quotient_phi_n(
-    family: WeightFamily,
-    c: float,
-    gamma: float,
-    n: int,
-    *,
-    profile: Optional[HardyProfile] = None,
-) -> PhiNQuotient:
+def quotient_phi_n(family: WeightFamily, c: float, gamma: float, n: int) -> PhiNQuotient:
     """Exact Rayleigh quotient of phi_n (not the paper-style upper bound;
     that bound is emitted alongside as a diagnostic)."""
     if n < 2:
         raise InvalidParams("n must be >= 2")
-    profile = profile or compute_profile(family)
+    profile = compute_profile(family)
     require_phi_n_quotient(profile.N0)
     lo, hi = phi_n_gamma_bounds(c, profile.N0)
     if not (lo - 1e-12 <= gamma <= hi + 1e-12):
@@ -517,15 +497,9 @@ def quotient_phi_n(
                         numerator=num, denominator=den, C1=C1, C2=C2)
 
 
-def quotient_phi_gamma(
-    family: WeightFamily,
-    c: float,
-    gamma: float,
-    *,
-    profile: Optional[HardyProfile] = None,
-) -> float:
+def quotient_phi_gamma(family: WeightFamily, c: float, gamma: float) -> float:
     """Exact Rayleigh quotient of phi_gamma = r^gamma theta, the uncapped phi_n."""
-    profile = profile or compute_profile(family)
+    profile = compute_profile(family)
     lo = (2.0 - profile.N0) / 2.0
     if not (lo - 1e-12 <= gamma < 0.0):
         raise InadmissibleGamma(
@@ -535,24 +509,20 @@ def quotient_phi_gamma(
     return num / den
 
 
-def phi_gamma_ladder(
-    family: WeightFamily,
-    c: float,
-    *,
-    j_max: int = 12,
-    profile: Optional[HardyProfile] = None,
-) -> List[Tuple[float, float]]:
+_PHI_GAMMA_RUNGS = 12  # phi_gamma_ladder's gammas, g_crit + step 2^-j for j = 1.._PHI_GAMMA_RUNGS
+
+
+def phi_gamma_ladder(family: WeightFamily, c: float) -> List[Tuple[float, float]]:
     """Sweep gamma -> ((2 - N0)/2)+ and report the quotients.
 
     Divergence along this ladder witnesses the critical-constant failure
     under the lambda-integral condition (H3'); boundedness accompanies the
     attained-constant case.
     """
-    profile = profile or compute_profile(family)
-    g_crit = (2.0 - profile.N0) / 2.0
+    g_crit = (2.0 - compute_profile(family).N0) / 2.0
     step = min(0.25, abs(g_crit) / 2.0)
-    gammas = [g_crit + step * 2.0 ** (-j) for j in range(1, j_max + 1)]
-    return [(g, quotient_phi_gamma(family, c, g, profile=profile)) for g in gammas]
+    gammas = [g_crit + step * 2.0 ** (-j) for j in range(1, _PHI_GAMMA_RUNGS + 1)]
+    return [(g, quotient_phi_gamma(family, c, g)) for g in gammas]
 
 
 # ----------------------------------------------------------------------
@@ -576,11 +546,9 @@ def improved_hardy_slack(u: RadialBump, dimension: int) -> SlackResult:
     if u.hi >= 1.0 - 1e-9:
         raise UnsupportedFunction("u must be compactly supported inside B_1")
     probe = np.linspace(0.98, 0.9999, 7)
-    if np.max(np.abs(u(probe))) > 1e-12 * max(abs(u.amplitude), 1e-300):
+    if np.max(np.abs(u(probe))) > 1e-12:
         raise UnsupportedFunction("u does not vanish near |x| = 1")
     leb = WeightFamily(Kind.LEBESGUE, dimension)
-    if u.amplitude == 0.0:
-        return SlackResult(slack=0.0, grad_norm2=0.0)
     grad2 = weighted_integral(leb, lambda r: u.deriv(r) ** 2, 0.0, u.hi)
     hardy = weighted_integral(leb, lambda r: u(r) ** 2, 0.0, u.hi, power=-2.0)
     logterm = weighted_integral(
@@ -618,7 +586,7 @@ def weighted_vs_flat_crosscheck(
     grad2 = weighted_integral(family, lambda r: phi.deriv(r) ** 2, lo, hi)
     hardy = weighted_integral(family, lambda r: phi(r) ** 2, lo, hi, power=-2.0)
     u_term = weighted_integral(
-        family, lambda r: compute_U(family, r, profile) * phi(r) ** 2, lo, hi
+        family, lambda r: compute_U(family, r) * phi(r) ** 2, lo, hi
     )
     lhs = profile.c0_mu * hardy
     rhs = grad2 + u_term

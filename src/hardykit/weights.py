@@ -635,7 +635,10 @@ class RadialBump:
 
     lo: float
     hi: float
-    amplitude: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.lo < self.hi < math.inf:
+            raise InvalidParams(f"bump support ({self.lo}, {self.hi}) needs 0 <= lo < hi < inf")
 
     def _profile(self, r):
         """(scalar input?, value, d log value / dr), zero outside (lo, hi)."""
@@ -647,7 +650,7 @@ class RadialBump:
         dlog = np.zeros_like(s)
         inside = np.abs(s) < 1.0
         log_t, d1, _ = _bump_log(s[inside])
-        val[inside] = self.amplitude * np.exp(log_t)
+        val[inside] = np.exp(log_t)
         dlog[inside] = d1 / half
         return arr.ndim == 0, val, dlog
 

@@ -66,10 +66,9 @@ def test_criterion_1_closed_form_potentials():
     # power-singular variant: the shifted potential takes the same form with
     # N replaced by N - beta
     fam = WeightFamily(Kind.POWER_EXP_POWER, 4, b=1.0, m=2.0, beta=1.0)
-    p = compute_profile(fam)
     r = np.geomspace(1e-6, 10.0, 500)
     want = -1.0 * r**2 + 0.5 * 2 * (4 + 2 - 2 - 1)
-    got = compute_U(fam, r, p)
+    got = compute_U(fam, r)
     ok &= bool((np.abs(got - want) <= 1e-8 * np.maximum(1.0, np.abs(compute_Umu(fam, r)))).all())
     # log weight: r^2 U_mu against the log-series form
     for alpha in (-1.0, 1.0):
@@ -100,8 +99,8 @@ def test_criterion_2_constants():
 
 def test_criterion_3_critical_sweep():
     res1 = critical_sweep(WeightFamily(Kind.EXP_POWER, 3, b=1.0, m=2.0),
-                          0.05, 0.6, 0.02, grid=GRID)
-    res2 = critical_sweep(WeightFamily(Kind.LEBESGUE, 4), 0.5, 1.5, 0.02, grid=GRID)
+                          0.05, 0.6, grid=GRID)
+    res2 = critical_sweep(WeightFamily(Kind.LEBESGUE, 4), 0.5, 1.5, grid=GRID)
     ok = 0.20 <= res1.c_hat <= 0.30 and 0.9 <= res2.c_hat <= 1.1
     assert report(3, ok, f"(exp_power N=3: c_hat={res1.c_hat:.4f} vs c0=0.25; "
                          f"lebesgue N=4: c_hat={res2.c_hat:.4f} vs c0=1)")
@@ -118,7 +117,7 @@ def test_criterion_4_sharpness_witnesses():
         c = p.c0_N0 + 0.25
         lo, hi = phi_n_gamma_bounds(c, p.N0)
         gamma = 0.75 * lo + 0.25 * hi
-        vals = [quotient_phi_n(fam, c, gamma, n, profile=p).value for n in ns]
+        vals = [quotient_phi_n(fam, c, gamma, n).value for n in ns]
         decreasing = all(b < a for a, b in zip(vals, vals[1:]))
         deep = vals[-1] < -1e2
         s = -(2.0 * gamma + p.N0 - 2.0)
@@ -130,10 +129,10 @@ def test_criterion_4_sharpness_witnesses():
                        f"first<-1e2 at n={first} rate={rate:.4f} (s={s:.4f}) "
                        f"decreasing={decreasing}")
     qs_pos = [q for _, q in phi_gamma_ladder(
-        WeightFamily(Kind.LOG_WEIGHT, 3, alpha=1.0), 0.25, j_max=12)]
+        WeightFamily(Kind.LOG_WEIGHT, 3, alpha=1.0), 0.25)]
     diverges = qs_pos[-1] < -1e2
     qs_neg = [q for _, q in phi_gamma_ladder(
-        WeightFamily(Kind.LOG_WEIGHT, 3, alpha=-1.0), 0.25, j_max=12)]
+        WeightFamily(Kind.LOG_WEIGHT, 3, alpha=-1.0), 0.25)]
     bounded = min(qs_neg) > -10.0
     ok &= diverges and bounded
     details.append(f"log alpha=+1: min={min(qs_pos):.1f}; alpha=-1: min={min(qs_neg):.3f}")

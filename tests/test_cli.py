@@ -768,17 +768,17 @@ def test_deepest_rung_runs_on_a_worker_beside_two_blas_threads():
     code = """
 import threading
 from dataclasses import replace
-from hardykit import Kind, RadialGrid, SpectralProblem, WeightFamily, assemble, lambda1, spectral
+from hardykit import Kind, RadialGrid, WeightFamily, assemble, lambda1, spectral
 solve, on_main = spectral._solve_smallest, {}
 def recorded(A, M, enforce):
     on_main[A.n + 2] = threading.current_thread() is threading.main_thread()
     return solve(A, M, enforce=enforce)
 spectral._solve_smallest = recorded
-prob = SpectralProblem(WeightFamily(Kind.EXP_POWER, 3), 0.3, RadialGrid())
-ladder = lambda1(prob).ladder
+fam, grid = WeightFamily(Kind.EXP_POWER, 3), RadialGrid()
+ladder = lambda1(fam, 0.3, grid).ladder
 print([on_main[n] for n in sorted(on_main)])
 print([lam for *_, lam in ladder] == [
-    solve(*assemble(replace(prob, grid=replace(prob.grid, r_min=r, n_points=n))),
+    solve(*assemble(fam, 0.3, replace(grid, r_min=r, n_points=n)),
           enforce=False)[0] for n, r, _ in ladder])
 """
     assert _run_with_blas_threads(code, "2") == "[True, True, True, False]\nTrue"
@@ -794,8 +794,8 @@ def test_a_solve_starts_no_thread():
 import os, time, numpy
 count = lambda: len(os.listdir('/proc/self/task'))
 before = count()
-from hardykit import Kind, RadialGrid, SpectralProblem, WeightFamily, lambda1
-lambda1(SpectralProblem(WeightFamily(Kind.EXP_POWER, 3), 0.3, RadialGrid()))
+from hardykit import Kind, RadialGrid, WeightFamily, lambda1
+lambda1(WeightFamily(Kind.EXP_POWER, 3), 0.3, RadialGrid())
 deadline = time.monotonic() + 1.0
 while count() > before and time.monotonic() < deadline:
     time.sleep(0.001)

@@ -136,18 +136,17 @@ class TestComputeU:
             p = compute_profile(fam)
             r = np.geomspace(1e-5, 5.0, 50) if fam.kind is not Kind.LOG_WEIGHT \
                 else np.geomspace(1e-5, 0.45, 50)
-            lhs = compute_U(fam, r, p)
+            lhs = compute_U(fam, r)
             rhs = compute_Umu(fam, r) + (p.c0_mu - p.c0_N) / r**2
             umu = compute_Umu(fam, r)
             assert (np.abs(lhs - rhs) <= 1e-8 * np.maximum(1.0, np.abs(umu))).all()
 
     def test_power_exp_power_paper_form(self):
         fam = WeightFamily(Kind.POWER_EXP_POWER, 4, b=1.0, m=2.0, beta=1.0)
-        p = compute_profile(fam)
-        assert compute_U(fam, 1.0, p) == pytest.approx(2.0, rel=1e-9)
+        assert compute_U(fam, 1.0) == pytest.approx(2.0, rel=1e-9)
         r = np.geomspace(1e-6, 10, 300)
         want = u_power_exp_formula(1.0, 2.0, 4, 1.0, r)
-        got = compute_U(fam, r, p)
+        got = compute_U(fam, r)
         # U is the difference of two ~1/r^2 terms; normalize by their size
         scale = np.maximum(1.0, np.abs(compute_Umu(fam, r)))
         assert (np.abs(got - want) <= 1e-8 * scale).all()

@@ -25,7 +25,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import gamma, hyp1f1, jv, rgamma, yv
 
-from hardykit import RadialGrid, SpectralProblem, ground_state
+from hardykit import RadialGrid, ground_state
 
 R_MIN, R_MAX, C = 1e-5, 20.0, 0.2
 
@@ -62,8 +62,7 @@ def _bessel_lambda(N, c):
 
 
 def _lambda1(family, n):
-    problem = SpectralProblem(family, C, RadialGrid(R_MIN, R_MAX, n))
-    return ground_state(problem)[0]
+    return ground_state(family, C, RadialGrid(R_MIN, R_MAX, n))[0]
 
 
 def test_gaussian_weight_meets_the_kummer_value(exppow3):
