@@ -185,9 +185,10 @@ def estimate_N0(family: WeightFamily) -> N0Estimate:
     """Estimate N_0 twice: log-log slope of mu on the profile ladder
     r = 2^{-k}, k = _K_MIN.._K_MAX, and bisection on the integrability flag
     of r^{-delta} against dmu to a width of _N0_BISECT_TOL, bracketed by
-    [0, max(N, analytic N_0) + 1.5].  They agree when they lie within
-    _N0_AGREE_TOL of each other and the bisection lies within it of the
-    analytic N_0."""
+    [0, max(N, analytic N_0) + 1.5].  The moment on B_1 is closed-form and
+    its flag exact, so the bisection ends within _N0_BISECT_TOL / 2 of the
+    edge N - beta.  They agree when they lie within _N0_AGREE_TOL of each
+    other and the bisection lies within it of the analytic N_0."""
     N, analytic = family.dimension, family.analytic_N0()
     slope_n0 = N + _dyadic_slope_intercept(family)
     # delta = 0 is mu(B_1), finite for any admissible mu
@@ -439,6 +440,8 @@ def check_hypotheses(family: WeightFamily) -> HypothesisReport:
     ball = np.array([
         weighted_integral(family, None, 0.0, 2.0 ** (-float(k))) for k in ks_c
     ])
+    if not np.all(ball > 0.0):  # r^N omega_N underflows on the mesh for N in the hundreds
+        raise ProfileUndefined("mu(B_delta) underflows a double on the small-ball mesh")
     logd = -ks_c * math.log(2.0)
     for p in _COND1_P:
         q = np.log(ball) - p * logd

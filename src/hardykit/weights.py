@@ -28,19 +28,28 @@ they are closed with a smooth bump-template transition on [1/2, 1] so that
 integrals over (0, oo) make sense.  All near-origin analysis happens at
 r < 1/2 where the closure is inactive.
 
-Quadrature runs on the log axis s = log r, where power-law singularities
-become exponentials, in blocks doubling toward s = -oo with a divergence
-flag when the block sums refuse to settle.  Each block is integrated by
-adaptive bisection in numpy (after Gander and Gautschi, "Adaptive
-quadrature -- revisited", BIT 40, 2000): the error estimate of a sub-interval
-compares a 10-point Gauss-Legendre rule on it with the same rule on its two
-halves, and every pending sub-interval of a refinement level is evaluated in
-one call of the integrand.  At most 4096 sub-intervals are refined at once;
-past that budget the block raises QuadratureFailure.  When bisection stops
-shrinking the estimates for three levels, the integrand is resolved to
-rounding (a cancelling difference, say) and the block is accepted.  Weight
-logarithms are evaluated directly as functions of s, so integrands stay
-meaningful far below the smallest positive float in r.
+A pure moment omega_N int_0^R r^power dmu is closed-form, with
+q = N + power - beta: R^q/q for mu = 1, b^{-q/m} gamma(q/m, b R^m)/m for
+exp(-b r^m), q^{-alpha-1} Gamma(alpha+1, q log(1/R)) for the log weight
+(incomplete gamma functions, DLMF 8.2) and elementary for the oscillating
+one.  It diverges exactly when q <= 0, but for the log weight at q = 0 and
+alpha < -1.  Past r = 1/2, where the last two close, one block is added.
+
+Every other integral runs on the log axis s = log r, where power-law
+singularities become exponentials: a finite range is one block, and a range
+from r = 0 is a run of blocks doubling toward s = -oo, flagged divergent
+when the integrand overflows or the block sums refuse to settle.  Each
+block is integrated by adaptive bisection in numpy (after Gander and
+Gautschi, "Adaptive quadrature -- revisited", BIT 40, 2000): the error
+estimate of a sub-interval compares a 10-point Gauss-Legendre rule on it
+with the same rule on its two halves, and every pending sub-interval of a
+refinement level is evaluated in one call of the integrand.  At most 4096
+sub-intervals are refined at once; past that budget the block raises
+QuadratureFailure.  When bisection stops shrinking the estimates for three
+levels, the integrand is resolved to rounding (a cancelling difference,
+say) and the block is accepted.  Weight logarithms are evaluated directly
+as functions of s, so integrands stay meaningful far below the smallest
+positive float in r.
 
 All types are immutable values and all operations are pure; everything here
 is safe to share across threads.
@@ -93,7 +102,6 @@ def _quiet_overflow(fn):
 LOG_HALF = math.log(0.5)
 _EXP_UNDERFLOW = -745.0  # exp() underflows to 0.0 below this
 _MAX_TAIL_BLOCKS = 58    # deepest block reaches |log r| ~ 2^57
-_DIVERGENCE_BLOWUP = 1e60
 MAX_NODES = 2**20        # the most nodes a RadialGrid may have: it bounds a ladder's memory
 
 
@@ -427,6 +435,81 @@ def _quad_block(F, a: float, b: float, rtol: float, pts=()) -> float:
     )
 
 
+def _log_gamma_inc(a: float, log_x: float, upper: bool) -> float:
+    """ln(x^-a Gamma(a, x)) (upper) or ln(x^-a gamma(a, x)) at x = e^log_x,
+    with the incomplete gamma functions of DLMF 8.2; the lower one needs a > 0.
+    The factor x^-a takes the power that each moment cancels out of the
+    logarithm, where it would cost digits.
+
+    gamma sums its series (DLMF 8.7.1) below x = a + 1, and Gamma is its
+    continued fraction (DLMF 8.9.2, modified Lentz) above; each is Gamma(a)
+    less the other.  Where that would cancel, at a < 1 and x < 1, Gamma is
+    Gamma(a, 1) plus int_x^1 t^{a-1} e^{-t} dt term by term, each term
+    scaled by x^-min(a, 0) so that none overflows.  Every loop stops on a
+    nan, the fraction (2 sqrt(a) terms at x = a + 1) at 10^5.
+    """
+    x = math.exp(min(log_x, 709.0))
+    if upper and x < 1.0 and a < 1.0:
+        shift = min(a, 0.0) * log_x
+        total = math.exp(_log_gamma_inc(a, 0.0, True) - shift)
+        term, n, fact = math.inf, 0, 1.0
+        while term > 1e-17 * total:
+            c = a + n  # int_x^1 t^{c-1} dt = (1 - x^c)/c
+            scale = math.exp(min(c, 0.0) * log_x - shift)
+            term = scale * (-math.expm1(-abs(c * log_x)) / abs(c) if c else -log_x) / fact
+            total += -term if n % 2 else term
+            n += 1
+            fact *= n
+        return math.log(total) + shift - a * log_x
+    if x < a + 1.0 and (a >= 1.0 or not upper):
+        term = total = 1.0 / a
+        n, got_upper = 0, False
+        while term > 1e-17 * total:
+            n += 1
+            term *= x / (a + n)
+            total += term
+    else:
+        b = x + 1.0 - a
+        c, d = 1e300, 1.0 / b
+        total, delta, n, got_upper = d, 0.0, 0, True
+        while abs(delta - 1.0) > 1e-15 and n < 100_000:
+            n += 1
+            an = -n * (n - a)
+            b += 2.0
+            d = 1.0 / (an * d + b)
+            c = b + an / c
+            delta = d * c
+            total *= delta
+    log_g = math.log(total) - x
+    if got_upper == upper:
+        return log_g
+    log_full = math.lgamma(a) - a * log_x  # ln(x^-a Gamma(a))
+    return log_full + math.log1p(-math.exp(log_g - log_full))
+
+
+def _log_moment(family: WeightFamily, q: float, s: float) -> float:
+    """ln int_{-oo}^s e^{q t} mu(e^t) dt below the kind's first seam, with
+    mu's r^{-beta} folded into q = N + power - beta (see the module
+    docstring); raises DivergentIntegral exactly when it diverges."""
+    k = family.kind
+    if k is Kind.LOG_WEIGHT:
+        a = family.alpha + 1.0
+        if q > 0.0:  # q^-a Gamma(a, x) = log(1/r)^a x^-a Gamma(a, x), x = q log(1/r)
+            return a * math.log(-s) + _log_gamma_inc(a, math.log(q) + math.log(-s), True)
+        if q == 0.0 and a < 0.0:
+            return a * math.log(-s) - math.log(-a)
+    elif q > 0.0:
+        if k is Kind.OSCILLATING:
+            return q * s + math.log(2.0 / q + (q * math.sin(s) - math.cos(s)) / (q * q + 1.0))
+        if k is Kind.LEBESGUE or family.b == 0.0:
+            return q * s - math.log(q)
+        # b^-a gamma(a, x) / m = r^q x^-a gamma(a, x) / m, a = q/m, x = b r^m
+        b, m = family.b, family.m
+        return q * s - math.log(m) + _log_gamma_inc(q / m, math.log(b) + m * s, False)
+    raise DivergentIntegral(
+        f"{family.label()}: the moment diverges toward r = 0 (N + power - beta = {q:g})")
+
+
 @_quiet_overflow
 def weighted_integral(
     family: WeightFamily,
@@ -446,9 +529,11 @@ def weighted_integral(
     log-axis exponent and stays exact at arbitrarily small radii.  With
     f=None the integrand is r^power alone.
 
-    Raises DivergentIntegral when adaptive refinement toward r_lo = 0 fails
-    to settle -- this is the integrability probe used by the effective
-    dimension estimator.
+    A pure moment (f=None) from r_lo = 0 is closed-form (see the module
+    docstring), and its DivergentIntegral, the integrability probe of the
+    effective dimension estimator, is exact; one past the double range
+    raises it too.  With a callable it means that the tail blocks toward
+    r_lo = 0 overflowed or did not settle.
     """
     if r_lo < 0.0 or r_hi <= r_lo:
         raise InvalidParams(f"bad integration range ({r_lo}, {r_hi})")
@@ -475,24 +560,19 @@ def weighted_integral(
     if r_lo > 0.0:
         return omega * _quad_block(F, math.log(r_lo), s_hi, rtol, pts)
 
-    if family.kind is Kind.OSCILLATING and f is None:
-        # pure power moment of 2 + sin(log r): the tail below the seam has
-        # an elementary antiderivative, and the generic blocks would need
-        # exponentially many oscillation periods
-        q = total_pow
-        if q <= 0.0:
-            raise DivergentIntegral(
-                "oscillating weight: r^power moment diverges toward 0"
-            )
-        a = min(s_hi, LOG_HALF)
-        tail = math.exp(q * a) * (
-            2.0 / q + (q * math.sin(a) - math.cos(a)) / (q * q + 1.0)
-        )
-        head = _quad_block(F, a, s_hi, rtol, pts) if s_hi > a else 0.0
-        return omega * (tail + head)
+    if f is None:
+        s_cf = min(s_hi, LOG_HALF) if family.seams else s_hi
+        lm = _log_moment(family, total_pow, s_cf)
+        try:  # omega stays out of the exponent unless the moment alone overflows
+            value = omega * math.exp(lm) if lm < 709.0 else math.exp(lm + math.log(omega))
+        except OverflowError:
+            raise DivergentIntegral(f"{family.label()}: the moment exceeds a double") from None
+        return value + omega * _quad_block(F, s_cf, s_hi, rtol, pts) if s_hi > s_cf else value
 
+    # blocks doubling toward s = -oo; a divergent tail overflows, or its blocks
+    # never shrink.  None is weighed against the first: the outer blocks of
+    # exp(-2000 r^2) carry 1e-100 of the total, and growth past them is no blow-up
     acc = 0.0
-    scale = None
     small = 0
     lo_off, hi_off = 1.0, 0.0
     for j in range(_MAX_TAIL_BLOCKS):
@@ -500,10 +580,6 @@ def weighted_integral(
         if not np.isfinite(v):
             raise DivergentIntegral(f"integrand blows up toward 0 (block {j})")
         acc += v
-        if scale is None:
-            scale = max(abs(acc), 1e-300)
-        if abs(acc) > _DIVERGENCE_BLOWUP * scale:
-            raise DivergentIntegral("block sums explode toward r = 0")
         if abs(v) <= rtol * abs(acc) + 1e-300:
             small += 1
             if small >= 2 and j >= 3:

@@ -176,6 +176,26 @@ class TestCli:
         assert (tmp_path / "o" / "hypotheses.txt").exists()
         assert (tmp_path / "o" / "config_used.ini").exists()
 
+    @pytest.mark.parametrize("b", ["1", "2000", "1e6"])
+    def test_analyze_invariant_under_b(self, tmp_path, b):
+        # exp(-b r^2) is exp(-r^2) on a rescaled r: the verdicts do not depend on
+        # b, where b = 2000 used to exit 3 in the effective-dimension bracket
+        rc = main(["analyze", "--out", str(tmp_path / "o"), "--override", f"family.b={b}"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "o" / "hypotheses.json").read_text())
+        assert payload["classification"] == "H2"
+        assert payload["h2_i"] is True
+        assert payload["h3_N0"] == 3.0
+
+    def test_analyze_n343_small_balls_underflow_exit_3(self, tmp_path, capsys):
+        # omega_343 delta^343 underflows a double: the small-ball fit would read
+        # log 0, so the run stops rather than write a NaN exponent
+        rc = main(["analyze", "--out", str(tmp_path / "o"),
+                   "--override", "family.dimension=343"])
+        assert rc == 3
+        assert "mu(B_delta) underflows a double" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_analyze_oscillating_summary_claims(self, tmp_path):
         rc = main(["analyze", "--out", str(tmp_path / "o"),
                    "--override", "family.kind=oscillating"])

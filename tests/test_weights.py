@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate, special
 
 from hardykit import Kind, RadialGrid, WeightFamily, eval_mu, log_derivatives, weighted_integral
 from hardykit.errors import DivergentIntegral, InvalidParams, NonPositiveRadius, QuadratureFailure
-from hardykit.hardy import _integral_diverges
+from hardykit.hardy import _h2_i_check, _integral_diverges
 from hardykit.spectral import _theta, _theta_deriv
 from hardykit import weights
 from hardykit.weights import (
@@ -229,6 +230,30 @@ class TestQuadratureEngine:
         assert weighted_integral(exppow3, None, 0.0, 30.0, power=power) == pytest.approx(
             want, rel=1e-10)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        power=st.floats(min_value=-2.9, max_value=3.0),
+        r_hi=st.floats(min_value=1e-3, max_value=50.0),
+        lo_share=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=0.5)),
+    )
+    def test_lebesgue_power_moments_blocked(self, leb3, power, r_hi, lo_share):
+        # the same known values through the tail blocks: a callable f skips the
+        # closed form that serves f=None
+        q = 3.0 + power
+        r_lo = lo_share * r_hi
+        want = surface_measure(3) * (r_hi**q - r_lo**q) / q
+        got = weighted_integral(leb3, lambda r: np.ones_like(r), r_lo, r_hi, power=power)
+        assert isinstance(got, float)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("power", [-2.0, 0.0, 1.5])
+    def test_exp_power_gamma_closed_form_blocked(self, exppow3, power):
+        # the first tail block, r in [30/e, 30], carries below e^-100 of the
+        # total: the blocks must not read the growth past it as a blow-up
+        want = 2.0 * math.pi * math.gamma((power + 3.0) / 2.0)
+        got = weighted_integral(exppow3, lambda r: np.ones_like(r), 0.0, 30.0, power=power)
+        assert got == pytest.approx(want, rel=1e-10)
+
     def test_kinked_integrand(self, oscillating):
         # the H2 i probe: |Delta mu / mu| has a kink wherever Delta mu changes
         # sign; the reference is 20-point Gauss-Legendre on 4.2e5 panels
@@ -253,6 +278,131 @@ class TestQuadratureEngine:
 
         with pytest.raises(QuadratureFailure):
             weighted_integral(leb3, broken, 0.1, 1.0)
+
+
+def _moment_reference(fam, power, R):
+    """omega_N int_0^R r^{power + N - 1} mu dr from scipy.special's incomplete
+    gamma and exponential integrals, below the kind's first seam."""
+    q = fam.dimension + power - fam.power_order
+    omega = surface_measure(fam.dimension)
+    if fam.kind is Kind.LEBESGUE or fam.b == 0.0:
+        return omega * R**q / q
+    if fam.kind is Kind.LOG_WEIGHT:
+        a, x = fam.alpha + 1.0, q * math.log(1.0 / R)
+        if a <= 0.0:  # Gamma(-n, x) = x^-n E_{n+1}(x), and q^n x^-n = log(1/R)^-n
+            return omega * math.log(1.0 / R) ** a * special.expn(int(1.0 - a), x)
+        return omega * q**-a * special.gamma(a) * special.gammaincc(a, x)
+    if fam.kind is Kind.OSCILLATING:  # elementary: int_{-oo}^s e^{qt} (2 + sin t) dt
+        s = math.log(R)
+        return omega * math.exp(q * s) * (2.0 / q + (q * math.sin(s) - math.cos(s)) / (q * q + 1.0))
+    a = q / fam.m
+    return omega * fam.b**-a * special.gamma(a) * special.gammainc(a, fam.b * R**fam.m) / fam.m
+
+
+class TestClosedFormMoments:
+    """f=None from r_lo = 0 is the incomplete gamma function: pinned to scipy."""
+
+    @pytest.mark.parametrize("fam,power,R", [
+        (WeightFamily(Kind.LEBESGUE, 3), 0.0, 1.0),
+        (WeightFamily(Kind.LEBESGUE, 5), -2.0, 7.5),
+        (WeightFamily(Kind.EXP_POWER, 3), 0.0, 1.0),
+        (WeightFamily(Kind.EXP_POWER, 3), -2.0, 0.25),
+        (WeightFamily(Kind.EXP_POWER, 5, b=3.0, m=1.0), 0.5, 40.0),
+        (WeightFamily(Kind.EXP_POWER, 3, b=2000.0), 0.0, 1.0),
+        (WeightFamily(Kind.EXP_POWER, 3, b=1e6, m=4.0), -1.0, 0.5),
+        (WeightFamily(Kind.EXP_POWER, 3, b=0.0), -1.5, 2.0),
+        (WeightFamily(Kind.POWER_EXP_POWER, 4, beta=1.0), 0.0, 1.0),
+        (WeightFamily(Kind.POWER_EXP_POWER, 4, b=0.0, beta=1.0), -2.0, 0.5),
+        (WeightFamily(Kind.POWER_EXP_POWER, 3, b=0.5, m=3.0, beta=2.5), 1.0, 3.0),
+        (WeightFamily(Kind.OSCILLATING, 3), 0.0, 0.5),
+        (WeightFamily(Kind.OSCILLATING, 4), -3.5, 0.01),
+        # N = 343 past r = 13, where r^{N-1} alone overflows a double
+        (WeightFamily(Kind.EXP_POWER, 343), 0.0, 40.0),
+        (WeightFamily(Kind.EXP_POWER, 343, m=0.05), -340.0, 1.0),
+        (WeightFamily(Kind.EXP_POWER, 3, m=0.05), 0.0, 1.0),
+    ])
+    def test_each_kind(self, fam, power, R):
+        got = weighted_integral(fam, None, 0.0, R, power=power)
+        assert got == pytest.approx(_moment_reference(fam, power, R), rel=1e-13)
+
+    @pytest.mark.parametrize("fam", [
+        WeightFamily(Kind.LEBESGUE, 3), WeightFamily(Kind.EXP_POWER, 3),
+        WeightFamily(Kind.POWER_EXP_POWER, 4, beta=1.0), WeightFamily(Kind.OSCILLATING, 3),
+        WeightFamily(Kind.LOG_WEIGHT, 3, alpha=1.0), WeightFamily(Kind.LOG_WEIGHT, 3, alpha=-0.5),
+        WeightFamily(Kind.LOG_WEIGHT, 3, alpha=-1.0),
+    ])
+    @pytest.mark.parametrize("q", [1e-3, 1e-9])
+    def test_q_to_zero(self, fam, q):
+        # q = N + power - beta -> 0+: the moment grows like 1/q (like q^{-alpha-1}
+        # for the log weight), and stays finite
+        power = q - fam.dimension + fam.power_order
+        R = 0.5 if fam.kind in (Kind.OSCILLATING, Kind.LOG_WEIGHT) else 1.0
+        got = weighted_integral(fam, None, 0.0, R, power=power)
+        assert got == pytest.approx(_moment_reference(fam, power, R), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [-1.0, -0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("R", [0.3, 0.5, 0.95, 1.0])
+    @pytest.mark.parametrize("power", [0.0, -2.0])
+    def test_log_weight(self, alpha, R, power):
+        # the closed form runs to min(R, 1/2); the closure on [1/2, R] is one
+        # finite block, checked by scipy's adaptive quadrature
+        fam = WeightFamily(Kind.LOG_WEIGHT, 3, alpha=alpha)
+        want = _moment_reference(fam, power, min(R, 0.5))
+        if R > 0.5:
+            block, _ = integrate.quad(lambda r: r ** (power + 2.0) * eval_mu(fam, r), 0.5, R,
+                                      epsabs=0.0, epsrel=1e-13, limit=200)
+            want += surface_measure(3) * block
+        assert weighted_integral(fam, None, 0.0, R, power=power) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [-2.0, -5.0, -60.0])
+    @pytest.mark.parametrize("q", [3.0, 1e-3, 2.0**-20])
+    def test_log_weight_alpha_below_minus_one(self, alpha, q):
+        # Gamma(alpha + 1, x) with alpha + 1 <= 0: x^{alpha+1} alone overflows at
+        # alpha = -60 on the H3' ladder's q = 2^-20, though the moment is finite
+        fam = WeightFamily(Kind.LOG_WEIGHT, 3, alpha=alpha)
+        got = weighted_integral(fam, None, 0.0, 0.5, power=q - 3.0)
+        assert got == pytest.approx(_moment_reference(fam, q - 3.0, 0.5), rel=1e-13)
+
+    def test_log_weight_at_q_zero_alpha_decides(self):
+        # int_{log 2}^oo t^alpha dt: finite for alpha < -1, and diverges otherwise
+        fam = WeightFamily(Kind.LOG_WEIGHT, 3, alpha=-2.0)
+        got = weighted_integral(fam, None, 0.0, 0.5, power=-3.0)
+        assert got == pytest.approx(surface_measure(3) / math.log(2.0), rel=1e-13)
+        for alpha in (-1.0, 0.0, 1.0):
+            with pytest.raises(DivergentIntegral):
+                weighted_integral(WeightFamily(Kind.LOG_WEIGHT, 3, alpha=alpha), None, 0.0, 0.5,
+                                  power=-3.0)
+
+    @pytest.mark.parametrize("fam", [
+        WeightFamily(Kind.LEBESGUE, 3), WeightFamily(Kind.EXP_POWER, 3),
+        WeightFamily(Kind.EXP_POWER, 3, b=0.0), WeightFamily(Kind.POWER_EXP_POWER, 4, beta=1.0),
+        WeightFamily(Kind.OSCILLATING, 3), WeightFamily(Kind.LOG_WEIGHT, 3, alpha=1.0),
+        WeightFamily(Kind.LOG_WEIGHT, 3, alpha=-1.0),
+    ])
+    def test_divergence_flag_is_exact(self, fam):
+        edge = fam.dimension - fam.power_order  # q = 0 at power = -edge
+        for q in (0.0, -1e-12, -2.0):
+            with pytest.raises(DivergentIntegral):
+                weighted_integral(fam, None, 0.0, 1.0, power=q - edge)
+        assert weighted_integral(fam, None, 0.0, 1.0, power=1e-12 - edge) > 0.0
+
+    def test_no_tail_blocks(self, monkeypatch):
+        # below the first seam a moment evaluates no integrand at all
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pure moment reached the quadrature")
+
+        monkeypatch.setattr(weights, "_quad_block", refuse)
+        for fam in (WeightFamily(Kind.EXP_POWER, 3), WeightFamily(Kind.OSCILLATING, 3),
+                    WeightFamily(Kind.LOG_WEIGHT, 3, alpha=1.0)):
+            weighted_integral(fam, None, 0.0, 0.5, power=-1.0)
+
+
+class TestTailBlocks:
+    @pytest.mark.parametrize("b", [2000.0, 1e6])
+    def test_h2_i_holds_at_large_b(self, b):
+        # the outer blocks of exp(-b r^2) carry 1e-100 of the total or underflow;
+        # the growth toward the bulk is no blow-up
+        assert _h2_i_check(WeightFamily(b=b))
 
 
 class TestRadialGrid:
