@@ -91,8 +91,7 @@ def run_analyze(cfg: RunConfig):
     n0 = estimate_N0(cfg.family)  # diagnostics that no other task reads
     report = check_hypotheses(cfg.family)
     payload = report.to_json_dict()
-    payload["profile"] = {**profile.to_json_dict(), "n0_slope_estimate": n0.slope,
-                          "n0_quadrature_estimate": n0.quadrature,
+    payload["profile"] = {**profile.to_json_dict(), "n0_quadrature_estimate": n0.quadrature,
                           "n0_estimators_agree": n0.agrees}
     return {"hypotheses.json": _json(payload), "hypotheses.txt": report.to_table()}, payload
 

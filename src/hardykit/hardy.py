@@ -28,7 +28,10 @@ _COND1_* constants): H2 iii takes sup U on [R, 1e3] for R = 0.1, 1, 10 at
 lambda ladder 2^{-j}, j = 1..20, which diverges when its last three values
 increase past 1e3; the small-ball condition fits the decay exponent of
 delta^{-p} mu(B_delta) on delta = 2^{-k}, k = 2..12, for p = 1, 2, 3, and
-holds when it exceeds 0.02.
+holds when it exceeds 0.02.  The fit reads log mu(B_delta) from the
+closed-form moment, so it runs at every dimension, where mu(B_delta) itself
+leaves the double range from N = 82 on.  H2 i is a finding only where its
+integrals diverge; a quadrature that does not settle is a numeric failure.
 
 Pure functions over immutable inputs; profiles and reports are value types,
 so everything parallelizes freely across families and mesh points.
@@ -44,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from . import weights
-from .errors import DivergentIntegral, ProfileUndefined, QuadratureFailure
+from .errors import DivergentIntegral, ProfileUndefined
 from .weights import WeightFamily, Kind, eval_mu, log_derivatives, weighted_integral
 
 __all__ = [
@@ -140,11 +143,10 @@ class HardyProfile:
 
 @dataclass(frozen=True)
 class N0Estimate:
-    """Data-driven effective dimension, two independent routes."""
+    """Data-driven effective dimension, checked against the analytic N_0."""
 
-    slope: float        # N - beta_hat from the extrapolated log-log slope
     quadrature: float   # bisection on the divergence flag of int r^{-d} dmu
-    agrees: bool        # with each other, and with the analytic N_0
+    agrees: bool        # with the analytic N_0
 
     @property
     def value(self) -> float:
@@ -158,21 +160,6 @@ def _inverse_k_fit(k: np.ndarray, y: np.ndarray):
     return coef, A @ coef
 
 
-def _dyadic_slope_intercept(family: WeightFamily) -> float:
-    """k->oo intercept of the local log-log slope of mu on the profile ladder.
-
-    Pure powers give a constant slope -beta; log-corrected weights drift
-    like c/k, which the a + b/k fit removes.
-    """
-    ks = np.arange(_K_MIN, _K_MAX + 1)
-    lg = weights.log_mu(family, -ks * math.log(2.0))
-    if not np.all(np.isfinite(lg)):
-        raise ProfileUndefined("weight not evaluable on the dyadic ladder")
-    slopes = (lg[1:] - lg[:-1]) / (-math.log(2.0))
-    coef, _ = _inverse_k_fit(0.5 * (ks[1:] + ks[:-1]), slopes)
-    return float(coef[0])
-
-
 def _integral_diverges(family: WeightFamily, delta: float) -> bool:
     try:
         weighted_integral(family, None, 0.0, 1.0, power=-delta)
@@ -182,15 +169,13 @@ def _integral_diverges(family: WeightFamily, delta: float) -> bool:
 
 
 def estimate_N0(family: WeightFamily) -> N0Estimate:
-    """Estimate N_0 twice: log-log slope of mu on the profile ladder
-    r = 2^{-k}, k = _K_MIN.._K_MAX, and bisection on the integrability flag
-    of r^{-delta} against dmu to a width of _N0_BISECT_TOL, bracketed by
+    """Estimate N_0 by bisection on the integrability flag of r^{-delta}
+    against dmu to a width of _N0_BISECT_TOL, bracketed by
     [0, max(N, analytic N_0) + 1.5].  The moment on B_1 is closed-form and
     its flag exact, so the bisection ends within _N0_BISECT_TOL / 2 of the
-    edge N - beta.  They agree when they lie within _N0_AGREE_TOL of each
-    other and the bisection lies within it of the analytic N_0."""
+    edge N - beta; it agrees when it lies within _N0_AGREE_TOL of the
+    analytic N_0."""
     N, analytic = family.dimension, family.analytic_N0()
-    slope_n0 = N + _dyadic_slope_intercept(family)
     # delta = 0 is mu(B_1), finite for any admissible mu
     lo, hi = 0.0, max(N, analytic) + 1.5
     if _integral_diverges(family, lo) or not _integral_diverges(family, hi):
@@ -202,11 +187,7 @@ def estimate_N0(family: WeightFamily) -> N0Estimate:
         else:
             lo = mid
     quad_n0 = 0.5 * (lo + hi)
-    return N0Estimate(
-        slope=slope_n0,
-        quadrature=quad_n0,
-        agrees=max(abs(slope_n0 - quad_n0), abs(quad_n0 - analytic)) <= _N0_AGREE_TOL,
-    )
+    return N0Estimate(quadrature=quad_n0, agrees=abs(quad_n0 - analytic) <= _N0_AGREE_TOL)
 
 
 @lru_cache(maxsize=64)
@@ -220,8 +201,8 @@ def compute_profile(family: WeightFamily) -> HardyProfile:
     kept for diagnostics.
 
     N_0 is always the closed form N - power_order (the H3' integrand is
-    exponentially sensitive to N_0 errors); estimate_N0's two data-driven
-    estimators are diagnostics that the analyze task reports beside it.
+    exponentially sensitive to N_0 errors); estimate_N0's bisection is a
+    diagnostic that the analyze task reports beside it.
     """
     ks = np.arange(_K_MIN, _K_MAX + 1)
     rs = 2.0 ** (-ks.astype(float))
@@ -358,7 +339,7 @@ def _h2_i_check(family: WeightFamily) -> bool:
         weighted_integral(family, grad_sqrt, 0.0, 1.0, rtol=1e-8)
         weighted_integral(family, abs_lap, 0.0, 1.0, rtol=1e-8)
         return True
-    except (DivergentIntegral, QuadratureFailure):
+    except DivergentIntegral:
         return False
 
 
@@ -434,18 +415,14 @@ def check_hypotheses(family: WeightFamily) -> HypothesisReport:
         tail_inc = h3p_values[-1] > h3p_values[-2] > h3p_values[-3]
         h3p_diverges = tail_inc and h3p_values[-1] > _H3P_THRESHOLD
 
-    # Appendix small-ball condition: decay exponent of delta^{-p} mu(B_delta).
+    # Appendix small-ball condition: decay exponent of delta^{-p} mu(B_delta),
+    # with log mu(B_delta) from the closed-form log-moment of r^0 (q = N0).
     cond1 = {}
-    ks_c = np.arange(_COND1_K_MIN, _COND1_K_MAX + 1)
-    ball = np.array([
-        weighted_integral(family, None, 0.0, 2.0 ** (-float(k))) for k in ks_c
-    ])
-    if not np.all(ball > 0.0):  # r^N omega_N underflows on the mesh for N in the hundreds
-        raise ProfileUndefined("mu(B_delta) underflows a double on the small-ball mesh")
-    logd = -ks_c * math.log(2.0)
+    logd = -np.arange(_COND1_K_MIN, _COND1_K_MAX + 1) * math.log(2.0)
+    log_omega = math.log(weights.surface_measure(family.dimension))
+    log_ball = np.array([weights._log_moment(family, N0, s) for s in logd]) + log_omega
     for p in _COND1_P:
-        q = np.log(ball) - p * logd
-        slope = float(np.polyfit(logd, q, 1)[0])
+        slope = float(np.polyfit(logd, log_ball - p * logd, 1)[0])
         cond1[f"{p:g}"] = {"holds": slope > _COND1_TOL, "exponent": slope}
 
     return HypothesisReport(

@@ -49,7 +49,10 @@ QuadratureFailure.  When bisection stops shrinking the estimates for three
 levels, the integrand is resolved to rounding (a cancelling difference,
 say) and the block is accepted.  Weight logarithms are evaluated directly
 as functions of s, so integrands stay meaningful far below the smallest
-positive float in r.
+positive float in r.  A block on which r^{N + power} mu stays below e^-600
+is integrated lifted to that level and scaled back, so that its tolerance,
+relative to its total, is never relative to a total near the bottom of the
+double range.
 
 All types are immutable values and all operations are pure; everything here
 is safe to share across threads.
@@ -101,6 +104,7 @@ def _quiet_overflow(fn):
 
 LOG_HALF = math.log(0.5)
 _EXP_UNDERFLOW = -745.0  # exp() underflows to 0.0 below this
+_LIFT_TOP = -600.0       # log of the level a block of smaller integrand is lifted to
 _MAX_TAIL_BLOCKS = 58    # deepest block reaches |log r| ~ 2^57
 MAX_NODES = 2**20        # the most nodes a RadialGrid may have: it bounds a ladder's memory
 
@@ -544,8 +548,8 @@ def weighted_integral(
     smooth = replace(family, beta=0.0) if p0 else family
     total_pow = N + power - p0
 
-    def F(s: np.ndarray) -> np.ndarray:
-        e = log_mu(smooth, s) + total_pow * s
+    def F(s: np.ndarray, shift: float) -> np.ndarray:
+        e = log_mu(smooth, s) + total_pow * s - shift
         out = np.zeros_like(s)
         live = ~(e < _EXP_UNDERFLOW)   # -inf where mu vanishes; nan stays
         out[live] = np.exp(e[live])
@@ -555,10 +559,20 @@ def weighted_integral(
         return out
 
     pts = [math.log(p) for p in family.seams if r_lo < p < r_hi]
+
+    def block(a: float, b: float) -> float:
+        # lifted to e^_LIFT_TOP and no higher (see the module docstring), so that
+        # no later node overflows; the top is read from the weight alone, at the
+        # end points and the nodes of the first rule
+        s = np.concatenate([[a, b], 0.5 * (a + b) + 0.5 * (b - a) * _QX])
+        top = float(np.max(log_mu(smooth, s) + total_pow * s))
+        shift = top - _LIFT_TOP if -math.inf < top < _LIFT_TOP else 0.0
+        return math.exp(shift) * _quad_block(lambda t: F(t, shift), a, b, rtol, pts)
+
     s_hi = math.log(r_hi)
     omega = surface_measure(N)
     if r_lo > 0.0:
-        return omega * _quad_block(F, math.log(r_lo), s_hi, rtol, pts)
+        return omega * block(math.log(r_lo), s_hi)
 
     if f is None:
         s_cf = min(s_hi, LOG_HALF) if family.seams else s_hi
@@ -567,7 +581,7 @@ def weighted_integral(
             value = omega * math.exp(lm) if lm < 709.0 else math.exp(lm + math.log(omega))
         except OverflowError:
             raise DivergentIntegral(f"{family.label()}: the moment exceeds a double") from None
-        return value + omega * _quad_block(F, s_cf, s_hi, rtol, pts) if s_hi > s_cf else value
+        return value + omega * block(s_cf, s_hi) if s_hi > s_cf else value
 
     # blocks doubling toward s = -oo; a divergent tail overflows, or its blocks
     # never shrink.  None is weighed against the first: the outer blocks of
@@ -576,7 +590,7 @@ def weighted_integral(
     small = 0
     lo_off, hi_off = 1.0, 0.0
     for j in range(_MAX_TAIL_BLOCKS):
-        v = _quad_block(F, s_hi - lo_off, s_hi - hi_off, rtol, pts)
+        v = block(s_hi - lo_off, s_hi - hi_off)
         if not np.isfinite(v):
             raise DivergentIntegral(f"integrand blows up toward 0 (block {j})")
         acc += v

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hardykit import cli, hardy
+from hardykit import cli, hardy, weights
 from hardykit.cli import main
 from hardykit.config import (
     RunConfig,
@@ -19,7 +19,7 @@ from hardykit.config import (
     parse_config,
     serialize_config,
 )
-from hardykit.errors import ConfigError, NoConvergence, ProfileUndefined
+from hardykit.errors import ConfigError, NoConvergence, ProfileUndefined, QuadratureFailure
 from hardykit import schemas
 from hardykit.weights import Kind, RadialGrid, WeightFamily, eval_mu
 
@@ -187,13 +187,51 @@ class TestCli:
         assert payload["h2_i"] is True
         assert payload["h3_N0"] == 3.0
 
-    def test_analyze_n343_small_balls_underflow_exit_3(self, tmp_path, capsys):
-        # omega_343 delta^343 underflows a double: the small-ball fit would read
-        # log 0, so the run stops rather than write a NaN exponent
+    @pytest.mark.parametrize("N", [82, 165, 343])
+    def test_analyze_at_every_admitted_dimension(self, tmp_path, N):
+        # omega_N delta^N leaves the double range from N = 82 on: the small-ball
+        # fit reads log mu(B_delta), and the H2 i blocks near the bottom of the
+        # double range still settle
         rc = main(["analyze", "--out", str(tmp_path / "o"),
-                   "--override", "family.dimension=343"])
+                   "--override", f"family.dimension={N}"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "o" / "hypotheses.json").read_text())
+        assert payload["classification"] == "H2"
+        assert payload["h2_i"] is True
+        assert all(math.isfinite(c["exponent"]) for c in payload["cond1"].values())
+
+    @pytest.mark.parametrize("m", ["0.5", "1"])
+    def test_analyze_h2_i_settles_at_large_b(self, tmp_path, m):
+        # the H2 i blocks [-2, -1] and [-1, 0] of exp(-2000 r^m) did not settle
+        # and read as "H2 i fails"; b-scaling says the family is H2
+        rc = main(["analyze", "--out", str(tmp_path / "o"),
+                   "--override", f"family.m={m}", "--override", "family.b=2000"])
+        assert rc == 0
+        payload = json.loads((tmp_path / "o" / "hypotheses.json").read_text())
+        assert payload["h2_i"] is True
+        assert payload["classification"] == "H2"
+
+    def test_h2_i_quadrature_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a quadrature that does not settle is a numeric failure, not "H2 i fails"
+        def unsettled(*args, **kwargs):
+            raise QuadratureFailure("quadrature did not settle on [-2, -1] within 100 levels")
+
+        monkeypatch.setattr(weights, "_quad_block", unsettled)
+        rc = main(["analyze", "--out", str(tmp_path / "o")])
         assert rc == 3
-        assert "mu(B_delta) underflows a double" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            "numeric failure [analyze]: quadrature did not settle on [-2, -1] within 100 levels\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_analyze_log_weight_large_alpha_exit_3(self, tmp_path, capsys):
+        # mu(B_1) = omega q^-401 Gamma(401, q log 2) exceeds a double, so the N0
+        # bisection's bracket fails (a bracket on the log-moment would read a
+        # c0_mu this audit cannot yet trust)
+        rc = main(["analyze", "--out", str(tmp_path / "o"),
+                   "--override", "family.kind=log_weight", "--override", "family.alpha=400",
+                   "--override", "grid.r_max=0.95", "--override", "evolution.r_max=0.95"])
+        assert rc == 3
+        assert "effective-dimension bisection bracket failed" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_analyze_oscillating_summary_claims(self, tmp_path):

@@ -166,7 +166,6 @@ class TestN0Estimator:
         fam = WeightFamily(Kind.POWER_EXP_POWER, 4, b=1.0, m=2.0, beta=beta)
         est = estimate_N0(fam)
         assert est.value == pytest.approx(4.0 - beta, abs=0.05)
-        assert est.slope == pytest.approx(4.0 - beta, abs=0.05)
         assert est.agrees
 
     def test_log_weight_slowly_varying(self, logw_pos, logw_neg):

@@ -404,6 +404,17 @@ class TestTailBlocks:
         # the growth toward the bulk is no blow-up
         assert _h2_i_check(WeightFamily(b=b))
 
+    def test_h2_i_integral_at_dimension_343(self):
+        # every tail block past [-2, -1] lies below the double range's normal
+        # floor; omega_N int_0^1 r^{N+1} e^{-r^2} dr is its alternating series
+        N = 343
+        fam = WeightFamily(dimension=N)
+        got = weighted_integral(fam, lambda r: 0.25 * log_derivatives(fam, r)[0] ** 2,
+                                0.0, 1.0, rtol=1e-8)
+        series = math.fsum((-1) ** k / (math.factorial(k) * (N + 2 + 2 * k)) for k in range(60))
+        log_omega = math.log(2.0) + N / 2 * math.log(math.pi) - math.lgamma(N / 2)
+        assert got == pytest.approx(math.exp(log_omega) * series, rel=1e-12)
+
 
 class TestRadialGrid:
     def test_geometric_ratio_constant(self):
