@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands: analyze, spectrum, sweep, sharpness, evolve, report-all.
-Flags: --config <path>, --out <dir>, --override section.key=value (repeat).
-Exit codes: 0 success, 2 config error, 3 numeric failure.
+Tasks: analyze, spectrum, sweep, sharpness, evolve, report-all, the one
+positional argument.  Flags, before or after it: --config <path>,
+--out <dir>, --override section.key=value (repeat).
+Exit codes: 0 success, 2 config or argument error, 3 numeric failure.
 
 Config grammar (see also README): line-oriented `key = value` under
 `[section]` headers; sections run/family/grid/spectral/evolution;
@@ -227,22 +228,26 @@ _RUNNERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Bad arguments exit 2 with one line, as a config error does."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hardykit",
         description="Weighted Hardy inequality toolkit: hypothesis audits, "
                     "spectral sweeps, sharpness witnesses, parabolic dichotomy runs.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="task", required=True)
-    for task in _RUNNERS:
-        p = sub.add_parser(task, help=f"run the {task} pipeline")
-        p.add_argument("--config", type=Path, default=None,
-                       help="config file (defaults used when omitted)")
-        p.add_argument("--out", type=Path, default=None,
-                       help="output directory (overrides config outdir)")
-        p.add_argument("--override", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE", help="config override (repeatable)")
+    parser.add_argument("task", choices=_RUNNERS, help="the pipeline to run")
+    parser.add_argument("--config", type=Path, default=None,
+                        help="config file (defaults used when omitted)")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="output directory (overrides config outdir)")
+    parser.add_argument("--override", action="append", default=[],
+                        metavar="SECTION.KEY=VALUE", help="config override (repeatable)")
     return parser
 
 

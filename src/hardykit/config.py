@@ -14,7 +14,6 @@ Configs round-trip: parse -> serialize -> parse is the identity.
 
 from __future__ import annotations
 
-import configparser
 import io
 import math
 import sys
@@ -171,6 +170,8 @@ def _merge(cfg: RunConfig, raw: dict) -> RunConfig:
 
 def _parse(text: str):
     """(config, its sections as section -> key -> text) from one parse of `text`."""
+    import configparser  # here, not at the top: only a run with a config file reads one
+
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
     cp.optionxform = str
     try:

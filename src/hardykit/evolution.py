@@ -84,8 +84,7 @@ the records are sequential, on the krylov path they come from one basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -183,8 +182,7 @@ def _krylov_records(family: WeightFamily, grid: RadialGrid, c: float, cap: float
     return None
 
 
-@dataclass(frozen=True)
-class EvolutionSeries:
+class EvolutionSeries(NamedTuple):
     """Norm time series of one capped run."""
 
     cap: float
@@ -272,8 +270,7 @@ def run_capped(
     )
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """Exponential envelope ||u(t)|| <= M e^{omega t} ||u0||, M minimal."""
 
     M: float
@@ -305,8 +302,7 @@ def fit_envelope(times: Sequence[float], norms: Sequence[float]) -> Envelope:
     return Envelope(M=max(1.0, float(np.max(ratios))), omega=omega)
 
 
-@dataclass(frozen=True)
-class EvolutionRun:
+class EvolutionRun(NamedTuple):
     """Cap ladder outcome for one (family, c)."""
 
     family: WeightFamily

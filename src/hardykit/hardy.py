@@ -32,6 +32,9 @@ holds when it exceeds 0.02.  The fit reads log mu(B_delta) from the
 closed-form moment, so it runs at every dimension, where mu(B_delta) itself
 leaves the double range from N = 82 on.  H2 i is a finding only where its
 integrals diverge; a quadrature that does not settle is a numeric failure.
+The integrability flags (the N0 bisection, the H3 evidence and the cut of
+the H3' ladder) read the closed-form moment alone; H2 i's two integrals are
+one stacked tail walk, and the H3' ladder up to its cut one stacked call.
 
 Pure functions over immutable inputs; profiles and reports are value types,
 so everything parallelizes freely across families and mesh points.
@@ -40,9 +43,8 @@ so everything parallelizes freely across families and mesh points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -115,8 +117,7 @@ def compute_Umu(family: WeightFamily, r):
     return float(out[0]) if arr.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class HardyProfile:
+class HardyProfile(NamedTuple):
     """Derived constants of a weight family near the origin."""
 
     family: WeightFamily
@@ -141,8 +142,7 @@ class HardyProfile:
         }
 
 
-@dataclass(frozen=True)
-class N0Estimate:
+class N0Estimate(NamedTuple):
     """Data-driven effective dimension, checked against the analytic N_0."""
 
     quadrature: float   # bisection on the divergence flag of int r^{-d} dmu
@@ -161,8 +161,9 @@ def _inverse_k_fit(k: np.ndarray, y: np.ndarray):
 
 
 def _integral_diverges(family: WeightFamily, delta: float) -> bool:
+    """The exact divergence flag of int_B1 r^{-delta} dmu, from its closed form."""
     try:
-        weighted_integral(family, None, 0.0, 1.0, power=-delta)
+        weights._moment_to_seam(family, -delta, 0.0)
         return False
     except DivergentIntegral:
         return True
@@ -249,8 +250,7 @@ def compute_U(family: WeightFamily, r):
 # hypothesis audit
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     """Machine-readable verdicts for H2 i-iv, H2', H3, H3' iii and the
     small-ball density condition, with witness data."""
 
@@ -327,17 +327,12 @@ def _h2_i_check(family: WeightFamily) -> bool:
     |grad mu^{1/2}|^2 = 1/4 (mu'/mu)^2 mu, checked by quadrature
     convergence; qualitative by design (shipped families are known good).
     """
-    def grad_sqrt(r):
-        d1, _ = log_derivatives(family, r)
-        return 0.25 * d1 * d1
+    def both(r):
+        d1, lap = log_derivatives(family, r)
+        return np.stack([0.25 * d1 * d1, np.abs(lap)])
 
-    def abs_lap(r):
-        _, lap = log_derivatives(family, r)
-        return np.abs(lap)
-
-    try:
-        weighted_integral(family, grad_sqrt, 0.0, 1.0, rtol=1e-8)
-        weighted_integral(family, abs_lap, 0.0, 1.0, rtol=1e-8)
+    try:  # one tail walk; either integral diverging raises
+        weighted_integral(family, both, 0.0, 1.0, rtol=1e-8)
         return True
     except DivergentIntegral:
         return False
@@ -399,18 +394,18 @@ def check_hypotheses(family: WeightFamily) -> HypothesisReport:
             "divergent" if _integral_diverges(family, delta) else "convergent"
         )
 
-    # H3' iii: lambda ladder of lambda * int_B1 r^{lambda - N0} dmu.
-    h3p_values = []
-    for j in range(1, _H3P_J_MAX + 1):
-        lam = 2.0 ** (-j)
-        try:
-            v = lam * weighted_integral(family, None, 0.0, 1.0, power=lam - N0)
-        except DivergentIntegral:
-            # N0 is the integrability edge; an outright divergent member of
-            # the ladder counts as the limsup being +oo
-            h3p_diverges = True
-            break
-        h3p_values.append(v)
+    # H3' iii: lambda ladder of lambda * int_B1 r^{lambda - N0} dmu, one stacked
+    # call for the members before the first divergent one.  N0 is the
+    # integrability edge; an outright divergent member of the ladder counts as
+    # the limsup being +oo.
+    lams = 2.0 ** -np.arange(1.0, _H3P_J_MAX + 1)
+    cut = next((j for j, lam in enumerate(lams) if _integral_diverges(family, N0 - lam)),
+               _H3P_J_MAX)
+    h3p_values = [] if not cut else [
+        float(v) for v in lams[:cut] * weighted_integral(family, None, 0.0, 1.0,
+                                                         power=lams[:cut] - N0)]
+    if cut < _H3P_J_MAX:
+        h3p_diverges = True
     else:  # all _H3P_J_MAX >= 3 values are in
         tail_inc = h3p_values[-1] > h3p_values[-2] > h3p_values[-3]
         h3p_diverges = tail_inc and h3p_values[-1] > _H3P_THRESHOLD

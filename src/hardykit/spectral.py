@@ -23,8 +23,11 @@ geometry (rung_grids) and these thresholds are constants, calibrated together.
 Everything operates on the radial subspace: the sharpness constructions are
 radial, and for radial weights the critical constant is visible there.  The
 two share one quotient: phi_gamma = r^gamma theta is phi_n = min(r^gamma
-theta, n^-gamma) without the cap, and the cutoff-annulus integrals, which no
-n reaches, are computed once per (family, c, gamma).
+theta, n^-gamma) without the cap.  The integrals over one range are one
+stacked quadrature (see the weights module): phi_n's cutoff-annulus
+integrals, which no n reaches, once per (family, c, gamma), and each rung's
+two cap moments and two middle integrals; phi_gamma_ladder's moments on
+(0, 1) for all its gammas, and their annulus integrals.
 Assembly and solves are pure per (family, c, grid); ladder rungs and sweep
 points carry no shared mutable state.
 
@@ -44,9 +47,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -108,8 +111,7 @@ def solve_banded(l_and_u, ab, b):
     return lapack.solve_banded(l_and_u, ab, b)
 
 
-@dataclass(frozen=True)
-class Tridiagonal:
+class Tridiagonal(NamedTuple):
     """Symmetric tridiagonal matrix (main diagonal + first off-diagonal)."""
 
     diag: np.ndarray
@@ -229,8 +231,7 @@ def _inverse_iterate(A: Tridiagonal, M: np.ndarray, v: np.ndarray, lam: float):
     return w / np.linalg.norm(w)
 
 
-@dataclass(frozen=True)
-class RayleighResult:
+class RayleighResult(NamedTuple):
     """lambda_1 on a grid plus refinement-ladder diagnostics.
 
     ladder rows are (n_points, r_min, lambda1), one per grid of rung_grids;
@@ -330,8 +331,7 @@ def lambda1(family: WeightFamily, c: float, grid: RadialGrid) -> RayleighResult:
                           ladder=rows, verdict=_ladder_verdict([row[2] for row in rows]))
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     c_hat: float
     c_lo: float
     c_hi: float
@@ -398,8 +398,7 @@ def phi_n_gamma_bounds(c: float, N0: float) -> Tuple[float, float]:
     return max(-math.sqrt(c), -N0 / 2.0), min((2.0 - N0) / 2.0, 0.0)
 
 
-@dataclass(frozen=True)
-class PhiNQuotient:
+class PhiNQuotient(NamedTuple):
     """Exact Rayleigh quotient of phi_n plus the analytic upper bound.
 
     upper_bound is ((g^2-c) I(n) + C1)/C2 with C1, C2 the cutoff-region
@@ -417,54 +416,46 @@ class PhiNQuotient:
     C2: float
 
 
-@lru_cache(maxsize=256)
-def _annulus(family: WeightFamily, c: float, g: float):
-    """Numerator and denominator of r^g theta on the cutoff annulus [1, 2], which no cap reaches."""
+def _annulus(family: WeightFamily, c: float, gammas, bound: bool = False) -> np.ndarray:
+    """The cutoff annulus [1, 2], which no cap reaches, in one stacked pass:
+    the rows are the numerators of r^g theta, one per g of `gammas`, then their
+    denominators and, with `bound`, the two integrals of C1 (see PhiNQuotient)."""
+    g = np.asarray(gammas, dtype=float)[:, None]
 
-    def f_num(r):
+    def f(r):
         th = _theta(r)
         dth = _theta_deriv(r)
         grad = g * r ** (g - 1.0) * th + r**g * dth
-        return grad * grad - c * r ** (2 * g - 2.0) * th * th
+        rows = [grad * grad - c * r ** (2 * g - 2.0) * th * th, r ** (2 * g) * th**2]
+        if bound:
+            rows += [r ** (2 * g) * dth**2, r ** (2 * g - 2.0) * th**2]
+        return np.concatenate(rows)
 
-    return (weighted_integral(family, f_num, 1.0, 2.0),
-            weighted_integral(family, lambda r: r ** (2 * g) * _theta(r) ** 2, 1.0, 2.0))
+    return weighted_integral(family, f, 1.0, 2.0).reshape(-1, len(g))
 
 
 @lru_cache(maxsize=256)
-def _phi_n_bound_constants(family: WeightFamily, c: float, g: float):
-    """C1, C2 of the phi_n upper bound (see PhiNQuotient)."""
-    C1 = 2.0 * weighted_integral(family, lambda r: r ** (2 * g) * _theta_deriv(r) ** 2, 1.0, 2.0) \
-        + 2.0 * g * g * weighted_integral(family, lambda r: r ** (2 * g - 2.0) * _theta(r) ** 2, 1.0, 2.0)
-    C2 = _annulus(family, c, g)[1]
-    if C2 <= 0.0:
-        # compactly supported weight (dead annulus): bound the denominator
-        # by the mass between 1/2 and 1 instead, where phi_n^2 >= 1
-        C2 = weighted_integral(family, None, 0.5, 1.0)
-    return C1, C2
+def _phi_n_annulus(family: WeightFamily, c: float, g: float):
+    """(numerator, denominator, C1, C2) of phi_n on the cutoff annulus, once per (c, g)."""
+    num, den, dth2, th2 = (float(v) for v in _annulus(family, c, [g], bound=True)[:, 0])
+    C1 = 2.0 * dth2 + 2.0 * g * g * th2
+    # a compactly supported weight (dead annulus) bounds the denominator by
+    # the mass between 1/2 and 1 instead, where phi_n^2 >= 1
+    C2 = den if den > 0.0 else weighted_integral(family, None, 0.5, 1.0)
+    return num, den, C1, C2
 
 
-def _capped_quotient(family: WeightFamily, c: float, g: float, n: int):
-    """(numerator, denominator, int_{1/n}^1 r^{2g-2} dmu) of the Hardy quotient
-    of min(r^g theta, n^-g): the cap on (0, 1/n), the power on (1/n, 1), the
-    annulus.  n = 0 removes the cap, which leaves phi_gamma = r^g theta."""
-    r_cap = 1.0 / n if n else 0.0
-    cap_num = cap_den = 0.0
+def _middle(family: WeightFamily, gammas, r_cap: float) -> np.ndarray:
+    """The rows int_{r_cap}^1 r^{2g-2} dmu and int_{r_cap}^1 r^{2g} dmu, one
+    column per g of `gammas`, in one stacked call."""
+    g = np.asarray(gammas, dtype=float)
     try:
-        if n:
-            cap_sq = float(n) ** (-2.0 * g)
-            cap_num = -c * cap_sq * weighted_integral(family, None, 0.0, r_cap, power=-2.0)
-            cap_den = cap_sq * weighted_integral(family, None, 0.0, r_cap)
-        mid_I = weighted_integral(family, None, r_cap, 1.0, power=2.0 * g - 2.0)
-        mid_den = weighted_integral(family, None, r_cap, 1.0, power=2.0 * g)
+        return weighted_integral(family, None, r_cap, 1.0,
+                                 power=np.concatenate([2.0 * g - 2.0, 2.0 * g])).reshape(2, -1)
     except DivergentIntegral as exc:
+        g = float(g.min())
         raise NonIntegrableTestFunction(
-            str(exc) if n else f"r^{2 * g:g} or r^{2 * g - 2:g} not integrable against dmu"
-        ) from exc
-    except OverflowError as exc:  # the cap's square; N0 = 343 overflows from n = 16 on
-        raise NonIntegrableTestFunction(f"phi_n's cap squared, {n}^{-2 * g:g}, overflows") from exc
-    out_num, out_den = _annulus(family, c, g)
-    return cap_num + (g * g - c) * mid_I + out_num, cap_den + mid_den + out_den, mid_I
+            f"r^{2 * g:g} or r^{2 * g - 2:g} not integrable against dmu") from exc
 
 
 def require_phi_n_quotient(N0: float) -> None:
@@ -491,10 +482,30 @@ def quotient_phi_n(family: WeightFamily, c: float, gamma: float, n: int) -> PhiN
             f"gamma={gamma:g} outside [{lo:g}, {hi:g}] for c={c:g}, N0={profile.N0:g}"
         )
     g = gamma
-    num, den, mid_I = _capped_quotient(family, c, g, n)
-    C1, C2 = _phi_n_bound_constants(family, c, g)
+    # the cap min(r^g theta, n^-g) = n^-g on (0, 1/n), the power on (1/n, 1), the annulus
+    try:
+        cap_sq = float(n) ** (-2.0 * g)
+        cap_I, cap_mass = map(float, weighted_integral(family, None, 0.0, 1.0 / n,
+                                                       power=np.array([-2.0, 0.0])))
+    except DivergentIntegral as exc:
+        raise NonIntegrableTestFunction(str(exc)) from exc
+    except OverflowError as exc:  # the cap's square; N0 = 343 overflows from n = 16 on
+        raise NonIntegrableTestFunction(f"phi_n's cap squared, {n}^{-2 * g:g}, overflows") from exc
+    mid_I, mid_den = map(float, _middle(family, [g], 1.0 / n)[:, 0])
+    out_num, out_den, C1, C2 = _phi_n_annulus(family, c, g)
+    num = -c * cap_sq * cap_I + (g * g - c) * mid_I + out_num
+    den = cap_sq * cap_mass + mid_den + out_den
     return PhiNQuotient(value=num / den, upper_bound=((g * g - c) * mid_I + C1) / C2,
                         numerator=num, denominator=den, C1=C1, C2=C2)
+
+
+def _phi_gamma_quotients(family: WeightFamily, c: float, gammas) -> np.ndarray:
+    """The Hardy quotients of phi_gamma = r^g theta, one per g of `gammas`, from
+    one stacked call for the moments on (0, 1) and one for the annulus."""
+    g = np.asarray(gammas, dtype=float)
+    mid_I, mid_den = _middle(family, g, 0.0)
+    out_num, out_den = _annulus(family, c, g)
+    return ((g * g - c) * mid_I + out_num) / (mid_den + out_den)
 
 
 def quotient_phi_gamma(family: WeightFamily, c: float, gamma: float) -> float:
@@ -505,8 +516,7 @@ def quotient_phi_gamma(family: WeightFamily, c: float, gamma: float) -> float:
         raise InadmissibleGamma(
             f"gamma={gamma:g} outside [{lo:g}, 0) for N0={profile.N0:g}"
         )
-    num, den, _ = _capped_quotient(family, c, gamma, 0)
-    return num / den
+    return float(_phi_gamma_quotients(family, c, [gamma])[0])
 
 
 _PHI_GAMMA_RUNGS = 12  # phi_gamma_ladder's gammas, g_crit + step 2^-j for j = 1.._PHI_GAMMA_RUNGS
@@ -522,15 +532,14 @@ def phi_gamma_ladder(family: WeightFamily, c: float) -> List[Tuple[float, float]
     g_crit = (2.0 - compute_profile(family).N0) / 2.0
     step = min(0.25, abs(g_crit) / 2.0)
     gammas = [g_crit + step * 2.0 ** (-j) for j in range(1, _PHI_GAMMA_RUNGS + 1)]
-    return [(g, quotient_phi_gamma(family, c, g)) for g in gammas]
+    return list(zip(gammas, map(float, _phi_gamma_quotients(family, c, gammas))))
 
 
 # ----------------------------------------------------------------------
 # improved Hardy and the weighted/flat equivalence
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SlackResult:
+class SlackResult(NamedTuple):
     slack: float
     grad_norm2: float   # int |grad u|^2 dx, the tolerance scale
 
@@ -560,8 +569,7 @@ def improved_hardy_slack(u: RadialBump, dimension: int) -> SlackResult:
     )
 
 
-@dataclass(frozen=True)
-class CrosscheckResult:
+class CrosscheckResult(NamedTuple):
     gap: float                  # RHS - LHS of the weighted inequality
     identity_residual: float    # flat-vs-weighted substitution identity
     lhs: float

@@ -54,6 +54,15 @@ is integrated lifted to that level and scaled back, so that its tolerance,
 relative to its total, is never relative to a total near the bottom of the
 double range.
 
+Several integrands over one range are one stack, integrated in one pass
+that shares every node: a callable returning k rows, or k powers of a pure
+moment.  Each member keeps its own tolerance, relative to its own total:
+an interval is accepted once every member that has not settled accepts
+it, a block and a tail walk stop once every member has settled, and each
+member of a power stack is lifted on its own.  A stack of one member
+gives the single integrand's value to the bit, and a larger stack agrees
+with one pass per member to rounding.
+
 All types are immutable values and all operations are pure; everything here
 is safe to share across threads.
 """
@@ -65,7 +74,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -367,58 +376,64 @@ _STALL_SHARE = 0.125         # ... if the differences are below this share of th
 
 
 def _gauss(F, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The Gauss-Legendre rule on every [lo_i, hi_i], with one call of F."""
+    """The Gauss-Legendre rule on every [lo_i, hi_i], with one call of F.
+
+    F maps the nodes to their values, or to a (k, nodes) stack of k rows of
+    values; the rule is applied to each row."""
     half = 0.5 * (hi - lo)
     s = (0.5 * (hi + lo))[:, None] + half[:, None] * _QX
     try:
         vals = F(s.ravel())
     except (ArithmeticError, ValueError) as exc:  # e.g. f refusing r = 0
         raise QuadratureFailure(f"integrand failed: {exc}") from exc
-    return (vals.reshape(s.shape) @ _QW) * half
+    return (vals.reshape(-1, _QX.size) @ _QW).reshape(*vals.shape[:-1], lo.size) * half
 
 
-def _quad_block(F, a: float, b: float, rtol: float, pts=()) -> float:
-    """Adaptive bisection of int_a^b F, every pending interval per F call.
+def _quad_block(F, a: float, b: float, rtol: float, pts=()):
+    """Adaptive bisection of int_a^b F, every pending interval per F call;
+    a float, or one value per member when F returns a stack (see _gauss).
 
     An interval's estimate is the difference between the rule on it and the
     sum of the rule on its two halves, or 2^-16 of its parent's estimate if
     that is larger: a kink that falls between all the nodes of both rules
     can make the first look converged, but not the parent that straddled it.
     An interval is accepted, at the halves' value, when its estimate is
-    below its length share of rtol/16 times the running total; the block
-    stops once all estimates together are below that total tolerance.  When
-    the sum of the pending differences stops falling under bisection for
-    three levels, the integrand is resolved to rounding and the block is
-    accepted as it stands.  Non-finite totals are returned as they are, for
-    the divergence detector.
+    below its length share of rtol/16 times the running total; a member
+    settles once all its estimates together are below that total tolerance.
+    When the sum of a member's pending differences stops falling under
+    bisection for three levels, it is resolved to rounding and settles as it
+    stands.  In a stack, an interval is accepted when it is so for every
+    member that has not settled, and the block stops once every member has.
+    Non-finite totals are returned as they are, for the divergence detector.
     """
     edges = np.array([a, *(p for p in pts if a < p < b), b])
     lo, hi = edges[:-1], edges[1:]
     mid = 0.5 * (lo + hi)
     m = len(lo)
     first = _gauss(F, np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi]))
-    whole, left, right = first[:m], first[m:2 * m], first[2 * m:]
-    inherited = np.zeros(m)
+    whole, left, right = first[..., :m], first[..., m:2 * m], first[..., 2 * m:]
+    inherited = np.zeros_like(whole)
     done = done_err = 0.0
     prev_err = math.inf
-    stalls = 0
+    stalls, settled = 0, False
     for _ in range(_MAX_LEVELS):
         halves = left + right
         diff = np.abs(whole - halves)
         err = np.maximum(diff, inherited)
-        total = done + float(halves.sum())
-        if not math.isfinite(total):
+        total = done + halves.sum(axis=-1)
+        if not np.isfinite(total).all():
             return total
-        scale = _TOL_SAFETY * rtol * abs(total)
-        level_diff = float(diff.sum())
-        stalls = stalls + 1 if level_diff > _STALL_GAIN * prev_err else 0
-        if done_err + float(err.sum()) <= scale:
+        scale = _TOL_SAFETY * rtol * np.abs(total)
+        level_diff = diff.sum(axis=-1)
+        stalls = np.where(level_diff > _STALL_GAIN * prev_err, stalls + 1, 0)
+        settled = settled | (done_err + err.sum(axis=-1) <= scale) | (
+            (stalls >= _STALL_LEVELS) & (level_diff <= _STALL_SHARE * np.abs(total)))
+        if settled.all():
             return total
-        if stalls >= _STALL_LEVELS and level_diff <= _STALL_SHARE * abs(total):
-            return total
-        ok = err <= scale * (hi - lo) / (b - a) + 1e-300
-        done += float(halves[ok].sum())
-        done_err += float(err[ok].sum())
+        ok = (err <= scale[..., None] * (hi - lo) / (b - a) + 1e-300) | settled[..., None]
+        ok = ok.reshape(-1, ok.shape[-1]).all(axis=0)
+        done = done + halves[..., ok].sum(axis=-1)
+        done_err = done_err + err[..., ok].sum(axis=-1)
         keep = ~ok
         n = 2 * int(keep.sum())
         if n > _MAX_PENDING:
@@ -426,14 +441,14 @@ def _quad_block(F, a: float, b: float, rtol: float, pts=()) -> float:
                 f"quadrature did not settle on [{a:g}, {b:g}] within "
                 f"{_MAX_PENDING} sub-intervals"
             )
-        prev_err = float(diff[keep].sum())
-        inherited = np.tile(_INHERIT * err[keep], 2)
+        prev_err = diff[..., keep].sum(axis=-1)
+        inherited = np.tile(_INHERIT * err[..., keep], 2)
         lo = np.concatenate([lo[keep], mid[keep]])
         hi = np.concatenate([mid[keep], hi[keep]])
-        whole = np.concatenate([left[keep], right[keep]])
+        whole = np.concatenate([left[..., keep], right[..., keep]], axis=-1)
         mid = 0.5 * (lo + hi)
         parts = _gauss(F, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-        left, right = parts[:n], parts[n:]
+        left, right = parts[..., :n], parts[..., n:]
     raise QuadratureFailure(
         f"quadrature did not settle on [{a:g}, {b:g}] within {_MAX_LEVELS} levels"
     )
@@ -514,6 +529,21 @@ def _log_moment(family: WeightFamily, q: float, s: float) -> float:
         f"{family.label()}: the moment diverges toward r = 0 (N + power - beta = {q:g})")
 
 
+def _moment_to_seam(family: WeightFamily, power: float, s_hi: float):
+    """(omega_N int_0^r r^power dmu, log r) for r = e^s_hi, or the kind's first
+    seam if that lies below it: the closed-form part of a pure moment from 0.
+    Its DivergentIntegral is exact, and a moment past the double range
+    raises it too."""
+    s_cf = min(s_hi, LOG_HALF) if family.seams else s_hi
+    lm = _log_moment(family, family.dimension + power - family.power_order, s_cf)
+    omega = surface_measure(family.dimension)
+    try:  # omega stays out of the exponent unless the moment alone overflows
+        value = omega * math.exp(lm) if lm < 709.0 else math.exp(lm + math.log(omega))
+    except OverflowError:
+        raise DivergentIntegral(f"{family.label()}: the moment exceeds a double") from None
+    return value, s_cf
+
+
 @_quiet_overflow
 def weighted_integral(
     family: WeightFamily,
@@ -521,17 +551,23 @@ def weighted_integral(
     r_lo: float = 0.0,
     r_hi: float = 1.0,
     *,
-    power: float = 0.0,
+    power=0.0,
     rtol: float = 1e-10,
-) -> float:
+):
     """omega_N * int_{r_lo}^{r_hi} f(r) r^power mu(r) r^{N-1} dr.
 
     `f` must be bounded on (r_lo, r_hi] and map an array of radii to an
     array (or a scalar); it is called once per refinement level, only at the
-    nodes where the rest of the integrand does not underflow.  Put any
-    singular power-law factor into `power`, where it is folded into the
-    log-axis exponent and stays exact at arbitrarily small radii.  With
-    f=None the integrand is r^power alone.
+    nodes where the rest of the integrand does not underflow (possibly
+    none).  Put any singular power-law factor into `power`, where it is
+    folded into the log-axis exponent and stays exact at arbitrarily small
+    radii.  With f=None the integrand is r^power alone.
+
+    A stack of k integrands over one range is one call, and returns an
+    array of k values: either `f` maps the radii to a (k, radii) array, or,
+    with f=None, `power` is a 1-d array of k powers.  The stack shares every
+    node (see _quad_block); a DivergentIntegral of one member is raised for
+    the stack.
 
     A pure moment (f=None) from r_lo = 0 is closed-form (see the module
     docstring), and its DivergentIntegral, the integrability probe of the
@@ -541,65 +577,76 @@ def weighted_integral(
     """
     if r_lo < 0.0 or r_hi <= r_lo:
         raise InvalidParams(f"bad integration range ({r_lo}, {r_hi})")
+    power = np.asarray(power, dtype=float)
+    if power.ndim and f is not None:
+        raise InvalidParams("a stack of powers takes f=None")
     N = family.dimension
     # mu's power law joins r^{N + power} before the product with s: two
     # separate s-products would cancel to rounding noise deep in the tail
     p0 = family.power_order
     smooth = replace(family, beta=0.0) if p0 else family
-    total_pow = N + power - p0
+    total_pow = (N + power - p0)[..., None]   # one row per member of a power stack
 
-    def F(s: np.ndarray, shift: float) -> np.ndarray:
+    def F(s: np.ndarray, shift) -> np.ndarray:
         e = log_mu(smooth, s) + total_pow * s - shift
-        out = np.zeros_like(s)
+        out = np.zeros_like(e)
         live = ~(e < _EXP_UNDERFLOW)   # -inf where mu vanishes; nan stays
         out[live] = np.exp(e[live])
-        if f is not None and live.any():
-            sl = s[live]
-            out[live] *= f(np.where(sl > -700.0, np.exp(sl), 0.0))
-        return out
+        if f is None:
+            return out
+        sl = s[live]
+        vals = f(np.where(sl > -700.0, np.exp(sl), 0.0))
+        if np.ndim(vals) < 2:
+            out[live] *= vals
+            return out
+        stack = np.zeros((len(vals), s.size))
+        stack[:, live] = out[live] * vals
+        return stack
 
     pts = [math.log(p) for p in family.seams if r_lo < p < r_hi]
 
-    def block(a: float, b: float) -> float:
-        # lifted to e^_LIFT_TOP and no higher (see the module docstring), so that
-        # no later node overflows; the top is read from the weight alone, at the
-        # end points and the nodes of the first rule
+    def block(a: float, b: float):
+        # each member lifted to e^_LIFT_TOP and no higher (see the module
+        # docstring), so that no later node overflows; the top is read from the
+        # weight alone, at the end points and the nodes of the first rule
         s = np.concatenate([[a, b], 0.5 * (a + b) + 0.5 * (b - a) * _QX])
-        top = float(np.max(log_mu(smooth, s) + total_pow * s))
-        shift = top - _LIFT_TOP if -math.inf < top < _LIFT_TOP else 0.0
-        return math.exp(shift) * _quad_block(lambda t: F(t, shift), a, b, rtol, pts)
+        tops = np.max(log_mu(smooth, s) + total_pow * s, axis=-1)
+        shift = np.where((-math.inf < tops) & (tops < _LIFT_TOP), tops - _LIFT_TOP, 0.0)
+        # math.exp, as a single integrand is scaled: np.exp may round otherwise
+        lift = np.array([math.exp(x) for x in shift.ravel()]).reshape(shift.shape)
+        return lift * _quad_block(lambda t: F(t, shift[..., None]), a, b, rtol, pts)
+
+    def value(v):
+        return float(v) if np.ndim(v) == 0 else v
 
     s_hi = math.log(r_hi)
     omega = surface_measure(N)
     if r_lo > 0.0:
-        return omega * block(math.log(r_lo), s_hi)
+        return value(omega * block(math.log(r_lo), s_hi))
 
     if f is None:
-        s_cf = min(s_hi, LOG_HALF) if family.seams else s_hi
-        lm = _log_moment(family, total_pow, s_cf)
-        try:  # omega stays out of the exponent unless the moment alone overflows
-            value = omega * math.exp(lm) if lm < 709.0 else math.exp(lm + math.log(omega))
-        except OverflowError:
-            raise DivergentIntegral(f"{family.label()}: the moment exceeds a double") from None
-        return value + omega * block(s_cf, s_hi) if s_hi > s_cf else value
+        moments = [_moment_to_seam(family, p, s_hi) for p in power.ravel()]
+        s_cf = moments[0][1]
+        closed = np.array([v for v, _ in moments]).reshape(power.shape)
+        return value(closed + omega * block(s_cf, s_hi) if s_hi > s_cf else closed)
 
     # blocks doubling toward s = -oo; a divergent tail overflows, or its blocks
     # never shrink.  None is weighed against the first: the outer blocks of
-    # exp(-2000 r^2) carry 1e-100 of the total, and growth past them is no blow-up
+    # exp(-2000 r^2) carry 1e-100 of the total, and growth past them is no
+    # blow-up.  A stack stops once each member has settled.
     acc = 0.0
     small = 0
+    settled = False
     lo_off, hi_off = 1.0, 0.0
     for j in range(_MAX_TAIL_BLOCKS):
         v = block(s_hi - lo_off, s_hi - hi_off)
-        if not np.isfinite(v):
+        if not np.isfinite(v).all():
             raise DivergentIntegral(f"integrand blows up toward 0 (block {j})")
-        acc += v
-        if abs(v) <= rtol * abs(acc) + 1e-300:
-            small += 1
-            if small >= 2 and j >= 3:
-                return omega * acc
-        else:
-            small = 0
+        acc = acc + v
+        small = np.where(np.abs(v) <= rtol * np.abs(acc) + 1e-300, small + 1, 0)
+        settled = settled | ((small >= 2) & (j >= 3))
+        if settled.all():
+            return value(omega * acc)
         hi_off = lo_off
         lo_off *= 2.0
     raise DivergentIntegral("tail contributions refuse to settle toward r = 0")
@@ -650,8 +697,7 @@ _GL_X1, _GL_W2 = _GL_X + 1.0, _GL_W / 2.0
 _ELEMENT_BLOCK = 256  # elements per block: each 12-point temporary is 24 KiB
 
 
-@dataclass(frozen=True)
-class ElementIntegrals:
+class ElementIntegrals(NamedTuple):
     """Per-element integrals of hat-function products against dmu.
 
     With psi_L, psi_R the linear hats on element [r_k, r_{k+1}]:

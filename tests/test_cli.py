@@ -176,6 +176,39 @@ class TestCli:
         assert (tmp_path / "o" / "hypotheses.txt").exists()
         assert (tmp_path / "o" / "config_used.ini").exists()
 
+    @pytest.mark.parametrize("argv", [["bogus"], [], ["analyze", "--bogus"],
+                                      ["analyze", "sweep"], ["--out"]])
+    def test_bad_arguments_exit_2_with_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hardykit: error: ") and err.count("\n") == 1
+
+    def test_flags_go_before_or_after_the_task(self, tmp_path):
+        for argv in (["--out", str(tmp_path / "a"), "analyze"],
+                     ["analyze", "--out", str(tmp_path / "b")]):
+            assert main(argv) == 0
+        assert filecmp.cmp(tmp_path / "a" / "hypotheses.json", tmp_path / "b" / "hypotheses.json",
+                           shallow=False)
+
+    def test_payloads_embed_no_record(self):
+        # the result records are named tuples, which json writes silently as a
+        # list: every payload is built from plain dicts, lists and scalars
+        def tuples(node):
+            if isinstance(node, tuple):
+                yield node
+            elif isinstance(node, dict):
+                for value in node.values():
+                    yield from tuples(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from tuples(value)
+
+        for task, runner in cli._RUNNERS.items():
+            _, payload = runner(RunConfig())
+            assert list(tuples(payload)) == [], task
+
     @pytest.mark.parametrize("b", ["1", "2000", "1e6"])
     def test_analyze_invariant_under_b(self, tmp_path, b):
         # exp(-b r^2) is exp(-r^2) on a rescaled r: the verdicts do not depend on
@@ -780,14 +813,14 @@ class TestCli:
 
 def test_import_leaves_unused_scipy_out():
     # hardykit imports no scipy package, and its Gauss-Legendre rules are
-    # tables, so numpy.polynomial is not imported either: each would cost
-    # start-up time and memory
+    # tables, so numpy.polynomial is not imported either; configparser loads
+    # only to read a config file: each would cost start-up time and memory
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, hardykit.cli; "
             "print(hardykit.cli.__file__); "
             "print([m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse', "
-            "'numpy.polynomial') if m in sys.modules])")
+            "'numpy.polynomial', 'configparser') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
     assert out[0].startswith(src)

@@ -657,16 +657,16 @@ class TestPhiGamma:
         lo, hi = phi_n_gamma_bounds(0.5, p.N0)
         for n in (4, 16, 64, 256):
             quotient_phi_n(exppow3, 0.5, 0.75 * lo + 0.25 * hi, n)
-        # each rung: two cap and two middle integrals; once for the ladder:
-        # the annulus numerator and denominator and the two C1 integrals
-        assert len(calls) == 4 * 4 + 4
-        assert calls.count((1.0, 2.0)) == 4
+        # each rung: one stacked call for its two cap moments and one for its
+        # two middle integrals; once for the ladder: one stacked call for the
+        # annulus numerator and denominator and the two C1 integrals
+        assert len(calls) == 4 * 2 + 1
+        assert calls.count((1.0, 2.0)) == 1
         calls.clear()
         phi_gamma_ladder(exppow3, 0.25)
-        # each rung (its own gamma): two middle integrals and the annulus
-        # numerator and denominator, no C1
-        assert len(calls) == 12 * 4
-        assert calls.count((1.0, 2.0)) == 12 * 2
+        # one stacked call for the 24 moments on (0, 1) of the 12 gammas, and
+        # one for their 12 annulus numerators and denominators, no C1
+        assert calls == [(0.0, 1.0), (1.0, 2.0)]
 
 
 # slack values frozen from the quadrature oracle below (regression witnesses)

@@ -416,6 +416,94 @@ class TestTailBlocks:
         assert got == pytest.approx(math.exp(log_omega) * series, rel=1e-12)
 
 
+_STACK_FAMILIES = [
+    WeightFamily(Kind.LEBESGUE, 3),
+    WeightFamily(Kind.EXP_POWER, 3),
+    WeightFamily(Kind.POWER_EXP_POWER, 4, beta=1.0),
+    WeightFamily(Kind.LOG_WEIGHT, 3, alpha=1.0),
+    WeightFamily(Kind.OSCILLATING, 3),
+]
+
+
+def _annulus_rows(r):
+    """Three integrands of the cutoff annulus [1, 2], as rows."""
+    th = _theta(r)
+    return np.stack([r**-0.5 * th**2, _theta_deriv(r) ** 2, r * th])
+
+
+def _h2_i_rows(fam):
+    """The two H2 i integrands, as rows, for the tail walk toward r = 0."""
+    def rows(r):
+        d1, lap = log_derivatives(fam, r)
+        return np.stack([0.25 * d1 * d1, np.abs(lap)])
+    return rows
+
+
+class TestStackedIntegrals:
+    """A stack of integrands over one range is one call, which shares every
+    node: its values are those of one call per member, to rounding."""
+
+    @pytest.mark.parametrize("fam", _STACK_FAMILIES, ids=lambda f: f.kind.value)
+    def test_stack_matches_one_call_per_member(self, fam):
+        # the annulus, moments from 0 (closed form plus the closing block past
+        # the seam), and the tail walk of the H2 i pair
+        powers = np.concatenate([2.0 ** -np.arange(1.0, 11.0) - fam.analytic_N0(), [-0.3, 0.0, 2.0]])
+        rows = _h2_i_rows(fam)
+        cases = [
+            (weighted_integral(fam, _annulus_rows, 1.0, 2.0),
+             [weighted_integral(fam, lambda r, i=i: _annulus_rows(r)[i], 1.0, 2.0) for i in range(3)]),
+            (weighted_integral(fam, None, 0.0, 1.0, power=powers),
+             [weighted_integral(fam, None, 0.0, 1.0, power=p) for p in powers]),
+            (weighted_integral(fam, None, 0.25, 1.0, power=powers),
+             [weighted_integral(fam, None, 0.25, 1.0, power=p) for p in powers]),
+            (weighted_integral(fam, rows, 0.0, 1.0, rtol=1e-8),
+             [weighted_integral(fam, lambda r, i=i: rows(r)[i], 0.0, 1.0, rtol=1e-8) for i in range(2)]),
+        ]
+        for stacked, one in cases:
+            assert isinstance(stacked, np.ndarray) and stacked.shape == (len(one),)
+            assert list(stacked) == pytest.approx(one, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("fam", _STACK_FAMILIES, ids=lambda f: f.kind.value)
+    def test_one_member_stack_is_the_scalar_call(self, fam):
+        rows = _h2_i_rows(fam)
+        assert weighted_integral(fam, lambda r: _annulus_rows(r)[:1], 1.0, 2.0)[0] == \
+            weighted_integral(fam, lambda r: _annulus_rows(r)[0], 1.0, 2.0)
+        for lo in (0.0, 0.25):
+            assert weighted_integral(fam, None, lo, 1.0, power=np.array([-0.3]))[0] == \
+                weighted_integral(fam, None, lo, 1.0, power=-0.3)
+        assert weighted_integral(fam, lambda r: rows(r)[1:], 0.0, 1.0, rtol=1e-8)[0] == \
+            weighted_integral(fam, lambda r: rows(r)[1], 0.0, 1.0, rtol=1e-8)
+
+    def test_one_divergent_member_raises_for_the_stack(self, leb3):
+        with pytest.raises(DivergentIntegral):
+            weighted_integral(leb3, None, 0.0, 1.0, power=np.array([0.0, -3.5]))
+        with pytest.raises(DivergentIntegral):
+            weighted_integral(leb3, lambda r: np.stack([np.ones_like(r), r**-3.5]), 0.0, 1.0)
+
+    def test_power_stack_takes_no_callable(self, leb3):
+        with pytest.raises(InvalidParams, match="a stack of powers takes f=None"):
+            weighted_integral(leb3, np.ones_like, 0.0, 1.0, power=np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("fam", _STACK_FAMILIES, ids=lambda f: f.kind.value)
+    def test_divergence_flag_is_the_moments(self, fam, monkeypatch):
+        # the flag reads the closed form alone, and agrees with the moment on B_1
+        deltas = [fam.analytic_N0() + d for d in (-1.0, -0.01, 0.0, 0.01, 1.0)]
+        want = []
+        for delta in deltas:
+            try:
+                weighted_integral(fam, None, 0.0, 1.0, power=-delta)
+                want.append(False)
+            except DivergentIntegral:
+                want.append(True)
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("the divergence flag ran a quadrature")
+
+        monkeypatch.setattr(weights, "_quad_block", no_quadrature)
+        assert [_integral_diverges(fam, delta) for delta in deltas] == want
+        assert want[0] is False and want[-1] is True
+
+
 class TestRadialGrid:
     def test_geometric_ratio_constant(self):
         g = RadialGrid(1e-4, 20.0, 333)
