@@ -20,7 +20,8 @@ a family block is e.g.
 
 Every task reads the one profile of dmu (on the hardy module's fixed
 ladder), and every spectral ladder, evolve's cross-check included, is the
-four grids of spectral.rung_grids on [grid].  The sweep bisects its bracket
+four grids of spectral.rung_grids on [grid], the fourth solved only when
+its lambda_1 can change the verdict.  The sweep bisects its bracket
 to spectral.SWEEP_TOL, and its c_hat is consistent within SWEEP_TOL + 0.05
 of c0(N0).
 report-all runs each stage once and composes summary.md and index.json in

@@ -44,7 +44,8 @@ class InadmissibleGamma(HardyKitError, ValueError):
 
 class NonIntegrableTestFunction(HardyKitError, ArithmeticError):
     """A sharpness test function is not square integrable against the weight,
-    or its cap leaves the double range."""
+    its cap leaves the double range, or the weight underflows where its
+    bound's denominator is integrated."""
 
 
 class UnsupportedFunction(HardyKitError, ValueError):

@@ -24,15 +24,14 @@ Each wrapper makes exactly the LAPACK call of the scipy function it is named
 after, with the same checks: eigh_tridiagonal and solve_banded those of
 scipy.linalg, dpttrf, dpttrs and dstev those of scipy.linalg.lapack.  The
 results are bitwise the same; a failed check raises NoConvergence.  A ctypes
-call releases the interpreter lock, so spectral can solve two ladder rungs
-at once on two threads.
+call releases the interpreter lock.
 
-An OpenBLAS pool thread spins for a while after each threaded call, and
-beside the ladder's second thread it holds the second core.  So, unless
-OPENBLAS_NUM_THREADS is set, importing this module sets the OpenBLAS these
-routines come from (on a wheel install, numpy's) to one thread at run time:
-the pin does not depend on whether numpy was imported first, and no child
-process inherits it.  A user's setting is kept.
+Two BLAS threads round the dot products of a deep ladder rung differently
+from one.  So, unless OPENBLAS_NUM_THREADS is set, importing this module
+sets the OpenBLAS these routines come from (on a wheel install, numpy's) to
+one thread at run time, and outputs match a one-thread run: the pin does not
+depend on whether numpy was imported first, and no child process inherits
+it.  A user's setting is kept.
 """
 
 from __future__ import annotations

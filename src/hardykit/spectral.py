@@ -19,6 +19,9 @@ truncation radius resolves the singular mode, lambda_1 scales like
 to exceed a fixed factor of 4 and the previous one 2, which keeps float64
 noise at deep rungs from faking a divergence; the ladder's depth, its
 geometry (rung_grids) and these thresholds are constants, calibrated together.
+The rungs are solved in order on the calling thread, and the deepest, which
+holds more than half of the ladder's nodes, only when its lambda_1 can
+change the verdict of the three before it (see lambda1).
 
 Everything operates on the radial subspace: the sharpness constructions are
 radial, and for radial weights the critical constant is visible there.  The
@@ -30,23 +33,11 @@ two cap moments and two middle integrals; phi_gamma_ladder's moments on
 (0, 1) for all its gammas, and their annulus integrals.
 Assembly and solves are pure per (family, c, grid); ladder rungs and sweep
 points carry no shared mutable state.
-
-The ladder solves its deepest rung, which holds more than half of its
-nodes, on a worker thread beside the others.
-Every pencil is assembled on the calling thread, the worker's first and
-each of the caller's just before its solve; the worker runs only
-_solve_smallest, whose LAPACK calls release the interpreter lock (see the
-lapack module), so the caller's assembly and solves overlap them.  The
-results are bitwise those of solving the rungs one after the other.  The
-worker is always joined before lambda1 returns or raises, and the
-exception raised is that of the shallowest failing rung, whether it failed
-in assembly or in the solve: the error a serial ladder would meet first.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import replace
 from functools import lru_cache
 from typing import List, NamedTuple, Tuple
@@ -234,8 +225,10 @@ def _inverse_iterate(A: Tridiagonal, M: np.ndarray, v: np.ndarray, lam: float):
 class RayleighResult(NamedTuple):
     """lambda_1 on a grid plus refinement-ladder diagnostics.
 
-    ladder rows are (n_points, r_min, lambda1), one per grid of rung_grids;
-    verdict reflects the ladder, lambda1/eigvec the grid itself (rung 0).
+    ladder rows are (n_points, r_min, lambda1), one per solved grid of
+    rung_grids: all four, or the first three when the deepest could not
+    change the verdict; verdict reflects the ladder, lambda1/eigvec the grid
+    itself (rung 0).
     """
 
     lambda1: float
@@ -293,42 +286,24 @@ def rung_grids(grid: RadialGrid) -> List[RadialGrid]:
 def lambda1(family: WeightFamily, c: float, grid: RadialGrid) -> RayleighResult:
     """Smallest Rayleigh quotient, with the verdict of the ladder on rung_grids(grid).
 
-    The deepest rung is solved on a worker thread (see the module
-    docstring); the exception raised is that of the shallowest failing
-    rung, as if the rungs had run one after the other."""
+    The rungs are solved in order, so the first failing rung raises.  The
+    deepest is solved only when the verdict of the three before it depends
+    on its lambda_1: the window (l1, l2, l3) reads Diverging exactly for l3 on
+    a half-line (below min(-10 _LAMBDA_FLOOR, 4 l2), or nowhere), and the
+    window (l0, l1, l2) does not read l3, so the verdict is the same for every
+    l3 once it is the same for l3 = -inf and +inf.  A three-rung ladder takes
+    the verdict it has with l3 = +inf."""
     rungs = rung_grids(grid)
-    deepest: list = []  # the deepest rung's lambda_1, or the exception it raised
-
-    def solve_deepest(A, M):
-        # the worker: an exception it raised is raised by the caller below
-        try:
-            deepest.append(_solve_smallest(A, M, enforce=False)[0])
-        except BaseException as exc:
-            deepest.append(exc)
-
-    # LAPACK loads on the first solve; loaded on the worker, not here, it
-    # left a process 0.3 MB more resident
-    from . import lapack  # noqa: F401
-    try:
-        worker = threading.Thread(target=solve_deepest, args=assemble(family, c, rungs[-1]))
-    except Exception as exc:  # the deepest pencil failed to assemble
-        worker = None
-        deepest.append(exc)
-    else:
-        worker.start()
-    try:  # a shallow rung's exception propagates once the worker is joined
-        lam0, vec, res = ground_state(family, c, grid)
-        lams = [lam0] + [_solve_smallest(*assemble(family, c, g), enforce=False)[0]
-                         for g in rungs[1:-1]]
-    finally:
-        if worker is not None:
-            worker.join()
-    (outcome,) = deepest
-    if isinstance(outcome, BaseException):
-        raise outcome
-    rows = [(g.n_points, g.r_min, lam) for g, lam in zip(rungs, lams + [outcome])]
+    lam0, vec, res = ground_state(family, c, grid)
+    lams = [lam0] + [_solve_smallest(*assemble(family, c, g), enforce=False)[0]
+                     for g in rungs[1:-1]]
+    verdict = _ladder_verdict(lams + [math.inf])
+    if verdict != _ladder_verdict(lams + [-math.inf]):
+        lams.append(_solve_smallest(*assemble(family, c, rungs[-1]), enforce=False)[0])
+        verdict = _ladder_verdict(lams)
+    rows = [(g.n_points, g.r_min, lam) for g, lam in zip(rungs, lams)]
     return RayleighResult(lambda1=lam0, eigvec=vec, nodes=grid.nodes[1:-1], residual=res,
-                          ladder=rows, verdict=_ladder_verdict([row[2] for row in rows]))
+                          ladder=rows, verdict=verdict)
 
 
 class SweepResult(NamedTuple):
@@ -442,6 +417,9 @@ def _phi_n_annulus(family: WeightFamily, c: float, g: float):
     # a compactly supported weight (dead annulus) bounds the denominator by
     # the mass between 1/2 and 1 instead, where phi_n^2 >= 1
     C2 = den if den > 0.0 else weighted_integral(family, None, 0.5, 1.0)
+    if C2 == 0.0:
+        raise NonIntegrableTestFunction("phi_n's bound has no denominator C2: the weight "
+                                        "underflows on both [1, 2] and [1/2, 1]")
     return num, den, C1, C2
 
 

@@ -649,8 +649,8 @@ class TestCli:
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_shallowest_rung_failure_is_reported(self, tmp_path, capsys):
         # rung 0 fails in dstebz; rungs 2 and 3 (r_min = 6.25e-104) would fail
-        # in assembly, and rung 3 is assembled first, for the worker thread.
-        # The rungs fail in serial order, so the LAPACK failure is reported
+        # in assembly.  The rungs are solved in order, so the LAPACK failure
+        # is reported
         rc = main(["spectrum", "--out", str(tmp_path / "o"), "--override", "grid.r_min=1e-102"])
         assert rc == 3
         assert capsys.readouterr().err.strip() == \
@@ -684,6 +684,25 @@ class TestCli:
         assert "N0 = 1.5" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("task, overrides", [
+        ("sharpness", ()),
+        ("report-all", ("grid.r_max=0.1", "evolution.r_max=0.3")),
+    ])
+    def test_phi_n_bound_underflow_exit_3(self, tmp_path, capsys, task, overrides):
+        # exp(-2000 r) underflows on both [1, 2] and [1/2, 1], so phi_n's bound
+        # has no denominator C2: this ended in a ZeroDivisionError traceback.
+        # report-all reaches its sharpness stage on grids where the weight
+        # does not underflow
+        args = [task, "--out", str(tmp_path / "o"),
+                "--override", "family.b=2000", "--override", "family.m=1"]
+        for o in overrides:
+            args += ["--override", o]
+        assert main(args) == 3
+        assert capsys.readouterr().err.strip() == (
+            f"numeric failure [{task}]: phi_n's bound has no denominator C2: "
+            "the weight underflows on both [1, 2] and [1/2, 1]")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("beta", [1.5, 2.5])
     def test_phi_n_without_quotient_names_n0(self, tmp_path, capsys, beta):
         # N0 = 3 - beta <= 2: int_0^{1/n} r^-2 dmu diverges
@@ -702,7 +721,12 @@ class TestCli:
         assert rc == 0
         ladder = (tmp_path / "o" / "spectrum_ladder.csv").read_text().splitlines()
         assert ladder[0] == ",".join(schemas.SPECTRUM_LADDER)
-        assert len(ladder) == 5  # header + 4 rungs
+        # header + rungs 0-2: they read Bounded whatever rung 3 would read,
+        # so the deepest rung is not solved
+        assert len(ladder) == 4
+        assert [tuple(row.split(",")[1:3]) for row in ladder[1:]] == [
+            ("0.001", "64"), ("0.00025000000000000001", "128"), ("6.2500000000000001e-05", "256")]
+        assert [row.split(",")[4] for row in ladder[1:]] == ["Bounded"] * 3
         eig = (tmp_path / "o" / "eigvec.csv").read_text().splitlines()
         assert eig[0] == ",".join(schemas.EIGVEC)
         assert len(eig) == 63  # header + interior nodes
@@ -827,6 +851,49 @@ def test_import_leaves_unused_scipy_out():
     assert out[1] == "[]"
 
 
+def test_solved_rungs_are_the_first_rows_of_a_four_rung_ladder(tmp_path, monkeypatch):
+    # the benchmark's three refine sweeps and the default report-all: every
+    # ladder's rows are bitwise the first rows of a plain loop over all four
+    # rungs, and its verdict is that loop's.  Only the report-all probe at
+    # c = 0.3078125 needs rung 3 for its verdict
+    from hardykit import evolution, spectral
+    real, seen = spectral.lambda1, []
+
+    def recorded(family, c, grid):
+        res = real(family, c, grid)
+        seen.append((family, c, grid, res))
+        return res
+
+    for module in (spectral, cli, evolution):
+        monkeypatch.setattr(module, "lambda1", recorded)
+    runs = [
+        ("sweep", ("family.kind=exp_power", "family.dimension=3", "grid.n_points=2048")),
+        ("sweep", ("family.kind=power_exp_power", "family.dimension=4", "family.beta=1",
+                   "grid.n_points=2048")),
+        ("sweep", ("family.kind=lebesgue", "family.dimension=4", "grid.n_points=2048",
+                   "spectral.sweep_c_lo=0.5", "spectral.sweep_c_hi=1.5")),
+        ("report-all", ()),
+    ]
+    for i, (task, overrides) in enumerate(runs):
+        args = [task, "--out", str(tmp_path / str(i))]
+        for o in overrides:
+            args += ["--override", o]
+        assert main(args) == 0
+    deepest = []
+    for family, c, grid, res in seen:
+        rows = []
+        for k, g in enumerate(spectral.rung_grids(grid)):
+            lam = spectral._solve_smallest(*spectral.assemble(family, c, g), enforce=k == 0)[0]
+            rows.append((g.n_points, g.r_min, lam))
+        assert len(rows) == 4 and len(res.ladder) in (3, 4)
+        assert res.ladder == rows[:len(res.ladder)], (family, c)
+        assert res.verdict == spectral._ladder_verdict([lam for *_, lam in rows]), (family, c)
+        if len(res.ladder) == 4:
+            deepest.append(c)
+    assert len(seen) == 22 + 8  # 22 sweep probes; report-all's 7 and its evolve's cross-check
+    assert deepest == [pytest.approx(0.3078125, abs=1e-12)]
+
+
 def _run_with_blas_threads(code, threads):
     """stdout of `python -c code` on ./src, with OPENBLAS_NUM_THREADS unset
     (threads None) or set to `threads`."""
@@ -843,44 +910,23 @@ def _run_with_blas_threads(code, threads):
     (None, "hardykit", "1 False"), (None, "numpy", "1 False"), ("2", "hardykit", "2 True"),
 ])
 def test_lapack_pins_openblas_to_one_thread(preset, first, want):
-    # the spectral ladder runs a second thread of its own: once hardykit.lapack
-    # is loaded (on the first solve), the OpenBLAS its routines come from,
-    # numpy's, runs on one thread, whichever of numpy and hardykit was
-    # imported first, and the environment a child process would inherit is
-    # as it was.  A user's setting is kept
+    # two BLAS threads round the deep rungs' dot products differently: once
+    # hardykit.lapack is loaded (on the first solve), the OpenBLAS its
+    # routines come from, numpy's, runs on one thread, whichever of numpy and
+    # hardykit was imported first, so outputs match a one-thread run, and the
+    # environment a child process would inherit is as it was.  A user's
+    # setting is kept
     code = (f"import os, {first}; from hardykit import lapack; "
             "print(lapack._OPENBLAS[0](), 'OPENBLAS_NUM_THREADS' in os.environ)")
     assert _run_with_blas_threads(code, preset) == want
 
 
-def test_deepest_rung_runs_on_a_worker_beside_two_blas_threads():
-    # a user's OPENBLAS_NUM_THREADS=2 is kept, and the ladder still solves its
-    # deepest rung off the main thread, reading what a serial ladder reads
-    code = """
-import threading
-from dataclasses import replace
-from hardykit import Kind, RadialGrid, WeightFamily, assemble, lambda1, spectral
-solve, on_main = spectral._solve_smallest, {}
-def recorded(A, M, enforce):
-    on_main[A.n + 2] = threading.current_thread() is threading.main_thread()
-    return solve(A, M, enforce=enforce)
-spectral._solve_smallest = recorded
-fam, grid = WeightFamily(Kind.EXP_POWER, 3), RadialGrid()
-ladder = lambda1(fam, 0.3, grid).ladder
-print([on_main[n] for n in sorted(on_main)])
-print([lam for *_, lam in ladder] == [
-    solve(*assemble(fam, 0.3, replace(grid, r_min=r, n_points=n)),
-          enforce=False)[0] for n, r, _ in ladder])
-"""
-    assert _run_with_blas_threads(code, "2") == "[True, True, True, False]\nTrue"
-
-
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
 def test_a_solve_starts_no_thread():
     # the first solve loads no library with a thread pool of its own, and the
-    # ladder's worker thread is joined: the threads are numpy's.  The kernel
-    # task of a joined thread can outlive join() (1.2% of 20000 start/join
-    # pairs), so the count has up to 1 s to come back
+    # ladder starts no thread: the threads are numpy's.  The kernel task of a
+    # joined thread can outlive join() (1.2% of 20000 start/join pairs), so
+    # the count has up to 1 s to come back
     code = """
 import os, time, numpy
 count = lambda: len(os.listdir('/proc/self/task'))

@@ -1,4 +1,5 @@
 import ctypes
+import itertools
 import math
 import re
 import sys
@@ -136,12 +137,17 @@ class TestLambda1:
         assert lam2_ / lam1_ == pytest.approx(16.0, rel=0.01)
 
     def test_ladder_shape(self, exppow3):
-        res = lambda1(exppow3, 0.2, GRID)
-        assert len(res.ladder) == 4
-        r_mins = [row[1] for row in res.ladder]
-        ns = [row[0] for row in res.ladder]
-        assert r_mins == sorted(r_mins, reverse=True)
-        assert ns == sorted(ns)
+        # at c = 0.2 rungs 0-2 fix the verdict and the deepest rung is not
+        # solved; at c = 0.3 they do not, and all RUNGS are
+        for c, solved in ((0.2, 3), (0.3, RUNGS)):
+            res = lambda1(exppow3, c, GRID)
+            assert len(res.ladder) == solved
+            r_mins = [row[1] for row in res.ladder]
+            ns = [row[0] for row in res.ladder]
+            assert r_mins == sorted(r_mins, reverse=True)
+            assert ns == sorted(ns)
+            assert [(n, r) for n, r, _ in res.ladder] == [
+                (g.n_points, g.r_min) for g in spectral.rung_grids(GRID)[:solved]]
 
     def test_rung_grids(self):
         grid = RadialGrid(1e-5, 20, 256)
@@ -186,11 +192,13 @@ class TestLambda1:
     @pytest.mark.parametrize("rungs", [RUNGS])
     def test_ladder_matches_serial_solves_bitwise(self, exppow3, monkeypatch, rungs, c_scale,
                                                   blas_threads):
-        # whatever the BLAS thread count (0 leaves it as it stands), rung 3,
-        # the deepest of the RUNGS = 4, runs on a worker thread, and the
-        # ladder must read exactly what a plain loop over the rungs reads.
-        # c = 0.15 lies below the critical constant 0.25, and c = 0.3 above
-        # it, where the rungs' lambda_1 run away
+        # whatever the BLAS thread count (0 leaves it as it stands), every
+        # rung is solved on the calling thread, and the ladder must read
+        # exactly the first rows of a plain loop over all RUNGS = 4 rungs,
+        # with that loop's verdict.  c = 0.15 lies below the critical
+        # constant 0.25, where rungs 0-2 read Bounded whatever rung 3 reads,
+        # and c = 0.3 above it, where the rungs' lambda_1 run away and rung 3
+        # decides the verdict
         counts = [hk_lapack._OPENBLAS] if hk_lapack._OPENBLAS and blas_threads else []
         pinned = [get() for get, _ in counts]
         for _, put in counts:
@@ -222,19 +230,22 @@ class TestLambda1:
             if k == 0:
                 assert (got.lambda1, got.residual) == (lam, res)
                 assert np.array_equal(got.eigvec, vec)
-        assert got.ladder == rows
-        assert sorted(solvers) == [n for n, _, _ in rows]
-        on_worker = [n for n, thread in solvers.items() if thread is not threading.current_thread()]
+        solved = {1.0: 3, 2.0: 4}[c_scale]
+        assert got.ladder == rows[:solved]
+        assert got.verdict == spectral._ladder_verdict([lam for *_, lam in rows])
+        assert got.verdict == ("Bounded", "Diverging")[solved - 3]
+        assert sorted(solvers) == [n for n, _, _ in rows[:solved]]
+        assert all(thread is threading.current_thread() for thread in solvers.values())
         assert len(rows) == 4
-        assert on_worker == [rows[3][0]]
 
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     @pytest.mark.parametrize("failing, raised", [
         ({3}, 3), ({1, 3}, 1), ({0, 3}, 0), ({2}, 2), ({0, 1, 2, 3}, 0),
     ])
     def test_shallowest_failing_rung_is_raised(self, exppow3, monkeypatch, failing, raised):
-        # rung 3 runs on the worker thread, rungs 0-2 on the caller: whichever
-        # fails, the error is the one a serial ladder meets first
+        # the rungs are solved in order on the calling thread, and at c = 0.3
+        # rung 3 decides the verdict, so it is solved too: whichever rungs
+        # fail, the error is the shallowest one's, and no thread is left
         real = spectral.eigh_tridiagonal
         sizes = {GRID.n_points * 2**k - 2: k for k in range(4)}
 
@@ -247,7 +258,61 @@ class TestLambda1:
         threads = threading.active_count()
         with pytest.raises(NoConvergence, match=f"^rung {raised}$"):
             lambda1(exppow3, 0.3, GRID)
-        assert threading.active_count() == threads  # the worker was joined
+        assert threading.active_count() == threads
+
+    def test_deepest_rung_that_cannot_change_the_verdict_is_not_solved(self, exppow3,
+                                                                       monkeypatch):
+        # at c = 0.15 rungs 0-2 read Bounded whatever rung 3 reads: a rung 3
+        # that would fail is never solved, and the ladder is rungs 0-2
+        real = spectral.eigh_tridiagonal
+        deepest = GRID.n_points * N_GROW ** (RUNGS - 1) - 2
+
+        def failing_solve(d, e):
+            if len(d) == deepest:
+                raise NoConvergence("rung 3")
+            return real(d, e)
+
+        monkeypatch.setattr(spectral, "eigh_tridiagonal", failing_solve)
+        res = lambda1(exppow3, 0.15, GRID)
+        assert res.verdict == "Bounded"
+        assert [n for n, _, _ in res.ladder] == [GRID.n_points * N_GROW**k for k in range(3)]
+        with pytest.raises(NoConvergence, match="^rung 3$"):
+            lambda1(exppow3, 0.3, GRID)
+
+    def test_skipping_the_deepest_rung_never_changes_the_verdict(self, exppow3, monkeypatch):
+        # a synthetic grid of rung values: 0, the floor and ten times it on
+        # both sides and just beyond them, ratios on both sides of 2 and of
+        # 4, +-inf and nan.  lambda1 solves rung 3 exactly when some l3 of
+        # the grid changes the verdict of rungs 0-2, and when it does not
+        # solve it, its verdict is the four-rung verdict for every l3
+        f = spectral._LAMBDA_FLOOR
+        values = [0.0, f, -f, -1.01 * f, 10 * f, -10 * f, -10.1 * f, -41 * f, 1.0, -1.0,
+                  -1.9, -2.1, -3.9, -4.1, -8.5, -16.5, -17.0, -70.0,
+                  math.inf, -math.inf, math.nan]
+        rung = {g.n_points: k for k, g in enumerate(spectral.rung_grids(GRID))}
+        solved = []
+
+        def solve(grid, _, enforce):
+            solved.append(rung[grid.n_points])
+            return lams[rung[grid.n_points]], None, 0.0
+
+        monkeypatch.setattr(spectral, "assemble", lambda family, c, grid: (grid, None))
+        monkeypatch.setattr(spectral, "_solve_smallest", solve)
+        skipped = 0
+        for lams in itertools.product(values, repeat=3):
+            lams = list(lams) + [-17.0]
+            solved.clear()
+            got = lambda1(exppow3, 0.2, GRID)
+            four = {spectral._ladder_verdict(lams[:3] + [l3]) for l3 in values}
+            if solved == [0, 1, 2]:
+                skipped += 1
+                assert len(four) == 1 and got.verdict == four.pop(), lams
+                assert len(got.ladder) == 3
+            else:
+                assert solved == [0, 1, 2, 3] and len(four) == 2, lams
+                assert got.verdict == spectral._ladder_verdict(lams), lams
+                assert len(got.ladder) == 4
+        assert 0 < skipped < len(values) ** 3
 
     def test_concurrent_ladders_match_serial(self, exppow3):
         # lambda1 shares no state between calls: six ladders on six threads,
