@@ -90,6 +90,7 @@ import numpy as np
 
 from .config import U0_SUPPORT, EvolutionConfig
 from .errors import DegenerateSeries, NegativeDatum, SchemeDivergence
+from .hardy import line_fit
 from .spectral import grid_parts, lambda1, rung_grids
 from .spectral import solve_banded  # noqa: F401  (bench/tracer.py hooks this name)
 from .weights import RadialBump, RadialGrid, WeightFamily
@@ -278,8 +279,8 @@ class Envelope(NamedTuple):
 
 
 def fit_envelope(times: Sequence[float], norms: Sequence[float]) -> Envelope:
-    """Least squares on log||u|| over the second half of the series; M is
-    the smallest constant making the bound hold over the whole series."""
+    """omega is the slope of the hardy.line_fit of log||u|| on the second half
+    of the series; M is the smallest constant making the bound hold on all of it."""
     t = np.asarray(times, dtype=float)
     n = np.asarray(norms, dtype=float)
     if len(n) < 8:
@@ -287,7 +288,7 @@ def fit_envelope(times: Sequence[float], norms: Sequence[float]) -> Envelope:
     if np.any(n <= 0.0) or not np.all(np.isfinite(n)):
         raise DegenerateSeries("norm series must be positive and finite")
     half = len(n) // 2
-    if not np.any(t[half:] ** 2):  # polyfit divides the t column by its norm
+    if not np.any(t[half:] ** 2):  # a rate in units of 1/T would square past the double range
         raise DegenerateSeries(f"times up to {t[-1]:g} are too small to fit: t^2 underflows")
     logs = np.log(n[half:])
     spread, size = float(np.ptp(logs)), float(np.max(np.abs(logs)))
@@ -297,7 +298,7 @@ def fit_envelope(times: Sequence[float], norms: Sequence[float]) -> Envelope:
         raise DegenerateSeries(
             f"log-norms up to t = {t[-1]:g} spread {spread:.3g}, within rounding of their "
             f"size {size:.3g}: too short a time to fit a rate")
-    omega = float(np.polyfit(t[half:], logs, 1)[0])
+    omega = line_fit(t[half:], logs)[1]
     ratios = n / (np.exp(omega * t) * n[0])
     return Envelope(M=max(1.0, float(np.max(ratios))), omega=omega)
 

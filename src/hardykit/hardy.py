@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -153,11 +153,14 @@ class N0Estimate(NamedTuple):
         return self.quadrature
 
 
-def _inverse_k_fit(k: np.ndarray, y: np.ndarray):
-    """Least-squares fit y ~ a + b/k: ((a, b), the fitted values)."""
-    A = np.vstack([np.ones_like(k), 1.0 / k]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return coef, A @ coef
+def line_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
+    """Closed-form least-squares line y ~ a + b x: (a, b).  x is scaled by its
+    largest magnitude, as np.polyfit scales its column, then centred."""
+    scale = float(np.max(np.abs(x)))
+    u = x / scale
+    du = u - u.mean()
+    b = float(du @ (y - y.mean())) / float(du @ du)
+    return float(y.mean() - b * u.mean()), b / scale
 
 
 def _integral_diverges(family: WeightFamily, delta: float) -> bool:
@@ -214,16 +217,16 @@ def compute_profile(family: WeightFamily) -> HardyProfile:
     if not np.all(np.isfinite(vals)):
         raise ProfileUndefined("r^2 U_mu not finite on the dyadic ladder")
 
-    tail = vals[-_TAIL_WINDOW:]
-    coef, fitted = _inverse_k_fit(ks[-_TAIL_WINDOW:].astype(float), tail)
-    fit_resid = float(np.max(np.abs(tail - fitted)))
+    tail, inv_k = vals[-_TAIL_WINDOW:], 1.0 / ks[-_TAIL_WINDOW:]
+    a, b = line_fit(inv_k, tail)
+    fit_resid = float(np.max(np.abs(tail - (a + b * inv_k))))
     scale = max(1.0, float(np.max(np.abs(tail))))
     oscillatory = fit_resid > 1e-3 * scale
     if oscillatory:
         L = float(np.max(tail))
         L_inf = float(np.min(tail))
     else:
-        L = float(coef[0])
+        L = a
         L_inf = L
 
     N0 = family.analytic_N0()
@@ -417,7 +420,7 @@ def check_hypotheses(family: WeightFamily) -> HypothesisReport:
     log_omega = math.log(weights.surface_measure(family.dimension))
     log_ball = np.array([weights._log_moment(family, N0, s) for s in logd]) + log_omega
     for p in _COND1_P:
-        slope = float(np.polyfit(logd, log_ball - p * logd, 1)[0])
+        slope = line_fit(logd, log_ball - p * logd)[1]
         cond1[f"{p:g}"] = {"holds": slope > _COND1_TOL, "exponent": slope}
 
     return HypothesisReport(

@@ -206,7 +206,10 @@ def _solve_smallest(A: Tridiagonal, M: np.ndarray, enforce: bool = True):
 def _rayleigh_residual(A: Tridiagonal, M: np.ndarray, v: np.ndarray):
     mv = M * v
     av = A.matvec(v)
-    lam = float(v @ av) / float(v @ mv)
+    mass = float(v @ mv)
+    if not (mass and math.isfinite(mass)):
+        raise NoConvergence(f"the eigenvector's mass v.Mv is {mass:g}: it vanished or overflowed")
+    lam = float(v @ av) / mass
     defect = av - lam * mv
     res = float(np.linalg.norm(defect) / (np.linalg.norm(mv) * max(1.0, abs(lam))))
     return lam, res

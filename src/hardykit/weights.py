@@ -73,7 +73,7 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -171,19 +171,10 @@ def smooth_transition(r, lo: float, hi: float):
 # the oscillating family's C^2 closure
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _oscillating_blend() -> np.ndarray:
-    """Quintic Hermite coefficients blending 2 + sin(log r) into the
-    constant 2 on [1/2, 1], matching value and two derivatives at both ends
-    (keeps mu in H^2_loc)."""
-    t = LOG_HALF
-    val = 2.0 + math.sin(t)
-    d1 = math.cos(t) / 0.5
-    d2 = (-math.sin(t) - math.cos(t)) / 0.25
-    unit = np.eye(6)
-    A = [[np.polyval(np.polyder(unit[p, ::-1], k), rr) for p in range(6)]
-         for rr in (0.5, 1.0) for k in range(3)]
-    return np.linalg.solve(A, [val, d1, d2, 2.0, 0.0, 0.0])
+# the quintic Hermite blend of 2 + sin(log r) into 2 on [1/2, 1], C^2 at both ends (keeps
+# mu in H^2_loc), highest power first, as np.linalg.solve of its 6x6 system gives it
+_OSCILLATING_BLEND = np.array([50.9180725220805, -185.30997124709145, 259.08152752920523,
+                               -174.56548032587196, 58.535900442091545, -6.660048920413871])
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +300,7 @@ def _log_mu_jet(family: WeightFamily, s: np.ndarray, derivs: bool):
         g2 = np.where(near, (3.0 - 2.0 * q) / q**2, 0.0)
     mid = ~near & (s < 0.0)
     if mid.any():
-        p, x = _oscillating_blend()[::-1], np.exp(s[mid])  # highest power first
+        p, x = _OSCILLATING_BLEND, np.exp(s[mid])
         p0 = np.polyval(p, x)
         g[mid] = np.log(p0)
         if derivs:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hardykit import cli, hardy, weights
@@ -646,6 +647,20 @@ class TestCli:
         assert "the measure underflows at r_min = 1e-107 -- raise r_min" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+    def test_vanished_eigenvector_mass_exit_3(self, tmp_path, capsys):
+        # at N = 50 a ladder rung's inverse iteration overflows the iterate's
+        # norm, so the normalized iterate and its mass v.Mv are 0: the Rayleigh
+        # quotient ended in a ZeroDivisionError traceback
+        rc = main(["spectrum", "--out", str(tmp_path / "o"),
+                   "--override", "family.dimension=50", "--override", "grid.r_min=2.19e-4",
+                   "--override", "spectral.c=595"])
+        assert rc == 3
+        assert capsys.readouterr().err.endswith(
+            "numeric failure [spectrum]: the eigenvector's mass v.Mv is 0: "
+            "it vanished or overflowed\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_shallowest_rung_failure_is_reported(self, tmp_path, capsys):
         # rung 0 fails in dstebz; rungs 2 and 3 (r_min = 6.25e-104) would fail
@@ -849,6 +864,34 @@ def test_import_leaves_unused_scipy_out():
                          text=True, check=True).stdout.splitlines()
     assert out[0].startswith(src)
     assert out[1] == "[]"
+
+
+_AUDIT_RUNS = [
+    ("exp_power3", ["family.kind=exp_power", "family.dimension=3"]),
+    ("log_weight3", ["family.kind=log_weight", "family.alpha=1",
+                     "grid.r_max=0.95", "evolution.r_max=0.95"]),
+    ("oscillating3", ["family.kind=oscillating", "family.dimension=3"]),
+]
+
+
+@pytest.mark.parametrize("task, overrides", [("report-all", [])] + [
+    (task, overrides) for _, overrides in _AUDIT_RUNS for task in ("analyze", "sharpness")],
+    ids=["report-all"] + [f"{task}-{name}" for name, _ in _AUDIT_RUNS
+                          for task in ("analyze", "sharpness")])
+def test_no_dense_solver_or_polyfit_is_called(tmp_path, monkeypatch, task, overrides):
+    # the line fits are closed-form and the oscillating blend is a table, so
+    # the audit maps no LAPACK solver: the default report-all and the
+    # benchmark's six audit runs exit 0 with numpy's dense solvers disabled
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense numpy solver was called")
+
+    for module, name in ((np.linalg, "lstsq"), (np.linalg, "solve"), (np, "polyfit")):
+        monkeypatch.setattr(module, name, refuse)
+    hardy.compute_profile.cache_clear()  # a cached profile would skip its fit
+    argv = [task, "--out", str(tmp_path / "o")]
+    for o in overrides:
+        argv += ["--override", o]
+    assert main(argv) == 0
 
 
 def test_solved_rungs_are_the_first_rows_of_a_four_rung_ladder(tmp_path, monkeypatch):

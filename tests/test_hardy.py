@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hardykit import hardy
 from hardykit import (
     Kind,
     WeightFamily,
@@ -76,6 +77,29 @@ class TestUmu:
             want = 0.25 * d1_fd**2 - 0.5 * lap_fd
             got = compute_Umu(fam, r)
             assert abs(got - want) <= 1e-6 * max(1.0, abs(got))
+
+
+class TestLineFit:
+    # the x-grids of the three fits: the profile tail in 1/k, the small-ball
+    # log radii, and the fitted half of a 33-record evolution at T = 8 and at
+    # the smallest T whose t^2 does not underflow
+    @pytest.mark.parametrize("x", [
+        1.0 / np.arange(hardy._K_MAX - hardy._TAIL_WINDOW + 1, hardy._K_MAX + 1.0),
+        -np.arange(hardy._COND1_K_MIN, hardy._COND1_K_MAX + 1) * math.log(2.0),
+        np.linspace(0.0, 8.0, 33)[16:],
+        np.linspace(0.0, 1e-161, 16)[8:],
+    ], ids=["inverse_k", "cond1", "envelope", "T=1e-161"])
+    def test_matches_polyfit(self, x):
+        u = x / np.max(np.abs(x))
+        for y in (0.7 - 1.3 * u + 0.01 * np.sin(7.0 * u), np.exp(u), 2.0 + 1e-3 * u * u):
+            slope, intercept = np.polyfit(x, y, 1)
+            a, b = hardy.line_fit(x, y)
+            assert a == pytest.approx(intercept, rel=1e-12)
+            assert b == pytest.approx(slope, rel=1e-12)
+
+    def test_exact_line(self):
+        x = np.linspace(-3.0, 5.0, 9)
+        assert hardy.line_fit(x, 0.5 - 2.0 * x) == pytest.approx((0.5, -2.0), rel=1e-15)
 
 
 class TestProfile:

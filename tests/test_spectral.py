@@ -526,6 +526,16 @@ class TestLapackLoader:
             spectral._solve_smallest(spectral.Tridiagonal(diag, A.off), M)
         assert isinstance(err.value, HardyKitError)  # the CLI exits 3
 
+    def test_vanished_eigenvector_mass_is_no_convergence(self, exppow3):
+        # a zero or overflowing mass v.Mv names itself, where the Rayleigh
+        # quotient divided by zero; a finite one keeps its arithmetic
+        A, M = assemble(exppow3, 0.2, GRID)
+        v = np.sin(np.linspace(0.0, math.pi, A.n + 2)[1:-1])
+        assert spectral._rayleigh_residual(A, M, v)[0] == float(v @ A.matvec(v)) / float(v @ (M * v))
+        for bad in (np.zeros(A.n), np.full(A.n, 1e300)):
+            with np.errstate(over="ignore"), pytest.raises(NoConvergence, match="mass v.Mv"):
+                spectral._rayleigh_residual(A, M, bad)
+
     def test_misshapen_input_never_reaches_lapack(self):
         # the wrappers pass raw pointers: a length or a layout LAPACK would
         # read past is a ValueError before the call

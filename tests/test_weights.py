@@ -58,6 +58,21 @@ class TestEvalMu:
         assert eval_mu(oscillating, 0.5) == pytest.approx(2 + math.sin(math.log(0.5)), rel=1e-12)
         assert eval_mu(oscillating, 1.0 - 1e-12) == pytest.approx(2.0, rel=1e-9)
 
+    def test_oscillating_blend_table_is_the_hermite_solve(self):
+        # the table is bitwise the solve of the quintic Hermite system that
+        # matches 2 + sin(log r) at 1/2 and the constant 2 at 1 to second order
+        t = math.log(0.5)
+        ends = {0.5: (2.0 + math.sin(t), math.cos(t) / 0.5, (-math.sin(t) - math.cos(t)) / 0.25),
+                1.0: (2.0, 0.0, 0.0)}
+        unit = np.eye(6)
+        A = [[np.polyval(np.polyder(unit[p, ::-1], k), r) for p in range(6)]
+             for r in ends for k in range(3)]
+        table = weights._OSCILLATING_BLEND
+        assert np.array_equal(table[::-1], np.linalg.solve(A, [v for r in ends for v in ends[r]]))
+        for r, jet in ends.items():
+            for k, want in enumerate(jet):
+                assert np.polyval(np.polyder(table, k), r) == pytest.approx(want, abs=1e-12)
+
     def test_positive_on_support(self, exppow3, pexp4, logw_pos, oscillating):
         r = np.geomspace(1e-8, 0.999, 300)
         for fam in (exppow3, pexp4, logw_pos, oscillating):
